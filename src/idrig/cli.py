@@ -29,7 +29,7 @@ import numpy as np
 from . import killing_dev as kdm
 from . import rigidity
 from .exprlang import ExprError
-from .initial_data import ambient_residual_norm, constraints, dec_margin
+from .initial_data import constraints, dec_margin
 from .mesh import Field, MeshError, dump_field_csv, fit_order
 from .scene import Scene, SceneError, parse_scene, scene_initial_data, scene_ppwave
 
@@ -70,11 +70,9 @@ def cmd_constraints(scene, args):
         "j_norm_max": float(np.max(jnorm)),
         "dec_margin_min": float(np.min(margin.data)),
     }
-    verdicts = {"dec_margin_min": bool(
-        residuals["dec_margin_min"] >= -_tol(scene, "dec"))}
-    tols = {"dec_margin_min": _tol(scene, "dec")}
+    verdicts, tols = _judge(scene, {"dec_margin_min": residuals["dec_margin_min"]})
     fields = {"rho": rho, "dec_margin": margin, "j": j}
-    return residuals, verdicts, tols, fields
+    return residuals, verdicts, tols, fields, {}
 
 
 def cmd_rigidity(scene, args):
@@ -83,7 +81,7 @@ def cmd_rigidity(scene, args):
     verdicts, tols = _judge(scene, residuals, lower_bounded=())
     fields = {"lambda": rigidity.lambda_form(ids),
               "theta_plus": rigidity.theta_plus_field(ids)}
-    return residuals, verdicts, tols, fields
+    return residuals, verdicts, tols, fields, {}
 
 
 def cmd_killing_dev(scene, args):
@@ -98,11 +96,8 @@ def cmd_killing_dev(scene, args):
     table = kdm.kd_einstein(kd)
     residuals = dict(kdm.kd_pattern_residuals(kd, table))
     sigma = residuals.pop("sigma")
-    g = ids.metric
-    residuals["section_lightlike_max"] = float(np.max(np.abs(
-        -kd.section.a**2 + g.norm2_vector(kd.section.x))))
-    residuals["section_parallel_max"] = float(np.max(
-        ambient_residual_norm(ids, kd.section)))
+    residuals["section_lightlike_max"] = kd.lightlike_max
+    residuals["section_parallel_max"] = kd.parallel_max
     dec = kdm.kd_dec_check(kd, count=args.directions, table=table)
     residuals["dec_margin_min"] = dec.minimum
     verdicts, tols = _judge(scene, residuals)
@@ -128,6 +123,7 @@ def cmd_ppwave(scene, args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rt = kdm.kd_roundtrip(spec, scene.hypersurface)
+            # the data set that kd_roundtrip induced and stored on the spec
             ids = kdm.induce_from_ppwave(spec, scene.hypersurface)
         rho, j = constraints(ids)
         jnorm = np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
@@ -135,7 +131,7 @@ def cmd_ppwave(scene, args):
         residuals["marginal_modulus_max"] = float(np.max(np.abs(
             jnorm - np.abs(rho.data))))
     verdicts, tols = _judge(scene, residuals, lower_bounded=())
-    return residuals, verdicts, tols, fields
+    return residuals, verdicts, tols, fields, {}
 
 
 CONVERGENCE_CHECKS = {
@@ -230,7 +226,10 @@ def _dump_fields(fields, directory):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.directions < 1:
+        parser.error(f"--directions must be a positive integer, got {args.directions}")
     started = time.perf_counter()
     try:
         scene = parse_scene(args.scene)
@@ -250,9 +249,7 @@ def main(argv=None):
         return 2
 
     try:
-        outcome = COMMANDS[args.command](scene, args)
-        residuals, verdicts, tols, fields = outcome[:4]
-        extra = outcome[4] if len(outcome) > 4 else {}
+        residuals, verdicts, tols, fields, extra = COMMANDS[args.command](scene, args)
         bad = [k for k, v in residuals.items()
                if v is not None and not np.isfinite(v)]
         if bad:

@@ -29,6 +29,11 @@ def inverse_and_det(gdata):
     return np.moveaxis(inv, (-2, -1), (0, 1)), det
 
 
+def symmetrize(t):
+    """Symmetric part of a rank-2 component array over its first two axes."""
+    return 0.5 * (t + np.swapaxes(t, 0, 1))
+
+
 def christoffels_from(ginv, dg):
     """Gamma^a_bc from the inverse metric and dg[c, a, b] = d_c g_ab."""
     gam = np.einsum("ad...,bdc...->abc...", ginv, dg)
@@ -41,6 +46,7 @@ def riemann_from(gamma, dgamma):
     """R^a_bcd from Christoffels and dgamma[e, a, b, c] = d_e Gamma^a_bc."""
     r = np.einsum("cadb...->abcd...", dgamma).copy()
     r -= np.einsum("dacb...->abcd...", dgamma)
+    del dgamma  # with no caller reference left, this frees it before the Gamma*Gamma terms
     r += np.einsum("ace...,edb...->abcd...", gamma, gamma)
     r -= np.einsum("ade...,ecb...->abcd...", gamma, gamma)
     return r
@@ -103,8 +109,7 @@ class CurvatureBundle:
 
 def curvature(metric, scheme=DEFAULT_SCHEME):
     gam = christoffels(metric, scheme)
-    dgam = partial_stack(gam, metric.grid, scheme)
-    r_up = riemann_from(gam, dgam)
+    r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
     ric = ricci_from(r_up)
     scal = np.einsum("bd...,bd...->...", metric.ginv, ric)
     r_low = np.einsum("ae...,ebcd...->abcd...", metric.data, r_up)
@@ -112,10 +117,6 @@ def curvature(metric, scheme=DEFAULT_SCHEME):
 
 
 # --- covariant derivatives ------------------------------------------------------
-
-
-def cov_scalar(fdata, grid, scheme=DEFAULT_SCHEME):
-    return partial_stack(fdata, grid, scheme)
 
 
 def cov_vector(xdata, grid, gamma, scheme=DEFAULT_SCHEME):

@@ -10,10 +10,17 @@ and the connection
     nablabar_Y (x e0 + X) = (d_Y x + k(Y, X)) e0 + (x k(Y, .)# + nabla_Y X),
 which is metric for gbar.  Constraint quantities:
     rho = (scal + tr(k)^2 - |k|^2) / 2,     j = div k - d tr k.
+
+A data set is not changed after construction, so each derived field is
+computed once: `curvature()` and every `derived` function (constraints,
+lambda, theta+, ...) store their first result on the data set, read-only,
+and return that object to later calls.  It lives as long as the data set.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +33,6 @@ from .mesh import (
     MeshError,
     leaf_block,
     leaf_index,
-    leaf_values,
     partial_stack,
     sample,
 )
@@ -70,6 +76,7 @@ class InitialDataSet:
         self.k = k
         self.scheme = scheme
         self._curv = None
+        self._derived = {}
 
     @staticmethod
     def product(grid, phi, leaf_metric, k, scheme=DEFAULT_SCHEME):
@@ -133,7 +140,7 @@ class InitialDataSet:
 
     def curvature(self):
         if self._curv is None:
-            self._curv = geometry.curvature(self.metric, self.scheme)
+            self._curv = _read_only(geometry.curvature(self.metric, self.scheme))
         return self._curv
 
     def leaf_metric_family(self):
@@ -163,9 +170,35 @@ def _leaf_metric_components(grid, leaf_metric):
     return out
 
 
+def _read_only(value):
+    """Mark every array inside a stored value read-only; returns the value."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif dataclasses.is_dataclass(value):
+        _read_only(tuple(vars(value).values()))
+    return value
+
+
+def derived(build):
+    """Run build(ids, *inputs) once per data set and store its result there.
+
+    Extra inputs must be derived from `ids`; only the first call reads them.
+    """
+    @functools.wraps(build)
+    def cached(ids, *inputs):
+        if build not in ids._derived:
+            ids._derived[build] = _read_only(build(ids, *inputs))
+        return ids._derived[build]
+    return cached
+
+
 # --- constraint quantities ---------------------------------------------------
 
 
+@derived
 def constraints(ids):
     """Energy and momentum densities (rho, j) of the data set."""
     curv = ids.curvature()
@@ -188,11 +221,10 @@ def dec_margin(ids, rho=None, j=None):
     return Field(ids.grid, "scalar", rho.data - jnorm)
 
 
-def dec_holds(ids, tol=None, rho=None, j=None):
-    margin = dec_margin(ids, rho, j)
+def dec_holds(ids, tol=None):
+    margin = dec_margin(ids)
     if tol is None:
-        if rho is None:
-            rho, _ = constraints(ids)
+        rho, _ = constraints(ids)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(rho.data))))
     return bool(np.min(margin.data) >= -tol), margin
 
@@ -216,13 +248,17 @@ def ambient_derivative(ids, v):
     dx[c, b] its tangent components.
     """
     curv = ids.curvature()
-    k = ids.k.data
     da = partial_stack(v.a, ids.grid, ids.scheme)
-    da += np.einsum("cb...,b...->c...", k, v.x)
-    k_mixed = np.einsum("be...,ce...->cb...", ids.metric.ginv, k)
+    da += np.einsum("cb...,b...->c...", ids.k.data, v.x)
     dx = geometry.cov_vector(v.x, ids.grid, curv.christoffels, ids.scheme)
-    dx += v.a * k_mixed
+    dx += v.a * _k_mixed(ids)
     return da, dx
+
+
+@derived
+def _k_mixed(ids):
+    """k(d_c, .)^# over the full grid, indexed [c, b]."""
+    return np.einsum("be...,ce...->cb...", ids.metric.ginv, ids.k.data)
 
 
 def ambient_connection(ids, ydata, v):
@@ -256,7 +292,7 @@ def ambient_curvature(ids, v):
     """Curvature of the ambient connection on V via the discrete commutator."""
     curv = ids.curvature()
     k = ids.k.data
-    k_mixed = np.einsum("be...,ce...->cb...", ids.metric.ginv, k)
+    k_mixed = _k_mixed(ids)
     da, dx = ambient_derivative(ids, v)
     # second application: the d-indexed family (da[d], dx[d]) is a set of
     # ambient fields; [d_c, d_d] = 0 so the commutator is the curvature
@@ -292,22 +328,24 @@ class LeafData:
     theta_plus: Field        # tr_{g_tau} chi_plus
 
 
-def leaf_null_geometry(ids, tau):
+@derived
+def _shape_form(ids):
+    """A(d_c, d_b) = g(nabla_c nu, d_b) over the full grid, indexed [c, b]."""
     curv = ids.curvature()
-    idx = leaf_index(ids.grid, tau)
     nnu = geometry.cov_vector(ids.nu, ids.grid, curv.christoffels, ids.scheme)
-    a_full = np.einsum("bd...,cd...->cb...", ids.metric.data, nnu)
+    return np.einsum("bd...,cd...->cb...", ids.metric.data, nnu)
+
+
+def leaf_null_geometry(ids, tau):
+    idx = leaf_index(ids.grid, tau)
     k_leaf = leaf_block(ids.k, idx)
-    a_leaf = Field(ids.grid.leaf(), "sym2", _symmetrize(a_full[1:, 1:][:, :, idx]))
+    a_leaf = Field(ids.grid.leaf(), "sym2",
+                   geometry.symmetrize(_shape_form(ids)[1:, 1:][:, :, idx]))
     g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
     chi = a_leaf + k_leaf
     theta = np.einsum("ab...,ab...->...", g_tau.ginv, chi.data)
     return LeafData(idx, ids.grid.leaf(), g_tau, a_leaf, chi,
                     Field(ids.grid.leaf(), "scalar", theta))
-
-
-def _symmetrize(t):
-    return 0.5 * (t + np.swapaxes(t, 0, 1))
 
 
 # --- parallel transport -------------------------------------------------------------
@@ -391,12 +429,10 @@ def parallel_transport(ids, v0_a, v0_x, path, tol=1e-10, max_steps=65536, degree
         if len(idx) != n or not all(0 <= idx[i] < grid.counts[i] for i in range(n)):
             raise MeshError(f"path node {tuple(idx)} outside the grid")
     curv = ids.curvature()
-    k = ids.k.data
-    k_mixed = np.einsum("be...,ce...->cb...", ids.metric.ginv, k)
     interp = _StencilInterpolator(
         [curv.christoffels.reshape((n**3,) + grid.shape),
-         k.reshape((n**2,) + grid.shape),
-         k_mixed.reshape((n**2,) + grid.shape)],
+         ids.k.data.reshape((n**2,) + grid.shape),
+         _k_mixed(ids).reshape((n**2,) + grid.shape)],
         grid, degree=degree)
 
     def rhs(point, state, direction):

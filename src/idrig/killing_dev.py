@@ -21,33 +21,28 @@ with profile f - 2 w'.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints)
-from .mesh import DEFAULT_SCHEME, Field, Grid, MeshError, partial, partial_stack
+from .mesh import (DEFAULT_SCHEME, Field, Grid, MeshError, dump_csv, partial,
+                   partial_stack)
+from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
 
 
 def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
     """Spacetime coordinate derivatives: zero along v, grid partials on M."""
-    parts = [np.zeros_like(data)]
-    parts += [partial(data, grid, i, scheme) for i in range(grid.ndim)]
-    return np.stack(parts)
-
-
-def spacetime_inverse(gbar):
-    arr = np.moveaxis(gbar, (0, 1), (-2, -1))
-    det = np.linalg.det(arr)
-    inv = np.linalg.inv(arr)
-    return np.moveaxis(inv, (-2, -1), (0, 1)), det
+    out = np.zeros((grid.ndim + 1,) + np.shape(data))
+    for i in range(grid.ndim):
+        out[i + 1] = partial(data, grid, i, scheme)
+    return out
 
 
 def lorentz_signature_defect(gbar):
@@ -70,11 +65,9 @@ class SpacetimeCurvature:
 
 
 def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME):
-    ginv, _ = spacetime_inverse(gbar)
-    dg = dead_v_partials(gbar, grid, scheme)
-    gamma = geometry.christoffels_from(ginv, dg)
-    dgamma = dead_v_partials(gamma, grid, scheme)
-    riem_up = geometry.riemann_from(gamma, dgamma)
+    ginv, _ = geometry.inverse_and_det(gbar)
+    gamma = geometry.christoffels_from(ginv, dead_v_partials(gbar, grid, scheme))
+    riem_up = geometry.riemann_from(gamma, dead_v_partials(gamma, grid, scheme))
     ricci = geometry.ricci_from(riem_up)
     scal = np.einsum("bd...,bd...->...", ginv, ricci)
     einstein = ricci - 0.5 * scal * gbar
@@ -91,7 +84,6 @@ class KillingDevelopment:
         self.ids = ids
         self.grid = ids.grid
         self.section = section
-        self.u_flat = Field(ids.grid, "covector", -ids.metric.flat(section.x))
         self.gbar = gbar
         self.scheme = scheme
         self._curv = None
@@ -112,18 +104,15 @@ def build_kd(ids, section=None, tol=1e-8):
     Lorentzian signature at every node.
     """
     if section is None:
-        inv_phi = 1.0 / ids.phi.data
-        x = np.zeros((ids.grid.ndim,) + ids.grid.shape)
-        x[0] = inv_phi**2
-        section = AmbientVector(ids.grid, inv_phi, x)
+        section = build_parallel_candidate(ids)
     if np.min(section.a) <= 0.0:
         raise MeshError("section is not transversal: e0 coefficient <= 0 at a node")
     g = ids.metric
-    norm2 = -section.a**2 + g.norm2_vector(section.x)
+    lightlike = float(np.max(np.abs(-section.a**2 + g.norm2_vector(section.x))))
     scale = 1.0 + float(np.max(section.a**2 + g.norm2_vector(section.x)))
-    if float(np.max(np.abs(norm2))) > tol * scale:
+    if lightlike > tol * scale:
         warnings.warn("development section is not lightlike; "
-                      f"max |gbar(V,V)| = {float(np.max(np.abs(norm2))):.3e}")
+                      f"max |gbar(V,V)| = {lightlike:.3e}")
     par = float(np.max(ambient_residual_norm(ids, section)))
     if par > tol:
         warnings.warn(f"development section is not parallel; max residual {par:.3e}")
@@ -137,7 +126,10 @@ def build_kd(ids, section=None, tol=1e-8):
     bad = lorentz_signature_defect(gbar)
     if bad:
         raise MeshError(f"development metric is not Lorentzian at {bad} nodes")
-    return KillingDevelopment(ids, section, gbar, ids.scheme)
+    kd = KillingDevelopment(ids, section, gbar, ids.scheme)
+    kd.lightlike_max = lightlike    # max |gbar(V, V)| of the section
+    kd.parallel_max = par           # max residual of nablabar V
+    return kd
 
 
 # --- orthonormal frame and the Einstein table --------------------------------------
@@ -145,18 +137,14 @@ def build_kd(ids, section=None, tol=1e-8):
 
 @dataclass(frozen=True)
 class FrameEinstein:
-    """Einstein and Ricci components in an orthonormal frame (e0, e1.., nu)."""
+    """Einstein tensor components in an orthonormal frame (e0, e1.., nu)."""
 
     grid: Grid
     labels: tuple
     frame: np.ndarray     # frame[A] = spacetime components of frame vector A
     ein: np.ndarray       # Ein(E_A, E_B)
-    ric: np.ndarray
     scal: np.ndarray
     orthonormality_defect: float
-
-    def component(self, a, b):
-        return self.ein[self.labels.index(a), self.labels.index(b)]
 
 
 def _gram_schmidt_spatial(g):
@@ -177,7 +165,7 @@ def _gram_schmidt_spatial(g):
 
 
 def kd_einstein(kd):
-    """Frame components of Einstein/Ricci in (e0, e1..e_{n-1}, nu).
+    """Einstein tensor components in the frame (e0, e1..e_{n-1}, nu).
 
     e0 is the future unit normal of the v = const slices, the spatial
     frame comes from Gram-Schmidt over the coordinate vectors with the
@@ -206,12 +194,11 @@ def kd_einstein(kd):
 
     curv = kd.curvature()
     ein = np.einsum("Ai...,ij...,Bj...->AB...", frame, curv.einstein, frame)
-    ric = np.einsum("Ai...,ij...,Bj...->AB...", frame, curv.ricci, frame)
     labels = ("e0",) + tuple(f"e{i}" for i in range(1, n)) + ("nu",)
-    return FrameEinstein(ids.grid, labels, frame, ein, ric, curv.scal, defect)
+    return FrameEinstein(ids.grid, labels, frame, ein, curv.scal, defect)
 
 
-def kd_pattern_residuals(kd, table=None, rho=None):
+def kd_pattern_residuals(kd, table=None):
     """Deviation of the frame Einstein table from the rho-rank-one pattern.
 
     On data whose section is parallel the only nonzero entries are
@@ -222,8 +209,7 @@ def kd_pattern_residuals(kd, table=None, rho=None):
     """
     if table is None:
         table = kd_einstein(kd)
-    if rho is None:
-        rho = constraints(kd.ids)[0]
+    rho = constraints(kd.ids)[0]
     n = kd.grid.ndim
     sigma = -1.0 if float(np.mean(-kd.section.x[0])) > 0.0 else 1.0
     pattern = np.zeros((n + 1, n + 1))
@@ -337,6 +323,8 @@ class PpWaveSpec:
     grid: Grid
     f: object
     scheme: object = DEFAULT_SCHEME
+    # parsed graph w -> the data set induce_from_ppwave built on it
+    induced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def ppwave(grid, f, scheme=DEFAULT_SCHEME):
@@ -430,11 +418,14 @@ def induce_from_ppwave(spec, w="0"):
     metric keeps product form; it is spacelike iff f - 2 w' > 0, and then
     the induced lapse is phi = sqrt(f - 2 w') with identity leaf metric.
     The second fundamental form is computed numerically from the wave
-    connection and the future unit normal of the graph.
+    connection and the future unit normal of the graph.  The data set is
+    built on the first call for a graph and returned again by later calls.
     """
+    w_ast = exprlang.parse(w) if isinstance(w, str) else w
+    if w_ast in spec.induced:
+        return spec.induced[w_ast]
     grid = spec.grid
     n = grid.ndim
-    w_ast = exprlang.parse(w) if isinstance(w, str) else w
     extra = exprlang.variables_of(w_ast) - {"s"}
     if extra:
         raise MeshError("graph must depend on s only to induce product data "
@@ -469,15 +460,16 @@ def induce_from_ppwave(spec, w="0"):
     for i in range(1, n):
         tangents[i, i + 1] = 1.0
 
-    de0 = dead_v_partials(e0, grid, spec.scheme)[1:]
+    de0 = partial_stack(e0, grid, spec.scheme)
     cov = de0 + np.einsum("BCD...,aC...,D...->aB...", curv.gamma, tangents, e0)
     k = np.einsum("BD...,bD...,aB...->ab...", gbar, tangents, cov)
     asym = float(np.max(np.abs(k - np.einsum("ab...->ba...", k))))
     if asym > 1e-6 * (1.0 + float(np.max(np.abs(k)))):
         warnings.warn(f"induced second fundamental form asymmetry {asym:.3e}")
-    k = 0.5 * (k + np.einsum("ab...->ba...", k))
-    return InitialDataSet.product(grid, phi, np.eye(n - 1),
-                                  Field(grid, "sym2", k), spec.scheme)
+    ids = InitialDataSet.product(grid, phi, np.eye(n - 1),
+                                 Field(grid, "sym2", geometry.symmetrize(k)), spec.scheme)
+    spec.induced[w_ast] = ids
+    return ids
 
 
 def restricted_killing_section(ids):
@@ -512,6 +504,8 @@ def kd_roundtrip(spec, w="0", tol=1e-8):
     expected = ppwave_metric(shifted)
     wave_report = ppwave_einstein_check(shifted)
     kd_ein = kd.curvature().einstein
+    off = kd_ein.copy()
+    off[1, 1] = 0.0
     table = kd_einstein(kd)
     wave_frame = np.einsum("Ai...,ij...,Bj...->AB...", table.frame,
                            wave_report.einstein, table.frame)
@@ -521,16 +515,9 @@ def kd_roundtrip(spec, w="0", tol=1e-8):
         "frame_table_gap_max": float(np.max(np.abs(table.ein - wave_frame))),
         "kd_formula_residual_max": float(np.max(np.abs(
             kd_ein[1, 1] - wave_report.expected_ss))),
-        "kd_off_component_max": float(np.max(np.abs(
-            kd_ein - kd_ein[1, 1] * _ss_basis(kd.grid.ndim, kd.grid.shape)))),
+        "kd_off_component_max": float(np.max(np.abs(off))),
         "scal_max": float(np.max(np.abs(kd.curvature().scal))),
     }
-
-
-def _ss_basis(n, shape):
-    basis = np.zeros((n + 1, n + 1) + shape)
-    basis[1, 1] = 1.0
-    return basis
 
 
 # --- report emission ----------------------------------------------------------------
@@ -538,15 +525,6 @@ def _ss_basis(n, shape):
 
 def dump_frame_table_csv(table, path):
     """Write the frame Einstein table as CSV, one row per node and entry."""
-    grid = table.grid
-    n = grid.ndim
-    axes = [grid.axis_coords(i) for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(grid.names) + ["comp", "value"])
-        for node in np.ndindex(*grid.shape):
-            coords = [format(axes[i][node[i]], ".17g") for i in range(n)]
-            for a, la in enumerate(table.labels):
-                for b, lb in enumerate(table.labels):
-                    writer.writerow(coords + [f"ein_{la}_{lb}",
-                                              format(table.ein[(a, b) + node], ".17g")])
+    columns = [(f"ein_{la}_{lb}", table.ein[a, b])
+               for a, la in enumerate(table.labels) for b, lb in enumerate(table.labels)]
+    dump_csv(table.grid, columns, path)

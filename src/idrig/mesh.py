@@ -245,10 +245,6 @@ class Field:
     def rank(self):
         return FIELD_KINDS[self.kind][0]
 
-    def partial(self, axis, scheme=DEFAULT_SCHEME):
-        """Componentwise coordinate derivative (not covariant)."""
-        return partial(self.data, self.grid, axis, scheme)
-
     def max_norm(self):
         return float(np.max(np.abs(self.data)))
 
@@ -392,28 +388,31 @@ def l2_norm(a, ginv, density=None):
 # --- CSV dump --------------------------------------------------------------------
 
 
-def dump_field_csv(field, path):
-    """Write a field as CSV: one row per node and component.
+def dump_csv(grid, columns, path):
+    """Write labelled grid arrays as CSV: one row per node and column.
 
-    Columns are the grid coordinates, a component label ("comp" for scalars,
-    "comp_<i>_<j>" style for tensors), and the value with 17 significant
-    digits.  Nodes run row-major; components cycle fastest.
+    `columns` is a list of (label, array of grid.shape).  Rows hold the grid
+    coordinates, the label and the value with 17 significant digits; nodes
+    run row-major and the columns cycle fastest.
     """
-    grid = field.grid
-    rank = field.rank
-    n = grid.ndim
-    axes = [grid.axis_coords(i) for i in range(n)]
+    axes = [grid.axis_coords(i) for i in range(grid.ndim)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(grid.names) + ["comp", "value"])
         for node in np.ndindex(*grid.shape):
-            coords = [format(axes[i][node[i]], ".17g") for i in range(n)]
-            if rank == 0:
-                writer.writerow(coords + ["comp", format(field.data[node], ".17g")])
-                continue
-            for cidx in np.ndindex(*(n,) * rank):
-                label = "comp_" + "_".join(str(i) for i in cidx)
-                writer.writerow(coords + [label, format(field.data[cidx + node], ".17g")])
+            coords = [format(axes[i][node[i]], ".17g") for i in range(grid.ndim)]
+            for label, values in columns:
+                writer.writerow(coords + [label, format(values[node], ".17g")])
+
+
+def dump_field_csv(field, path):
+    """Write a field with dump_csv, labelling components "comp" or "comp_<i>_<j>"."""
+    if field.rank == 0:
+        columns = [("comp", field.data)]
+    else:
+        columns = [("comp_" + "_".join(str(i) for i in cidx), field.data[cidx])
+                   for cidx in np.ndindex(*(field.grid.ndim,) * field.rank)]
+    dump_csv(field.grid, columns, path)
 
 
 # --- convergence helper -----------------------------------------------------------

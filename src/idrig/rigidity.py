@@ -22,11 +22,13 @@ from . import exprlang, geometry
 from .initial_data import (
     AmbientVector,
     InitialDataSet,
+    _shape_form,
     ambient_curvature,
     ambient_curvature_pairing,
     ambient_residual_norm,
     constraints,
     dec_margin,
+    derived,
     j_normal,
     leaf_null_geometry,
 )
@@ -37,7 +39,7 @@ from .mesh import (
     integrate,
     leaf_block,
     leaf_index,
-    leaf_values,
+    partial,
     partial_stack,
 )
 
@@ -93,6 +95,7 @@ def parallel_residuals(ids, v=None):
 # --- the obstruction 1-form lambda ----------------------------------------------
 
 
+@derived
 def lambda_form(ids):
     """lambda as an M-covector field; lambda(nu) = 0 by antisymmetry.
 
@@ -131,7 +134,16 @@ def closedness_residual(ids, tau=None):
     full M 2-forms, whose mixed s-leaf components are not constrained by
     the lemma for non-rigid data.
     """
-    lam = lambda_form(ids)
+    d_phil, identity = _closedness_forms(ids, lambda_form(ids))
+    if tau is None:
+        return d_phil, identity
+    idx = leaf_index(ids.grid, tau)
+    return leaf_block(d_phil, idx), leaf_block(identity, idx)
+
+
+@derived
+def _closedness_forms(ids, lam):
+    """The full M 2-forms d(phi lambda) and d lambda + d log phi ^ lambda."""
     phi = ids.phi.data
     phil = Field(ids.grid, "covector", phi * lam.data)
     d_phil = geometry.exterior_d(phil, ids.scheme)
@@ -139,11 +151,7 @@ def closedness_residual(ids, tau=None):
     dlogphi = partial_stack(np.log(phi), ids.grid, ids.scheme)
     wedge = np.einsum("a...,b...->ab...", dlogphi, lam.data)
     wedge = wedge - np.einsum("ab...->ba...", wedge)
-    identity = Field(ids.grid, "form2", dlam.data + wedge)
-    if tau is None:
-        return d_phil, identity
-    idx = leaf_index(ids.grid, tau)
-    return leaf_block(d_phil, idx), leaf_block(identity, idx)
+    return d_phil, Field(ids.grid, "form2", dlam.data + wedge)
 
 
 # --- leaf tensor calculus helpers ------------------------------------------------
@@ -156,11 +164,6 @@ def leaf_div_minus_dtr(tfield, leaf_metric, scheme=DEFAULT_SCHEME):
     tr = geometry.trace_sym2(tfield.data, leaf_metric)
     d_tr = partial_stack(tr, leaf_metric.grid, scheme)
     return Field(leaf_metric.grid, "covector", div - d_tr)
-
-
-def j_equation_residual(tfield, leaf_metric, scheme=DEFAULT_SCHEME):
-    """div T - d tr T; zero characterizes solutions of the leaf j-equation."""
-    return leaf_div_minus_dtr(tfield, leaf_metric, scheme)
 
 
 # --- two for three ----------------------------------------------------------------
@@ -181,8 +184,8 @@ def two_for_three_residual(ids, tau):
     rho, j = constraints(ids)
     lam = lambda_form(ids)
     lhs = (j.data + lam.data)[1:, idx]
-    gdot_full = partial_stack(ids.leaf_metric_family(), ids.grid, ids.scheme)[0]
-    gdot = Field(leaf_grid, "sym2", _sym(gdot_full[:, :, idx]))
+    gdot_full = partial(ids.leaf_metric_family(), ids.grid, 0, ids.scheme)
+    gdot = Field(leaf_grid, "sym2", geometry.symmetrize(gdot_full[:, :, idx]))
     g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
     dd = leaf_div_minus_dtr(gdot, g_tau, ids.scheme)
     phi_tau = ids.phi.data[idx]
@@ -195,10 +198,6 @@ def two_for_three_residual(ids, tau):
         Field(leaf_grid, "covector", lhs - rhs),
         Field(leaf_grid, "sym2", defect),
     )
-
-
-def _sym(t):
-    return 0.5 * (t + np.swapaxes(t, 0, 1))
 
 
 # --- MOTS variation formula --------------------------------------------------------
@@ -214,12 +213,10 @@ class VariationResult:
     q_potential: Field         # Q = scal^F/2 - (rho + j(nu)) - |chi+|^2/2
 
 
+@derived
 def theta_plus_field(ids):
     """Expansion theta+ of every leaf as one scalar field over M."""
-    curv = ids.curvature()
-    nnu = geometry.cov_vector(ids.nu, ids.grid, curv.christoffels, ids.scheme)
-    a_low = np.einsum("bd...,cd...->cb...", ids.metric.data, nnu)
-    chi = a_low[1:, 1:] + ids.k.data[1:, 1:]
+    chi = _shape_form(ids)[1:, 1:] + ids.k.data[1:, 1:]
     ginv_leaf = ids.metric.ginv[1:, 1:]
     return Field(ids.grid, "scalar", np.einsum("ab...,ab...->...", ginv_leaf, chi))
 
@@ -231,11 +228,11 @@ def variation_residual(ids, tau):
     scheme = ids.scheme
 
     theta = theta_plus_field(ids)
-    rate = partial_stack(theta.data, ids.grid, scheme)[0][idx]
+    rate = partial(theta.data, ids.grid, 0, scheme)[idx]
 
     g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
-    gam_tau = geometry.christoffels(g_tau, scheme)
     leaf_curv = geometry.curvature(g_tau, scheme)
+    gam_tau = leaf_curv.christoffels
 
     phi_tau = ids.phi.data[idx]
     rho, j = constraints(ids)
@@ -293,15 +290,24 @@ def leaf_wavenumbers(leaf_grid):
     return np.stack(mesh)
 
 
-def spectral_gap(leaf_grid, gmat):
-    """min over nonzero lattice modes of |xi|^2_{g^{-1}}; bounds the Hodge spectrum."""
-    m = leaf_grid.ndim
-    gmat = _check_constant_metric(gmat, m)
+def _fourier_symbols(leaf_grid, gmat):
+    """Checked constant metric, g^{-1}, xi, xi^#, the zero-mode mask and |xi|^2.
+
+    |xi|^2_{g^{-1}} is returned as 1 on the zero mode, so it can divide.
+    """
+    gmat = _check_constant_metric(gmat, leaf_grid.ndim)
     ginv = np.linalg.inv(gmat)
     xi = leaf_wavenumbers(leaf_grid)
     norm2 = np.einsum("ab,a...,b...->...", ginv, xi, xi)
-    flat = norm2.ravel()
-    return float(np.min(flat[flat > 1e-14]))
+    zero = norm2 <= 1e-14
+    xi_up = np.einsum("ab,b...->a...", ginv, xi)
+    return gmat, ginv, xi, xi_up, zero, np.where(zero, 1.0, norm2)
+
+
+def spectral_gap(leaf_grid, gmat):
+    """min over nonzero lattice modes of |xi|^2_{g^{-1}}; bounds the Hodge spectrum."""
+    *_, zero, safe = _fourier_symbols(leaf_grid, gmat)
+    return float(np.min(safe[~zero]))
 
 
 @dataclass(frozen=True)
@@ -320,16 +326,9 @@ def hodge_decompose(omega, gmat):
     """
     leaf_grid = omega.grid
     m = leaf_grid.ndim
-    gmat = _check_constant_metric(gmat, m)
-    ginv = np.linalg.inv(gmat)
-    xi = leaf_wavenumbers(leaf_grid)
+    _, _, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
     axes = tuple(range(-m, 0))
     what = np.fft.fftn(omega.data, axes=axes)
-
-    norm2 = np.einsum("ab,a...,b...->...", ginv, xi, xi)
-    zero = norm2 <= 1e-14
-    safe = np.where(zero, 1.0, norm2)
-    xi_up = np.einsum("ab,b...->a...", ginv, xi)
     fhat = -1j * np.einsum("a...,a...->...", xi_up, what) / safe
     fhat = np.where(zero, 0.0, fhat)
     exact_hat = 1j * xi * fhat
@@ -360,7 +359,8 @@ def div_part_identity_residual(w_covector, gmat, scheme=DEFAULT_SCHEME):
     gam = geometry.christoffels(gfield, scheme)
     w_vec = gfield.sharp(w_covector.data)
     lie = geometry.lie_metric(w_vec, gfield, gam, scheme)
-    lhs = leaf_div_minus_dtr(Field(leaf_grid, "sym2", _sym(lie)), gfield, scheme)
+    lhs = leaf_div_minus_dtr(Field(leaf_grid, "sym2", geometry.symmetrize(lie)),
+                             gfield, scheme)
     delta_d = geometry.codifferential(geometry.exterior_d(w_covector, scheme),
                                       gfield, gam, scheme)
     return Field(leaf_grid, "covector", lhs.data + delta_d.data)
@@ -387,8 +387,7 @@ def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
     """
     leaf_grid = gdot.grid
     m = leaf_grid.ndim
-    gmat = _check_constant_metric(gmat, m)
-    ginv = np.linalg.inv(gmat)
+    gmat, ginv, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
     vol = float(np.prod(leaf_grid.lengths))
     tr = np.einsum("ab,ab...->...", ginv, gdot.data)
     c = float(integrate(tr, leaf_grid)) / (m * vol)
@@ -405,11 +404,6 @@ def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
     if zero_amp > 1e-8 * scale:
         raise MeshError("tt_split source has a zero mode; not a divergence")
 
-    xi = leaf_wavenumbers(leaf_grid)
-    norm2 = np.einsum("ab,a...,b...->...", ginv, xi, xi)
-    zero = norm2 <= 1e-14
-    safe = np.where(zero, 1.0, norm2)
-    xi_up = np.einsum("ab,b...->a...", ginv, xi)
     # div(L_W g)_j = -(|xi|^2 W_j + xi_j xi* . W) in Fourier; invert by
     # Sherman-Morrison: W = -(R - xi (xi* . R) / (2|xi|^2)) / |xi|^2
     xis_r = np.einsum("a...,a...->...", xi_up, rhat)
@@ -420,11 +414,11 @@ def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
     dw = partial_stack(w, leaf_grid, scheme)
     lie = dw + np.einsum("ab...->ba...", dw)
     h = source - lie
-    h_field = Field(leaf_grid, "sym2", _sym(h))
+    h_field = Field(leaf_grid, "sym2", geometry.symmetrize(h))
     div_h = np.einsum("ab,abj...->j...", ginv, partial_stack(h, leaf_grid, scheme))
     tr_h = np.einsum("ab,ab...->...", ginv, h)
     return TTSplit(c, Field(leaf_grid, "covector", w), h_field,
-                   Field(leaf_grid, "sym2", _sym(lie)),
+                   Field(leaf_grid, "sym2", geometry.symmetrize(lie)),
                    float(np.max(np.abs(div_h))), float(np.max(np.abs(tr_h))))
 
 

@@ -37,8 +37,12 @@ import configparser
 import hashlib
 from dataclasses import dataclass, replace
 
-from . import exprlang
-from .mesh import Grid, MeshError, Scheme
+import numpy as np
+
+from . import exprlang, killing_dev
+from .initial_data import InitialDataSet
+from .mesh import Grid, MeshError, Scheme, sample
+from .rigidity import rigid_recipe
 
 
 class SceneError(Exception):
@@ -119,13 +123,14 @@ def parse_scene(path):
         n_s = int(grid_sec.get("n_s"))
         leaf_counts = tuple(int(v) for v in _split_list(grid_sec.get("leaf_counts", "")))
         leaf_lengths = tuple(float(v) for v in _split_list(grid_sec.get("leaf_lengths", "")))
+        n = 1 + len(leaf_counts)
+        declared_n = int(grid_sec.get("n", n))
     except (TypeError, ValueError) as exc:
         raise SceneError(f"[grid] values: {exc}") from exc
     if len(leaf_counts) != len(leaf_lengths):
         raise SceneError("[grid] leaf_counts and leaf_lengths differ in length")
-    n = 1 + len(leaf_counts)
-    if grid_sec.get("n") is not None and int(grid_sec["n"]) != n:
-        raise SceneError(f"[grid] declares n = {grid_sec['n']} but leaves imply {n}")
+    if declared_n != n:
+        raise SceneError(f"[grid] declares n = {declared_n} but leaves imply {n}")
 
     scheme_sec = parser["scheme"] if parser.has_section("scheme") else {}
     try:
@@ -198,30 +203,18 @@ def parse_scene(path):
 
 def scene_initial_data(scene, n_s=None):
     """Build the scene's data set, optionally on a refined s axis."""
-    import numpy as np
-
-    from . import killing_dev
-    from .initial_data import InitialDataSet
-    from .rigidity import rigid_recipe
-
     grid = scene.grid(n_s)
     lm = scene.leaf_metric if scene.leaf_metric is not None else np.eye(scene.n - 1)
     if scene.source == "recipe":
         return rigid_recipe(grid, scene.phi, lm, scene.scheme)
     if scene.source == "explicit":
-        return InitialDataSet.product(grid, scene.phi, lm,
-                                      _sample_k(grid, scene.k_entries), scene.scheme)
+        k = sample(grid, [list(row) for row in scene.k_entries], kind="sym2")
+        return InitialDataSet.product(grid, scene.phi, lm, k, scene.scheme)
     spec = killing_dev.ppwave(grid, scene.f, scene.scheme)
     return killing_dev.induce_from_ppwave(spec, scene.hypersurface or "0")
 
 
-def _sample_k(grid, entries):
-    from .mesh import sample
-    return sample(grid, [list(row) for row in entries], kind="sym2")
-
-
 def scene_ppwave(scene, n_s=None):
-    from . import killing_dev
     if scene.source != "ppwave":
         raise SceneError("scene has no wave profile")
     return killing_dev.ppwave(scene.grid(n_s), scene.f, scene.scheme)

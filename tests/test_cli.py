@@ -72,6 +72,16 @@ def test_tolerance_override_flips_verdict():
     assert rep["verdicts"] == {"dec_margin_min": True}
 
 
+def test_constraints_reads_the_dec_margin_min_tolerance(tmp_path):
+    path = tmp_path / "loose.scene"
+    path.write_text((SCENES / "recipe.scene").read_text()
+                    + "\n[tolerances]\ndec_margin_min = 100\n")
+    code, rep, _ = run(["constraints", path])
+    assert code == 0
+    assert rep["tolerances"] == {"dec_margin_min": 100.0}
+    assert rep["verdicts"] == {"dec_margin_min": True}
+
+
 def test_scheme_override_is_reflected():
     code, rep, _ = run(["constraints", SCENES / "flat.scene",
                         "--scheme-s", "fd2", "--scheme-leaf", "fd2"])
@@ -242,6 +252,10 @@ def test_scene_grid_errors(tmp_path):
                     "leaf_lengths = 1, 1\n[data]\nphi = 1\n")
     code, _, err = run(["constraints", path])
     assert code == 2 and "leaves imply 3" in err
+    path.write_text("[grid]\nn = abc\nn_s = 8\nleaf_counts = 8, 8\n"
+                    "leaf_lengths = 1, 1\n[data]\nphi = 1\n")
+    code, _, err = run(["constraints", path])
+    assert code == 2 and err.startswith("scene error: [grid] values")
 
 
 def test_argparse_rejects_bad_invocations():
@@ -251,6 +265,10 @@ def test_argparse_rejects_bad_invocations():
     with pytest.raises(SystemExit) as exc:
         run(["constraints", SCENES / "flat.scene", "--scheme-s", "spectral"])
     assert exc.value.code == 2
+    for count in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            run(["killing-dev", SCENES / "vacuum_kd.scene", "--directions", count])
+        assert exc.value.code == 2
 
 
 def test_out_flag_and_determinism(tmp_path):

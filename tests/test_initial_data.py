@@ -9,7 +9,8 @@ from idrig.initial_data import (InitialDataSet, AmbientVector, constraints,
                                 ambient_connection, ambient_residual_norm,
                                 ambient_curvature, ambient_curvature_pairing,
                                 leaf_null_geometry, parallel_transport)
-from idrig.rigidity import rigid_recipe, build_parallel_candidate
+from idrig.rigidity import (rigid_recipe, build_parallel_candidate, lambda_form,
+                            theta_plus_field)
 from helpers import SCHEME, grid3
 
 
@@ -18,6 +19,25 @@ def flat_data(grid):
     eye = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
     zero = [["0"] * n for _ in range(n)]
     return InitialDataSet.product(grid, "1", np.eye(n - 1), zero, scheme=SCHEME)
+
+
+# --- derived fields are computed once --------------------------------------------
+
+
+def test_derived_fields_are_stored_read_only():
+    ids = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    for fn in (constraints, lambda_form, theta_plus_field):
+        assert fn(ids) is fn(ids)
+    assert ids.curvature() is ids.curvature()
+    rho, j = constraints(ids)
+    for array in (rho.data, j.data, lambda_form(ids).data, theta_plus_field(ids).data,
+                  ids.curvature().christoffels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    # another data set builds its own fields
+    other = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    assert constraints(other) is not constraints(ids)
+    assert np.array_equal(constraints(other)[0].data, rho.data)
 
 
 # --- assembly and validation ---------------------------------------------------

@@ -1,12 +1,14 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
 from idrig import exprlang
 from idrig.mesh import Grid, Field, MeshError
-from idrig.initial_data import AmbientVector, InitialDataSet, constraints
-from idrig.rigidity import rigid_recipe
+from idrig.initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
+                                constraints)
+from idrig.rigidity import build_parallel_candidate, rigid_recipe
 from idrig.killing_dev import (dead_v_partials, lorentz_signature_defect,
                                build_kd, kd_einstein, kd_pattern_residuals,
                                kd_dec_check, causal_direction_set, ppwave,
@@ -118,6 +120,19 @@ def test_build_kd_validation_and_warnings():
         build_kd(loose)
 
 
+def test_build_kd_stores_the_section_maxima():
+    loose = InitialDataSet.product(grid3(9, 8), "exp(0.1*sin(2*pi*x1))", np.eye(2),
+                                   [["0"] * 3 for _ in range(3)], scheme=SCHEME)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kd = build_kd(loose)
+    section = build_parallel_candidate(loose)
+    lightlike = np.max(np.abs(-section.a**2 + loose.metric.norm2_vector(section.x)))
+    assert kd.lightlike_max == float(lightlike)
+    assert kd.parallel_max == float(np.max(ambient_residual_norm(loose, section)))
+    assert kd.parallel_max > 1e-3
+
+
 # --- causal direction sampling ------------------------------------------------------
 
 
@@ -209,6 +224,14 @@ def test_induced_data_marginality():
     assert np.max(np.abs(j.data - rho.data * nu_flat)) < 1e-8
     jnorm = np.sqrt(ids.metric.norm2_covector(j.data))
     assert np.max(np.abs(jnorm - np.abs(rho.data))) < 1e-8
+
+
+def test_induced_data_is_built_once_per_graph():
+    spec = ppwave(grid3(9, 8), "2 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    ids = induce_from_ppwave(spec, "0.1*s^2")
+    assert induce_from_ppwave(spec, "0.1*s^2") is ids
+    assert induce_from_ppwave(spec, exprlang.parse("0.1*s^2")) is ids
+    assert induce_from_ppwave(spec) is not ids
 
 
 def test_induce_validation():
