@@ -17,6 +17,7 @@ deterministic for fixed scene and flags except the single `volatile` field.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -38,6 +39,10 @@ INFORMATIONAL = {"rho_max", "dec_margin_min", "sigma", "order"}
 
 # built-in tolerance defaults for keys with a stricter contract than 1e-8
 STRICT_DEFAULTS = {"parallel_kv_max": 1e-11}
+
+# arrays of this size and more get pages of their own (see _map_large_arrays)
+LARGE_ARRAY_BYTES = 16 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
 
 
 def _tol(scene, key):
@@ -225,7 +230,24 @@ def _dump_fields(fields, directory):
             dump_field_csv(obj, path)
 
 
+def _map_large_arrays():
+    """Map arrays of LARGE_ARRAY_BYTES and more outside the heap, where glibc has mallopt.
+
+    glibc's default thresholds grow with the blocks freed, so large arrays
+    were placed in the heap wherever earlier work had left room, and the
+    resident peak of a process running several reports moved by 10 MB with
+    their order.  Fixed thresholds map such arrays and keep the heap top small.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, LARGE_ARRAY_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, LARGE_ARRAY_BYTES)
+
+
 def main(argv=None):
+    _map_large_arrays()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.directions < 1:
@@ -254,6 +276,9 @@ def main(argv=None):
                if v is not None and not np.isfinite(v)]
         if bad:
             raise MeshError(f"non-finite residuals: {bad}")
+    except SceneError as exc:
+        print(f"scene error: {exc}", file=sys.stderr)
+        return 2
     except (MeshError, ExprError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

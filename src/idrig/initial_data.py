@@ -12,9 +12,10 @@ which is metric for gbar.  Constraint quantities:
     rho = (scal + tr(k)^2 - |k|^2) / 2,     j = div k - d tr k.
 
 A data set is not changed after construction, so each derived field is
-computed once: `curvature()` and every `derived` function (constraints,
-lambda, theta+, ...) store their first result on the data set, read-only,
-and return that object to later calls.  It lives as long as the data set.
+computed once: `curvature()`, every `derived` function (constraints,
+lambda, theta+, ...) and `leaf_null_geometry`, once per leaf node, store
+their first result on the data set, read-only, and return that object to
+later calls.  It lives as long as the data set.
 """
 
 from __future__ import annotations
@@ -143,10 +144,6 @@ class InitialDataSet:
             self._curv = _read_only(geometry.curvature(self.metric, self.scheme))
         return self._curv
 
-    def leaf_metric_family(self):
-        """The (n-1) x (n-1) block of g over the full grid."""
-        return self.metric.data[1:, 1:]
-
 
 def _leaf_metric_components(grid, leaf_metric):
     m = grid.ndim - 1
@@ -177,7 +174,7 @@ def _read_only(value):
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
-    elif dataclasses.is_dataclass(value):
+    elif dataclasses.is_dataclass(value) or isinstance(value, geometry.MetricField):
         _read_only(tuple(vars(value).values()))
     return value
 
@@ -318,11 +315,13 @@ def ambient_curvature_pairing(ids, curv_v, w):
 
 @dataclass(frozen=True)
 class LeafData:
-    """Second fundamental form data of one leaf for the outgoing null normal."""
+    """One leaf: its metric and curvature, the data on it, and its null expansion."""
 
     tau_idx: int
-    leaf_grid: Grid
-    g_tau: geometry.MetricField
+    g_tau: geometry.MetricField   # its grid is the leaf grid
+    curvature: geometry.CurvatureBundle   # of g_tau
+    phi: np.ndarray          # lapse on the leaf
+    k_ff: Field              # k restricted to the leaf
     shape_operator: Field    # A(X, Y) = g(nabla_X nu, Y)
     chi_plus: Field          # A + k restricted to the leaf
     theta_plus: Field        # tr_{g_tau} chi_plus
@@ -337,15 +336,20 @@ def _shape_form(ids):
 
 
 def leaf_null_geometry(ids, tau):
+    """The leaf at the node nearest tau, built once per node and stored on ids."""
     idx = leaf_index(ids.grid, tau)
-    k_leaf = leaf_block(ids.k, idx)
-    a_leaf = Field(ids.grid.leaf(), "sym2",
-                   geometry.symmetrize(_shape_form(ids)[1:, 1:][:, :, idx]))
-    g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
-    chi = a_leaf + k_leaf
-    theta = np.einsum("ab...,ab...->...", g_tau.ginv, chi.data)
-    return LeafData(idx, ids.grid.leaf(), g_tau, a_leaf, chi,
-                    Field(ids.grid.leaf(), "scalar", theta))
+    if (leaf_null_geometry, idx) not in ids._derived:
+        leaf_grid = ids.grid.leaf()
+        k_leaf = leaf_block(ids.k, idx)
+        a_leaf = Field(leaf_grid, "sym2",
+                       geometry.symmetrize(_shape_form(ids)[1:, 1:][:, :, idx]))
+        g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
+        chi = a_leaf + k_leaf
+        theta = np.einsum("ab...,ab...->...", g_tau.ginv, chi.data)
+        ids._derived[leaf_null_geometry, idx] = _read_only(LeafData(
+            idx, g_tau, geometry.curvature(g_tau, ids.scheme), ids.phi.data[idx],
+            k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta)))
+    return ids._derived[leaf_null_geometry, idx]
 
 
 # --- parallel transport -------------------------------------------------------------

@@ -64,9 +64,14 @@ class SpacetimeCurvature:
     ginv: np.ndarray
 
 
-def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME):
+def spacetime_christoffels(gbar, grid, scheme=DEFAULT_SCHEME):
+    """Inverse metric and Christoffels Gammabar^A_BC of a v-independent metric."""
     ginv, _ = geometry.inverse_and_det(gbar)
-    gamma = geometry.christoffels_from(ginv, dead_v_partials(gbar, grid, scheme))
+    return ginv, geometry.christoffels_from(ginv, dead_v_partials(gbar, grid, scheme))
+
+
+def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME):
+    ginv, gamma = spacetime_christoffels(gbar, grid, scheme)
     riem_up = geometry.riemann_from(gamma, dead_v_partials(gamma, grid, scheme))
     ricci = geometry.ricci_from(riem_up)
     scal = np.einsum("bd...,bd...->...", ginv, ricci)
@@ -441,14 +446,14 @@ def induce_from_ppwave(spec, w="0"):
     phi = Field(grid, "scalar", np.sqrt(phi2))
 
     gbar = ppwave_metric(spec)
-    curv = spacetime_curvature(gbar, grid, spec.scheme)
+    ginv, gamma = spacetime_christoffels(gbar, grid, spec.scheme)
     dw_vals = np.broadcast_to(exprlang.evaluate(dw, env), grid.shape)
 
     # future unit normal from the conormal dv - w' ds
     conormal = np.zeros((n + 1,) + grid.shape)
     conormal[0] = 1.0
     conormal[1] = -dw_vals
-    normal = np.einsum("AB...,B...->A...", curv.ginv, conormal)
+    normal = np.einsum("AB...,B...->A...", ginv, conormal)
     e0 = -normal / phi.data
     e0_v = np.einsum("A...,A...->...", gbar[0], e0)
     if float(np.max(e0_v)) >= 0.0:
@@ -461,7 +466,7 @@ def induce_from_ppwave(spec, w="0"):
         tangents[i, i + 1] = 1.0
 
     de0 = partial_stack(e0, grid, spec.scheme)
-    cov = de0 + np.einsum("BCD...,aC...,D...->aB...", curv.gamma, tangents, e0)
+    cov = de0 + np.einsum("BCD...,aC...,D...->aB...", gamma, tangents, e0)
     k = np.einsum("BD...,bD...,aB...->ab...", gbar, tangents, cov)
     asym = float(np.max(np.abs(k - np.einsum("ab...->ba...", k))))
     if asym > 1e-6 * (1.0 + float(np.max(np.abs(k)))):

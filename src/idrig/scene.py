@@ -210,8 +210,7 @@ def scene_initial_data(scene, n_s=None):
     if scene.source == "explicit":
         k = sample(grid, [list(row) for row in scene.k_entries], kind="sym2")
         return InitialDataSet.product(grid, scene.phi, lm, k, scene.scheme)
-    spec = killing_dev.ppwave(grid, scene.f, scene.scheme)
-    return killing_dev.induce_from_ppwave(spec, scene.hypersurface or "0")
+    return killing_dev.induce_from_ppwave(scene_ppwave(scene, n_s), scene.hypersurface or "0")
 
 
 def scene_ppwave(scene, n_s=None):

@@ -256,6 +256,11 @@ def test_scene_grid_errors(tmp_path):
                     "leaf_lengths = 1, 1\n[data]\nphi = 1\n")
     code, _, err = run(["constraints", path])
     assert code == 2 and err.startswith("scene error: [grid] values")
+    # the wave commands need a scene with a ppwave_f profile
+    for argv in (["ppwave", SCENES / "recipe.scene"],
+                 ["convergence", SCENES / "recipe.scene", "--check", "ppwave_formula"]):
+        code, _, err = run(argv)
+        assert code == 2 and err == "scene error: scene has no wave profile\n"
 
 
 def test_argparse_rejects_bad_invocations():

@@ -29,9 +29,18 @@ def test_derived_fields_are_stored_read_only():
     for fn in (constraints, lambda_form, theta_plus_field):
         assert fn(ids) is fn(ids)
     assert ids.curvature() is ids.curvature()
+    # one leaf record per s node: a repeated tau and a tau that rounds to the same node
+    leaf = leaf_null_geometry(ids, 0.5)
+    assert leaf_null_geometry(ids, 0.5) is leaf
+    assert leaf_null_geometry(ids, 0.5 + 0.3 * ids.grid.spacing[0]) is leaf
+    assert leaf_null_geometry(ids, 0.25) is not leaf
+    assert np.array_equal(leaf.curvature.christoffels,
+                          geometry.christoffels(leaf.g_tau, ids.scheme))
     rho, j = constraints(ids)
     for array in (rho.data, j.data, lambda_form(ids).data, theta_plus_field(ids).data,
-                  ids.curvature().christoffels):
+                  ids.curvature().christoffels, leaf.g_tau.ginv, leaf.curvature.christoffels,
+                  leaf.curvature.scal, leaf.phi, leaf.k_ff.data, leaf.chi_plus.data,
+                  leaf.theta_plus.data):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
     # another data set builds its own fields

@@ -14,7 +14,8 @@ from idrig.killing_dev import (dead_v_partials, lorentz_signature_defect,
                                kd_dec_check, causal_direction_set, ppwave,
                                ppwave_einstein_check, induce_from_ppwave,
                                restricted_killing_section, kd_roundtrip,
-                               dump_frame_table_csv)
+                               dump_frame_table_csv, ppwave_metric,
+                               spacetime_christoffels, spacetime_curvature)
 from helpers import SCHEME, grid3
 
 
@@ -27,6 +28,16 @@ def test_dead_v_partials_shape():
     assert out.shape == (4,) + grid.shape
     assert np.max(np.abs(out[0])) == 0.0
     assert np.max(np.abs(out[1:])) == 0.0
+
+
+def test_spacetime_christoffels_are_those_of_the_curvature_pass():
+    spec = ppwave(grid3(9, 8), "1 + 0.3*sin(2*pi*x1)*cos(2*pi*x2) + 0.2*s^2", SCHEME)
+    gbar = ppwave_metric(spec)
+    ginv, gamma = spacetime_christoffels(gbar, spec.grid, SCHEME)
+    curv = spacetime_curvature(gbar, spec.grid, SCHEME)
+    assert np.max(np.abs(gamma)) > 0.1
+    assert np.array_equal(gamma, curv.gamma)
+    assert np.array_equal(ginv, curv.ginv)
 
 
 def test_lorentz_signature_defect():
