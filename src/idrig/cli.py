@@ -17,7 +17,6 @@ deterministic for fixed scene and flags except the single `volatile` field.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
@@ -31,7 +30,7 @@ from . import killing_dev as kdm
 from . import rigidity
 from .exprlang import ExprError
 from .initial_data import constraints, dec_margin
-from .mesh import Field, MeshError, dump_field_csv, fit_order
+from .mesh import DataError, Field, MeshError, dump_field_csv, fit_order
 from .scene import Scene, SceneError, parse_scene, scene_initial_data, scene_ppwave
 
 # residual keys that are reported but never judged against a tolerance
@@ -39,10 +38,6 @@ INFORMATIONAL = {"rho_max", "dec_margin_min", "sigma", "order"}
 
 # built-in tolerance defaults for keys with a stricter contract than 1e-8
 STRICT_DEFAULTS = {"parallel_kv_max": 1e-11}
-
-# arrays of this size and more get pages of their own (see _map_large_arrays)
-LARGE_ARRAY_BYTES = 16 << 20
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
 
 
 def _tol(scene, key):
@@ -230,24 +225,7 @@ def _dump_fields(fields, directory):
             dump_field_csv(obj, path)
 
 
-def _map_large_arrays():
-    """Map arrays of LARGE_ARRAY_BYTES and more outside the heap, where glibc has mallopt.
-
-    glibc's default thresholds grow with the blocks freed, so large arrays
-    were placed in the heap wherever earlier work had left room, and the
-    resident peak of a process running several reports moved by 10 MB with
-    their order.  Fixed thresholds map such arrays and keep the heap top small.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, LARGE_ARRAY_BYTES)
-    mallopt(_M_TRIM_THRESHOLD, LARGE_ARRAY_BYTES)
-
-
 def main(argv=None):
-    _map_large_arrays()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.directions < 1:
@@ -276,7 +254,7 @@ def main(argv=None):
                if v is not None and not np.isfinite(v)]
         if bad:
             raise MeshError(f"non-finite residuals: {bad}")
-    except SceneError as exc:
+    except (SceneError, DataError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
     except (MeshError, ExprError, FloatingPointError) as exc:

@@ -8,6 +8,8 @@ Hodge Laplacian d delta + delta d is positive on functions.
 
 The *_from helpers are plain array algebra over precomputed partials; the
 Lorentzian development module reuses them with its own derivative rule.
+ricci_from takes the Christoffels, their divergence d_a Gamma^a_bd and the
+partials of their trace Gamma^a_ab, so Ricci needs no Riemann tensor.
 """
 
 from __future__ import annotations
@@ -52,8 +54,12 @@ def riemann_from(gamma, dgamma):
     return r
 
 
-def ricci_from(riemann_up):
-    return np.einsum("abac...->bc...", riemann_up)
+def ricci_from(gamma, div_gamma, d_trace):
+    """R_bd from Gamma, div_gamma[b, d] = d_a Gamma^a_bd and d_trace[d, b] = d_d Gamma^a_ab."""
+    ric = div_gamma - np.swapaxes(d_trace, 0, 1)
+    ric += np.einsum("aae...,ebd...->bd...", gamma, gamma)
+    ric -= np.einsum("ade...,eab...->bd...", gamma, gamma)
+    return ric
 
 
 # --- Riemannian metric fields --------------------------------------------------
@@ -110,7 +116,7 @@ class CurvatureBundle:
 def curvature(metric, scheme=DEFAULT_SCHEME):
     gam = christoffels(metric, scheme)
     r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
-    ric = ricci_from(r_up)
+    ric = np.einsum("abad...->bd...", r_up)
     scal = np.einsum("bd...,bd...->...", metric.ginv, ric)
     r_low = np.einsum("ae...,ebcd...->abcd...", metric.data, r_up)
     return CurvatureBundle(gam, r_low, ric, scal)

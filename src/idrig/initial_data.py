@@ -29,6 +29,7 @@ import numpy as np
 from . import geometry
 from .mesh import (
     DEFAULT_SCHEME,
+    DataError,
     Field,
     Grid,
     MeshError,
@@ -67,10 +68,10 @@ class InitialDataSet:
         if phi.kind != "scalar" or k.kind != "sym2":
             raise MeshError("phi must be scalar and k sym2")
         if np.min(phi.data) <= 0.0:
-            raise MeshError("lapse phi must be positive")
+            raise DataError("lapse phi must be positive")
         mixed = metric.data[0, 1:]
         if np.max(np.abs(mixed)) > 1e-12 * (1.0 + np.max(np.abs(metric.data))):
-            raise MeshError("metric has nonzero mixed s-leaf components")
+            raise DataError("metric has nonzero mixed s-leaf components")
         self.grid = grid
         self.phi = phi
         self.metric = metric

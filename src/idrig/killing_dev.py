@@ -7,8 +7,9 @@ ambient bundle, the development is the stationary metric
 
 on R x M in coordinates (v, s, x^i), with dv the translation direction.
 The metric is v-independent by construction, so every v-derivative is
-identically zero and spacetime curvature is assembled on the M grid with
-one extra analytic index (index 0 = v throughout this module).
+identically zero.  Only the Christoffels, Ricci and Einstein tensors are
+assembled, on the M grid with one extra analytic index (index 0 = v
+throughout this module).
 
 The module also carries the closed-form plane-wave family
 
@@ -30,8 +31,8 @@ import numpy as np
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints)
-from .mesh import (DEFAULT_SCHEME, Field, Grid, MeshError, dump_csv, partial,
-                   partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, dump_csv,
+                   partial, partial_stack)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
@@ -72,8 +73,9 @@ def spacetime_christoffels(gbar, grid, scheme=DEFAULT_SCHEME):
 
 def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME):
     ginv, gamma = spacetime_christoffels(gbar, grid, scheme)
-    riem_up = geometry.riemann_from(gamma, dead_v_partials(gamma, grid, scheme))
-    ricci = geometry.ricci_from(riem_up)
+    div_gamma = sum(partial(gamma[i + 1], grid, i, scheme) for i in range(grid.ndim))
+    d_trace = dead_v_partials(np.einsum("aab...->b...", gamma), grid, scheme)
+    ricci = geometry.ricci_from(gamma, div_gamma, d_trace)
     scal = np.einsum("bd...,bd...->...", ginv, ricci)
     einstein = ricci - 0.5 * scal * gbar
     return SpacetimeCurvature(gamma, ricci, scal, einstein, ginv)
@@ -340,7 +342,7 @@ def ppwave(grid, f, scheme=DEFAULT_SCHEME):
     lengths = dict(zip(grid.names[1:], grid.lengths[1:]))
     report = exprlang.lint_periodicity(ast, lengths)
     if report:
-        raise MeshError(f"wave profile is not periodic on the leaves: {report}")
+        raise DataError(f"wave profile is not periodic on the leaves: {report}")
     return PpWaveSpec(grid, ast, scheme)
 
 
@@ -433,7 +435,7 @@ def induce_from_ppwave(spec, w="0"):
     n = grid.ndim
     extra = exprlang.variables_of(w_ast) - {"s"}
     if extra:
-        raise MeshError("graph must depend on s only to induce product data "
+        raise DataError("graph must depend on s only to induce product data "
                         f"(found {sorted(extra)})")
     env = grid.coord_env()
     dw = exprlang.diff(w_ast, "s")
@@ -442,7 +444,7 @@ def induce_from_ppwave(spec, w="0"):
             f"({exprlang.unparse(spec.f)}) - 2*({exprlang.unparse(dw)})"), env),
         grid.shape).copy()
     if float(np.min(phi2)) <= 0.0:
-        raise MeshError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
+        raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
     phi = Field(grid, "scalar", np.sqrt(phi2))
 
     gbar = ppwave_metric(spec)
@@ -457,7 +459,7 @@ def induce_from_ppwave(spec, w="0"):
     e0 = -normal / phi.data
     e0_v = np.einsum("A...,A...->...", gbar[0], e0)
     if float(np.max(e0_v)) >= 0.0:
-        raise MeshError("graph normal is not future directed")
+        raise DataError("graph normal is not future directed")
 
     tangents = np.zeros((n, n + 1) + grid.shape)
     tangents[0, 0] = dw_vals

@@ -25,6 +25,10 @@ class MeshError(ValueError):
     pass
 
 
+class DataError(MeshError):
+    """Input data that violates a precondition of the checks, not a numerical breakdown."""
+
+
 # --- grids -------------------------------------------------------------------
 
 

@@ -171,12 +171,12 @@ def test_killing_dev_on_induced_wave_data():
     assert rep["sigma"] == -1.0
 
 
-def test_wave_scene_without_positive_profile_fails_numerically():
+def test_wave_scene_without_positive_profile_is_a_scene_error():
     for command in ("constraints", "killing-dev"):
         code, rep, err = run([command, SCENES / "wave.scene"])
-        assert code == 3
+        assert code == 2
         assert rep is None
-        assert err.startswith("numerical failure:")
+        assert err.startswith("scene error:")
         assert "spacelike" in err
 
 
@@ -224,20 +224,40 @@ BROKEN_SCENES = {
     "leaf_metric_shape": ("[data]\nphi = 1\nleaf_metric = 1, 0\n",
                           "must be 2 x 2"),
     "no_data_section": ("", "needs a [data] section"),
+    # data that parses but breaks a precondition of the checks
+    "nonpositive_lapse": ("[data]\nphi = -1 + 0.1*sin(2*pi*x1)\n",
+                          "lapse phi must be positive"),
+    "aperiodic_profile": ("[data]\nppwave_f = 1 + 0.2*x1\n",
+                          "not periodic on the leaves"),
+    "timelike_graph": ("[data]\nppwave_f = 1 + 0.2*sin(2*pi*x1)\nhypersurface = 2*s^2\n",
+                       "graph is not spacelike"),
 }
+
+
+SMALL_GRID = "[grid]\nn_s = 8\nleaf_counts = 8, 8\nleaf_lengths = 1, 1\n"
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_SCENES))
 def test_scene_validation_errors(tmp_path, name):
     body, needle = BROKEN_SCENES[name]
     path = tmp_path / f"{name}.scene"
-    path.write_text("[grid]\nn_s = 8\nleaf_counts = 8, 8\n"
-                    "leaf_lengths = 1, 1\n" + body)
+    path.write_text(SMALL_GRID + body)
     code, rep, err = run(["constraints", path])
     assert code == 2
     assert rep is None
     assert err.startswith("scene error:")
     assert needle in err
+
+
+@pytest.mark.parametrize("name", ["aperiodic_profile", "timelike_graph"])
+def test_ppwave_on_bad_wave_data_is_a_scene_error(tmp_path, name):
+    body, needle = BROKEN_SCENES[name]
+    path = tmp_path / f"{name}.scene"
+    path.write_text(SMALL_GRID + body)
+    code, rep, err = run(["ppwave", path])
+    assert code == 2
+    assert rep is None
+    assert err.startswith("scene error:") and needle in err
 
 
 def test_scene_grid_errors(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from idrig.mesh import Grid, Scheme, Field, MeshError, sample, integrate
+from idrig.mesh import Grid, Scheme, Field, MeshError, partial_stack, sample, integrate
 from idrig import geometry
 from helpers import SCHEME
 
@@ -105,6 +105,18 @@ def test_ricci_against_symbolic():
     exact = np.array(fric(X, Y))
     assert np.max(np.abs(exact)) > 0.1
     assert np.max(np.abs(cb.ricci - exact)) < 1e-12
+
+
+def test_ricci_from_matches_the_contracted_riemann_tensor():
+    grid, m = torus_metric()
+    gam = geometry.christoffels(m, SCHEME)
+    dgam = partial_stack(gam, grid, SCHEME)
+    reference = np.einsum("abad...->bd...", geometry.riemann_from(gam, dgam))
+    ric = geometry.ricci_from(gam, np.einsum("aabd...->bd...", dgam),
+                              partial_stack(np.einsum("aab...->b...", gam), grid, SCHEME))
+    scale = np.max(np.abs(reference))
+    assert scale > 0.1
+    assert np.max(np.abs(ric - reference)) < 1e-12 * scale
 
 
 def test_d_squared_is_zero():

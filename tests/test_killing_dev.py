@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from idrig import exprlang
-from idrig.mesh import Grid, Field, MeshError
+from idrig import exprlang, geometry, killing_dev
+from idrig.mesh import DataError, Grid, Field, MeshError
 from idrig.initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                                 constraints)
 from idrig.rigidity import build_parallel_candidate, rigid_recipe
@@ -38,6 +38,50 @@ def test_spacetime_christoffels_are_those_of_the_curvature_pass():
     assert np.max(np.abs(gamma)) > 0.1
     assert np.array_equal(gamma, curv.gamma)
     assert np.array_equal(ginv, curv.ginv)
+
+
+def _warped_wave_metric():
+    """A wave with a warped leaf block, so det gbar and Gamma^a_ab vary.
+
+    Waves and developments have constant det gbar, so on them the trace terms
+    of Ricci vanish and would go unchecked.
+    """
+    spec = ppwave(grid3(9, 8), "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME)
+    gbar = ppwave_metric(spec)
+    gbar[2, 2] = np.exp(0.2 * gbar[1, 1] + 0.1 * spec.grid.coord_env()["s"])
+    return gbar, spec.grid
+
+
+def test_spacetime_ricci_matches_the_contracted_riemann_tensor():
+    gbar, grid = _warped_wave_metric()
+    ginv, gamma = spacetime_christoffels(gbar, grid, SCHEME)
+    assert np.max(np.abs(np.einsum("aab...->b...", gamma))) > 0.01
+    riem_up = geometry.riemann_from(gamma, dead_v_partials(gamma, grid, SCHEME))
+    reference = np.einsum("abad...->bd...", riem_up)
+    ricci = spacetime_curvature(gbar, grid, SCHEME).ricci
+    scale = np.max(np.abs(reference))
+    assert scale > 0.1
+    assert np.max(np.abs(ricci - reference)) < 1e-12 * scale
+
+
+def test_spacetime_curvature_builds_no_riemann_tensor(monkeypatch):
+    gbar, grid = _warped_wave_metric()
+    expected = spacetime_curvature(gbar, grid, SCHEME)
+
+    def forbidden(*args):
+        raise AssertionError("spacetime_curvature built a Riemann tensor")
+
+    ranks = []
+
+    def recording(data, grid, scheme):
+        ranks.append(np.ndim(data) - grid.ndim)
+        return dead_v_partials(data, grid, scheme)
+
+    monkeypatch.setattr(geometry, "riemann_from", forbidden)
+    monkeypatch.setattr(killing_dev, "dead_v_partials", recording)
+    curv = spacetime_curvature(gbar, grid, SCHEME)
+    assert np.array_equal(curv.einstein, expected.einstein)
+    assert sorted(ranks) == [1, 2]     # the trace of Gamma and the metric, never Gamma
 
 
 def test_lorentz_signature_defect():
@@ -248,9 +292,9 @@ def test_induced_data_is_built_once_per_graph():
 def test_induce_validation():
     grid = grid3(9, 8)
     spec = ppwave(grid, "2 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
-    with pytest.raises(MeshError, match="depend on s only"):
+    with pytest.raises(DataError, match="depend on s only"):
         induce_from_ppwave(spec, w="0.1*sin(2*pi*x1)")
-    with pytest.raises(MeshError, match="spacelike"):
+    with pytest.raises(DataError, match="spacelike"):
         induce_from_ppwave(spec, w="2*s")      # f - 2 w' = f - 4 < 0
 
 
