@@ -31,7 +31,7 @@ from . import rigidity
 from .exprlang import ExprError
 from .initial_data import constraints, dec_margin
 from .mesh import DataError, Field, MeshError, dump_field_csv, fit_order
-from .scene import Scene, SceneError, parse_scene, scene_initial_data, scene_ppwave
+from .scene import SceneError, is_tolerance, parse_scene, scene_initial_data, scene_ppwave
 
 # residual keys that are reported but never judged against a tolerance
 INFORMATIONAL = {"rho_max", "dec_margin_min", "sigma", "order"}
@@ -93,18 +93,17 @@ def cmd_killing_dev(scene, args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kd = kdm.build_kd(ids, section)
-    table = kdm.kd_einstein(kd)
-    residuals = dict(kdm.kd_pattern_residuals(kd, table))
+    residuals = kdm.kd_pattern_residuals(kd)
     sigma = residuals.pop("sigma")
     residuals["section_lightlike_max"] = kd.lightlike_max
     residuals["section_parallel_max"] = kd.parallel_max
-    dec = kdm.kd_dec_check(kd, count=args.directions, table=table)
+    dec = kdm.kd_dec_check(kd, count=args.directions)
     residuals["dec_margin_min"] = dec.minimum
     verdicts, tols = _judge(scene, residuals)
     report_extra = {"sigma": sigma,
                     "dec_argmin_coords": list(dec.coords),
                     "dec_direction_count": dec.direction_count}
-    fields = {"frame_table": table}
+    fields = {"frame_table": kdm.kd_einstein(kd)}
     return residuals, verdicts, tols, fields, report_extra
 
 
@@ -230,6 +229,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.directions < 1:
         parser.error(f"--directions must be a positive integer, got {args.directions}")
+    if args.tol is not None and not is_tolerance(args.tol):
+        parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     started = time.perf_counter()
     try:
         scene = parse_scene(args.scene)

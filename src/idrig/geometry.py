@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DEFAULT_SCHEME, Field, MeshError, partial_stack
+from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, partial_stack
 
 # --- pure array core ---------------------------------------------------------
 
@@ -79,7 +79,7 @@ class MetricField:
         except np.linalg.LinAlgError:
             eigs = np.linalg.eigvalsh(arr)
             worst = float(eigs.min())
-            raise MeshError(f"metric is not positive definite (min eigenvalue {worst:g})")
+            raise DataError(f"metric is not positive definite (min eigenvalue {worst:g})")
         self.ginv, det = inverse_and_det(field.data)
         self.sqrt_det = np.sqrt(det)
 
@@ -108,7 +108,6 @@ def christoffels(metric, scheme=DEFAULT_SCHEME):
 @dataclass(frozen=True)
 class CurvatureBundle:
     christoffels: np.ndarray  # Gamma^a_bc
-    riemann: np.ndarray       # R_abcd, fully lowered
     ricci: np.ndarray         # R_bd
     scal: np.ndarray          # scalar curvature
 
@@ -118,8 +117,7 @@ def curvature(metric, scheme=DEFAULT_SCHEME):
     r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
     ric = np.einsum("abad...->bd...", r_up)
     scal = np.einsum("bd...,bd...->...", metric.ginv, ric)
-    r_low = np.einsum("ae...,ebcd...->abcd...", metric.data, r_up)
-    return CurvatureBundle(gam, r_low, ric, scal)
+    return CurvatureBundle(gam, ric, scal)
 
 
 # --- covariant derivatives ------------------------------------------------------

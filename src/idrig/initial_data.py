@@ -15,7 +15,8 @@ A data set is not changed after construction, so each derived field is
 computed once: `curvature()`, every `derived` function (constraints,
 lambda, theta+, ...) and `leaf_null_geometry`, once per leaf node, store
 their first result on the data set, read-only, and return that object to
-later calls.  It lives as long as the data set.
+later calls.  It lives as long as the data set.  Wave specs and Killing
+developments store their derived values the same way, through `derived`.
 """
 
 from __future__ import annotations
@@ -181,15 +182,16 @@ def _read_only(value):
 
 
 def derived(build):
-    """Run build(ids, *inputs) once per data set and store its result there.
+    """Run build(owner, *inputs) once per owner and store it in owner._derived.
 
-    Extra inputs must be derived from `ids`; only the first call reads them.
+    Owners are data sets, wave specs and developments.  Extra inputs must be
+    derived from the owner; only the first call reads them.
     """
     @functools.wraps(build)
-    def cached(ids, *inputs):
-        if build not in ids._derived:
-            ids._derived[build] = _read_only(build(ids, *inputs))
-        return ids._derived[build]
+    def cached(owner, *inputs):
+        if build not in owner._derived:
+            owner._derived[build] = _read_only(build(owner, *inputs))
+        return owner._derived[build]
     return cached
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
-                           constraints)
+                           constraints, derived)
 from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, dump_csv,
                    partial, partial_stack)
 from .rigidity import build_parallel_candidate
@@ -93,12 +93,11 @@ class KillingDevelopment:
         self.section = section
         self.gbar = gbar
         self.scheme = scheme
-        self._curv = None
+        self._derived = {}
 
+    @derived
     def curvature(self):
-        if self._curv is None:
-            self._curv = spacetime_curvature(self.gbar, self.grid, self.scheme)
-        return self._curv
+        return spacetime_curvature(self.gbar, self.grid, self.scheme)
 
 
 def build_kd(ids, section=None, tol=1e-8):
@@ -171,6 +170,7 @@ def _gram_schmidt_spatial(g):
     return frame
 
 
+@derived
 def kd_einstein(kd):
     """Einstein tensor components in the frame (e0, e1..e_{n-1}, nu).
 
@@ -205,7 +205,7 @@ def kd_einstein(kd):
     return FrameEinstein(ids.grid, labels, frame, ein, curv.scal, defect)
 
 
-def kd_pattern_residuals(kd, table=None):
+def kd_pattern_residuals(kd):
     """Deviation of the frame Einstein table from the rho-rank-one pattern.
 
     On data whose section is parallel the only nonzero entries are
@@ -214,8 +214,7 @@ def kd_pattern_residuals(kd, table=None):
     Reports the off-pattern maximum, the leaf-leaf block maximum, the
     scalar curvature maximum and the marginal chain Ein(e0, e0 + sigma nu).
     """
-    if table is None:
-        table = kd_einstein(kd)
+    table = kd_einstein(kd)
     rho = constraints(kd.ids)[0]
     n = kd.grid.ndim
     sigma = -1.0 if float(np.mean(-kd.section.x[0])) > 0.0 else 1.0
@@ -307,7 +306,7 @@ def frame_dec_minimum(ein_frame, grid, count=64):
     return DecReport(best, best_node, best_pair, coords, rays.shape[0], scale)
 
 
-def kd_dec_check(kd, count=64, table=None):
+def kd_dec_check(kd, count=64):
     """Dominant-energy scan of the development's Einstein tensor.
 
     Ein is bilinear, and every future-causal vector is a nonnegative
@@ -315,9 +314,7 @@ def kd_dec_check(kd, count=64, table=None):
     minimum over ray pairs certifies (or localizes a violation of) the
     condition Ein(X, Y) >= 0 on the causal cone.
     """
-    if table is None:
-        table = kd_einstein(kd)
-    return frame_dec_minimum(table.ein, kd.grid, count)
+    return frame_dec_minimum(kd_einstein(kd).ein, kd.grid, count)
 
 
 # --- plane-wave family --------------------------------------------------------------
@@ -330,8 +327,7 @@ class PpWaveSpec:
     grid: Grid
     f: object
     scheme: object = DEFAULT_SCHEME
-    # parsed graph w -> the data set induce_from_ppwave built on it
-    induced: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def ppwave(grid, f, scheme=DEFAULT_SCHEME):
@@ -387,6 +383,7 @@ class PpWaveReport:
         return self.dec_margin_min >= -tol * scale
 
 
+@derived
 def ppwave_einstein_check(spec):
     """Einstein tensor of the wave versus (1/2)(Delta_leaf f) ds (x) ds.
 
@@ -418,6 +415,11 @@ def ppwave_einstein_check(spec):
 # --- hypersurface data induction ----------------------------------------------------
 
 
+def graph_profile(spec, dw):
+    """Profile f - 2 w' of the wave that the graph v = w(s) develops into."""
+    return exprlang.parse(f"({exprlang.unparse(spec.f)}) - 2*({exprlang.unparse(dw)})")
+
+
 def induce_from_ppwave(spec, w="0"):
     """Initial data induced on the graph v = w(s) inside the wave.
 
@@ -429,8 +431,8 @@ def induce_from_ppwave(spec, w="0"):
     built on the first call for a graph and returned again by later calls.
     """
     w_ast = exprlang.parse(w) if isinstance(w, str) else w
-    if w_ast in spec.induced:
-        return spec.induced[w_ast]
+    if (induce_from_ppwave, w_ast) in spec._derived:
+        return spec._derived[induce_from_ppwave, w_ast]
     grid = spec.grid
     n = grid.ndim
     extra = exprlang.variables_of(w_ast) - {"s"}
@@ -439,10 +441,8 @@ def induce_from_ppwave(spec, w="0"):
                         f"(found {sorted(extra)})")
     env = grid.coord_env()
     dw = exprlang.diff(w_ast, "s")
-    phi2 = np.broadcast_to(
-        exprlang.evaluate(exprlang.parse(
-            f"({exprlang.unparse(spec.f)}) - 2*({exprlang.unparse(dw)})"), env),
-        grid.shape).copy()
+    phi2 = np.broadcast_to(exprlang.evaluate(graph_profile(spec, dw), env),
+                           grid.shape).copy()
     if float(np.min(phi2)) <= 0.0:
         raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
     phi = Field(grid, "scalar", np.sqrt(phi2))
@@ -475,7 +475,7 @@ def induce_from_ppwave(spec, w="0"):
         warnings.warn(f"induced second fundamental form asymmetry {asym:.3e}")
     ids = InitialDataSet.product(grid, phi, np.eye(n - 1),
                                  Field(grid, "sym2", geometry.symmetrize(k)), spec.scheme)
-    spec.induced[w_ast] = ids
+    spec._derived[induce_from_ppwave, w_ast] = ids
     return ids
 
 
@@ -497,7 +497,7 @@ def kd_roundtrip(spec, w="0", tol=1e-8):
 
     The development of the induced data equals the wave with profile
     f - 2 w' in translated coordinates, so the metric and Einstein
-    tensors must match componentwise.
+    tensors must match componentwise; for w' = 0 that wave is the spec's own.
     """
     ids = induce_from_ppwave(spec, w)
     section = restricted_killing_section(ids)
@@ -505,9 +505,8 @@ def kd_roundtrip(spec, w="0", tol=1e-8):
 
     w_ast = exprlang.parse(w) if isinstance(w, str) else w
     dw = exprlang.diff(w_ast, "s")
-    shifted = ppwave(spec.grid,
-                     f"({exprlang.unparse(spec.f)}) - 2*({exprlang.unparse(dw)})",
-                     spec.scheme)
+    shifted = (spec if dw == exprlang.Num(0.0)
+               else ppwave(spec.grid, graph_profile(spec, dw), spec.scheme))
     expected = ppwave_metric(shifted)
     wave_report = ppwave_einstein_check(shifted)
     kd_ein = kd.curvature().einstein

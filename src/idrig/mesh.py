@@ -50,6 +50,8 @@ class Grid:
                 raise MeshError(f"axis {name} has {count} < 8 nodes")
             if per and count % 2 != 0:
                 raise MeshError(f"periodic axis {name} needs an even node count")
+            if not np.isfinite(length):
+                raise MeshError(f"axis {name} has non-finite length {length}")
             if not length > 0:
                 raise MeshError(f"axis {name} has nonpositive length {length}")
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import exprlang, killing_dev
 from .initial_data import InitialDataSet
-from .mesh import Grid, MeshError, Scheme, sample
+from .mesh import DataError, Field, Grid, MeshError, Scheme, sample
 from .rigidity import rigid_recipe
 
 
@@ -86,6 +86,11 @@ class Scene:
     def override_scheme(self, s=None, leaf=None):
         return replace(self, scheme=Scheme(s or self.scheme.s,
                                            leaf or self.scheme.leaf))
+
+
+def is_tolerance(value):
+    """A tolerance is a finite number >= 0."""
+    return bool(np.isfinite(value) and value >= 0.0)
 
 
 def _parse_expr(text, where):
@@ -145,6 +150,8 @@ def parse_scene(path):
                 tols[key] = float(value)
             except ValueError as exc:
                 raise SceneError(f"[tolerances] {key}: {exc}") from exc
+            if not is_tolerance(tols[key]):
+                raise SceneError(f"[tolerances] {key} must be finite and >= 0, got {value}")
 
     if not parser.has_section("data"):
         raise SceneError("scene needs a [data] section")
@@ -208,8 +215,12 @@ def scene_initial_data(scene, n_s=None):
     if scene.source == "recipe":
         return rigid_recipe(grid, scene.phi, lm, scene.scheme)
     if scene.source == "explicit":
-        k = sample(grid, [list(row) for row in scene.k_entries], kind="sym2")
-        return InitialDataSet.product(grid, scene.phi, lm, k, scene.scheme)
+        k = sample(grid, [list(row) for row in scene.k_entries], kind="gen2").data
+        asym = np.max(np.abs(k - np.swapaxes(k, 0, 1)), axis=tuple(range(2, k.ndim)))
+        if np.max(asym) > 1e-12 * (1.0 + np.max(np.abs(k))):
+            a, b = np.unravel_index(np.argmax(asym), asym.shape)
+            raise DataError(f"k is not symmetric: k_{a}_{b} and k_{b}_{a} differ")
+        return InitialDataSet.product(grid, scene.phi, lm, Field(grid, "sym2", k), scene.scheme)
     return killing_dev.induce_from_ppwave(scene_ppwave(scene, n_s), scene.hypersurface or "0")
 
 

@@ -239,7 +239,7 @@ def test_criterion_08_development_einstein_pattern():
     ids = scene_initial_data(parse_scene(SCENES / "recipe.scene"))
     kd = quiet_build_kd(ids)
     table = kdm.kd_einstein(kd)
-    res = dict(kdm.kd_pattern_residuals(kd, table))
+    res = dict(kdm.kd_pattern_residuals(kd))
     res.pop("sigma")
     rho, _ = constraints(ids)
     tol = 1e-8 * (1 + rho.max_norm())
@@ -252,9 +252,9 @@ def test_criterion_08_development_einstein_pattern():
     kdv = quiet_build_kd(vac)
     tv = kdm.kd_einstein(kdv)
     assert np.max(np.abs(tv.ein)) == 0.0
-    assert kdm.kd_dec_check(kdv, table=tv).minimum >= -1e-8
+    assert kdm.kd_dec_check(kdv).minimum >= -1e-8
     # and the scan detects violation where the data itself violates it
-    assert kdm.kd_dec_check(kd, table=table).minimum < -1.0
+    assert kdm.kd_dec_check(kd).minimum < -1.0
 
 
 def test_criterion_09_ppwave_einstein_formula():

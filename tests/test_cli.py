@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from idrig import killing_dev as kdm
 from idrig.cli import main
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -162,6 +163,23 @@ def test_ppwave_roundtrip_scene():
         assert abs(res[key]) < 1e-8, key
 
 
+def test_ppwave_roundtrip_reuses_the_wave_check(tmp_path, monkeypatch):
+    calls = []
+    original = kdm.spacetime_curvature
+    monkeypatch.setattr(kdm, "spacetime_curvature",
+                        lambda *args: calls.append(args) or original(*args))
+    # w = 0: the graph develops back into the scene's own wave, checked once
+    code, _, _ = run(["ppwave", SCENES / "roundtrip.scene"])
+    assert code == 0 and len(calls) == 2
+    # w' != 0: the shifted wave is another wave and gets a check of its own
+    path = tmp_path / "shifted.scene"
+    path.write_text(SMALL_GRID + "[data]\nppwave_f = 1 + 0.2*sin(2*pi*x1)\n"
+                    "hypersurface = 0.1*s^2\n")
+    calls.clear()
+    code, _, _ = run(["ppwave", path])
+    assert code in (0, 1) and len(calls) == 3
+
+
 def test_killing_dev_on_induced_wave_data():
     code, rep, _ = run(["killing-dev", SCENES / "roundtrip.scene"])
     # identities hold, but the wave violates the energy condition
@@ -231,6 +249,10 @@ BROKEN_SCENES = {
                           "not periodic on the leaves"),
     "timelike_graph": ("[data]\nppwave_f = 1 + 0.2*sin(2*pi*x1)\nhypersurface = 2*s^2\n",
                        "graph is not spacelike"),
+    "indefinite_leaf_metric": ("[data]\nphi = 1\nleaf_metric = 1, 0; 0, -1\n",
+                               "metric is not positive definite"),
+    "asymmetric_k": ("[data]\nphi = 1\nk = explicit\nk_0_1 = 1\nk_1_0 = 2\n",
+                     "k_0_1 and k_1_0 differ"),
 }
 
 
@@ -276,6 +298,18 @@ def test_scene_grid_errors(tmp_path):
                     "leaf_lengths = 1, 1\n[data]\nphi = 1\n")
     code, _, err = run(["constraints", path])
     assert code == 2 and err.startswith("scene error: [grid] values")
+    # infinite lengths and bad tolerances stop every command before it runs
+    for grid_lines in ("ell = inf\nleaf_lengths = 1, 1\n", "leaf_lengths = inf, 1\n"):
+        path.write_text("[grid]\nn_s = 8\nleaf_counts = 8, 8\n" + grid_lines
+                        + "[data]\nphi = 1\n")
+        for command in ("constraints", "rigidity"):
+            code, _, err = run([command, path])
+            assert code == 2 and "non-finite length inf" in err
+    for value in ("-1", "nan", "inf"):
+        path.write_text("[grid]\nn_s = 8\nleaf_counts = 8, 8\nleaf_lengths = 1, 1\n"
+                        f"[data]\nphi = 1\n[tolerances]\ndefault = {value}\n")
+        code, _, err = run(["constraints", path])
+        assert code == 2 and "[tolerances] default must be finite and >= 0" in err
     # the wave commands need a scene with a ppwave_f profile
     for argv in (["ppwave", SCENES / "recipe.scene"],
                  ["convergence", SCENES / "recipe.scene", "--check", "ppwave_formula"]):
@@ -293,6 +327,10 @@ def test_argparse_rejects_bad_invocations():
     for count in ("0", "-3"):
         with pytest.raises(SystemExit) as exc:
             run(["killing-dev", SCENES / "vacuum_kd.scene", "--directions", count])
+        assert exc.value.code == 2
+    for tol in ("nan", "-1", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            run(["constraints", SCENES / "flat.scene", "--tol", tol])
         assert exc.value.code == 2
 
 

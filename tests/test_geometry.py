@@ -16,6 +16,12 @@ def torus_metric(n=24):
     return grid, geometry.MetricField(sample(grid, CURVED_TORUS, kind="sym2"))
 
 
+def riemann_up(m):
+    """R^a_bcd of a metric field, assembled as geometry.curvature does."""
+    gam = geometry.christoffels(m, SCHEME)
+    return geometry.riemann_from(gam, partial_stack(gam, m.grid, SCHEME))
+
+
 def test_metric_field_rejects_indefinite():
     grid = Grid.torus((8, 8), (1.0, 1.0))
     with pytest.raises(MeshError):
@@ -30,7 +36,7 @@ def test_flat_curvature_is_bitwise_zero():
         sample(grid, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], kind="sym2"))
     cb = geometry.curvature(m, SCHEME)
     assert np.max(np.abs(cb.christoffels)) == 0.0
-    assert np.max(np.abs(cb.riemann)) == 0.0
+    assert np.max(np.abs(riemann_up(m))) == 0.0
     assert np.max(np.abs(cb.ricci)) == 0.0
     assert np.max(np.abs(cb.scal)) == 0.0
 
@@ -46,7 +52,7 @@ def test_warped_interval_metric_is_flat():
     rest = cb.christoffels.copy()
     rest[0, 0, 0] = 0.0
     assert np.max(np.abs(rest)) == 0.0
-    assert np.max(np.abs(cb.riemann)) == 0.0
+    assert np.max(np.abs(riemann_up(m))) == 0.0
 
     fine = Grid.product(1.0, 33, (16, 16), (1.0, 1.0))
     mf = geometry.MetricField(
@@ -65,7 +71,7 @@ def test_metric_compatibility():
 
 def test_riemann_symmetries_and_first_bianchi():
     grid, m = torus_metric()
-    R = geometry.curvature(m, SCHEME).riemann
+    R = np.einsum("ae...,ebcd...->abcd...", m.data, riemann_up(m))
     scale = np.max(np.abs(R))
     assert scale > 1e-3        # the metric really is curved
     assert np.max(np.abs(R + np.einsum("abcd...->bacd...", R))) < 1e-11

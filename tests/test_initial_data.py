@@ -289,7 +289,8 @@ def test_ambient_curvature_matches_gauss_codazzi():
     kz = np.einsum("db...,b...->d...", ids.k.data, v.x)
     nkz = np.einsum("cdb...,b...->cd...", nk, v.x)
     a_gc = nkz - np.einsum("cd...->dc...", nkz)
-    r_up = np.einsum("ae...,ebcd...->abcd...", ids.metric.ginv, bundle.riemann)
+    r_up = geometry.riemann_from(bundle.christoffels,
+                                 partial_stack(bundle.christoffels, grid, SCHEME))
     x_gc = np.einsum("bzcd...,z...->cdb...", r_up, v.x)
     k_sharp = np.einsum("be...,ce...->cb...", ids.metric.ginv, ids.k.data)
     x_gc = x_gc + np.einsum("d...,cb...->cdb...", kz, k_sharp) \

@@ -289,6 +289,25 @@ def test_induced_data_is_built_once_per_graph():
     assert induce_from_ppwave(spec) is not ids
 
 
+def test_wave_and_development_store_derived_values_read_only():
+    spec = ppwave(grid3(9, 8), "2 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    rep = ppwave_einstein_check(spec)
+    assert ppwave_einstein_check(spec) is rep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kd = build_kd(rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME))
+    curv = kd.curvature()
+    table = kd_einstein(kd)
+    assert kd.curvature() is curv
+    assert kd_einstein(kd) is table
+    for array in (rep.einstein, rep.expected_ss, curv.gamma, curv.einstein, curv.scal,
+                  table.frame, table.ein):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    # another spec of the same profile checks its own wave
+    assert ppwave_einstein_check(ppwave(spec.grid, spec.f, SCHEME)) is not rep
+
+
 def test_induce_validation():
     grid = grid3(9, 8)
     spec = ppwave(grid, "2 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
