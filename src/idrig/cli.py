@@ -255,10 +255,10 @@ def main(argv=None):
                if v is not None and not np.isfinite(v)]
         if bad:
             raise MeshError(f"non-finite residuals: {bad}")
-    except (SceneError, DataError) as exc:
+    except (SceneError, DataError, ExprError) as exc:  # a scene expression undefined at a node
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
-    except (MeshError, ExprError, FloatingPointError) as exc:
+    except (MeshError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

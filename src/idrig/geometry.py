@@ -28,7 +28,7 @@ def inverse_and_det(gdata):
     arr = np.moveaxis(gdata, (0, 1), (-2, -1))
     det = np.linalg.det(arr)
     inv = np.linalg.inv(arr)
-    return np.moveaxis(inv, (-2, -1), (0, 1)), det
+    return np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1))), det
 
 
 def symmetrize(t):
@@ -38,10 +38,10 @@ def symmetrize(t):
 
 def christoffels_from(ginv, dg):
     """Gamma^a_bc from the inverse metric and dg[c, a, b] = d_c g_ab."""
-    gam = np.einsum("ad...,bdc...->abc...", ginv, dg)
-    gam += np.einsum("ad...,cdb...->abc...", ginv, dg)
-    gam -= np.einsum("ad...,dbc...->abc...", ginv, dg)
-    return 0.5 * gam
+    low = np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg) - dg
+    gam = np.einsum("ad...,dbc...->abc...", ginv, low)  # low[d, b, c] = 2 Gamma_dbc
+    gam *= 0.5
+    return gam
 
 
 def riemann_from(gamma, dgamma):
@@ -49,8 +49,9 @@ def riemann_from(gamma, dgamma):
     r = np.einsum("cadb...->abcd...", dgamma).copy()
     r -= np.einsum("dacb...->abcd...", dgamma)
     del dgamma  # with no caller reference left, this frees it before the Gamma*Gamma terms
-    r += np.einsum("ace...,edb...->abcd...", gamma, gamma)
-    r -= np.einsum("ade...,ecb...->abcd...", gamma, gamma)
+    gg = np.einsum("ace...,edb...->abcd...", gamma, gamma)
+    r += gg
+    r -= np.swapaxes(gg, 2, 3)  # Gamma^a_de Gamma^e_cb is gg with c and d swapped
     return r
 
 

@@ -3,7 +3,10 @@
 The s axis carries both interval endpoints (N_s nodes, spacing l/(N_s - 1));
 leaf axes are periodic with the right endpoint identified (N_i nodes, spacing
 L_i/N_i).  Field data is stored with component axes first and grid axes last,
-so einsum contractions broadcast over the grid.
+so einsum contractions broadcast over the grid.  Metric inverses, Christoffels,
+spectral partials and partial stacks come out C-contiguous: einsum runs several
+times slower on a strided view (say a moveaxis of a metric inverse), and its
+output inherits that layout, so one view slows every contraction downstream.
 
 Derivative schemes: "fd2" and "fd4" work on every axis (one-sided stencils of
 matching order at s = 0 and s = l), "spectral" works on periodic axes only.
@@ -143,15 +146,15 @@ def _wavenumbers(count, spacing):
     k = 2.0 * np.pi * np.fft.fftfreq(count, d=spacing)
     if count % 2 == 0:
         k[count // 2] = 0.0  # drop the unpaired Nyquist mode from first derivatives
-    return k
+    return 1j * k
 
 
 def _spectral_axis(data, axis, count, spacing):
-    k = _wavenumbers(count, spacing)
     shape = [1] * data.ndim
     shape[axis] = count
     fk = np.fft.fft(data, axis=axis)
-    return np.real(np.fft.ifft(1j * k.reshape(shape) * fk, axis=axis))
+    fk *= _wavenumbers(count, spacing).reshape(shape)
+    return np.fft.ifft(fk, axis=axis).real.copy()  # a view would pin the complex array
 
 
 def _fd4_periodic(data, axis, h):

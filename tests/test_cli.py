@@ -253,10 +253,15 @@ BROKEN_SCENES = {
                                "metric is not positive definite"),
     "asymmetric_k": ("[data]\nphi = 1\nk = explicit\nk_0_1 = 1\nk_1_0 = 2\n",
                      "k_0_1 and k_1_0 differ"),
+    # expressions that are undefined at a node of SMALL_GRID (s = 0.5 is one)
+    "lapse_pole": ("[data]\nphi = 1/(s - 0.5)\n", "division produced a non-finite value"),
+    "lapse_sqrt_domain": ("[data]\nphi = sqrt(s - 0.5) + 1\n",
+                          "sqrt produced a non-finite value"),
+    "profile_pole": ("[data]\nppwave_f = 1/(s-0.5)\n", "division produced a non-finite value"),
 }
 
 
-SMALL_GRID = "[grid]\nn_s = 8\nleaf_counts = 8, 8\nleaf_lengths = 1, 1\n"
+SMALL_GRID = "[grid]\nn_s = 9\nleaf_counts = 8, 8\nleaf_lengths = 1, 1\n"
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_SCENES))
@@ -271,7 +276,7 @@ def test_scene_validation_errors(tmp_path, name):
     assert needle in err
 
 
-@pytest.mark.parametrize("name", ["aperiodic_profile", "timelike_graph"])
+@pytest.mark.parametrize("name", ["aperiodic_profile", "timelike_graph", "profile_pole"])
 def test_ppwave_on_bad_wave_data_is_a_scene_error(tmp_path, name):
     body, needle = BROKEN_SCENES[name]
     path = tmp_path / f"{name}.scene"

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from idrig.mesh import Grid, Scheme, Field, MeshError, partial_stack, sample, integrate
+from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack, sample,
+                        integrate, _spectral_axis)
 from idrig import geometry
-from helpers import SCHEME
+from idrig.killing_dev import ppwave, ppwave_metric, spacetime_christoffels
+from idrig.rigidity import rigid_recipe
+from helpers import SCHEME, grid3
 
 
 CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
@@ -202,3 +205,64 @@ def test_trace_and_div_sym2():
     # div of the metric itself vanishes by compatibility
     dv = geometry.div_sym2(m.data, m, gam, SCHEME)
     assert np.max(np.abs(dv)) < 1e-12
+
+
+# --- array layout and kernel forms ------------------------------------------------
+
+
+def test_tensor_arrays_are_c_contiguous_float64():
+    # a strided view (grid axes outermost in memory) makes every einsum that reads it
+    # several times slower, and einsum outputs inherit the layout of their inputs
+    grid, m = torus_metric(8)
+    ids = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    spec = ppwave(grid3(9, 8), "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME)
+    ginv_st, gamma_st = spacetime_christoffels(ppwave_metric(spec), spec.grid, SCHEME)
+    spectral = partial(m.data, grid, 1, SCHEME)
+    arrays = {"inverse_and_det": geometry.inverse_and_det(m.data)[0],
+              "MetricField.ginv": m.ginv,
+              "ids.curvature().christoffels": ids.curvature().christoffels,
+              "spacetime gamma": gamma_st, "spacetime ginv": ginv_st,
+              "spectral partial": spectral}
+    for name, arr in arrays.items():
+        assert arr.dtype == np.float64, name
+        assert arr.flags.c_contiguous, name
+    assert spectral.base is None  # holds no complex FFT buffer alive
+
+
+def test_christoffels_from_matches_the_three_contraction_form():
+    rng = np.random.default_rng(7)
+    n, grid_shape = 3, (5, 6, 4)
+    ginv = rng.standard_normal((n, n) + grid_shape)  # neither symmetric nor a metric
+    dg = rng.standard_normal((n, n, n) + grid_shape)
+    want = (np.einsum("ad...,bdc...->abc...", ginv, dg)
+            + np.einsum("ad...,cdb...->abc...", ginv, dg)
+            - np.einsum("ad...,dbc...->abc...", ginv, dg)) * 0.5
+    got = geometry.christoffels_from(ginv, dg)
+    assert got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_riemann_from_one_product_equals_the_two_product_form():
+    rng = np.random.default_rng(11)
+    n, grid_shape = 4, (3, 5, 4, 2)
+    gamma = rng.standard_normal((n, n, n) + grid_shape)
+    dgamma = rng.standard_normal((n, n, n, n) + grid_shape)
+    want = np.einsum("cadb...->abcd...", dgamma).copy()
+    want -= np.einsum("dacb...->abcd...", dgamma)
+    want += np.einsum("ace...,edb...->abcd...", gamma, gamma)
+    want -= np.einsum("ade...,ecb...->abcd...", gamma, gamma)
+    assert np.array_equal(geometry.riemann_from(gamma, dgamma), want)
+
+
+def test_spectral_axis_equals_the_textbook_formula():
+    rng = np.random.default_rng(3)
+    for shape, axis in (((3, 3, 10, 16), 3), ((4, 12, 8), 1), ((16,), 0)):
+        x = rng.standard_normal(shape)
+        count, h = shape[axis], 1.0 / shape[axis]
+        k = 2.0 * np.pi * np.fft.fftfreq(count, d=h)
+        k[count // 2] = 0.0
+        bshape = [1] * x.ndim
+        bshape[axis] = count
+        want = np.real(np.fft.ifft(1j * k.reshape(bshape) * np.fft.fft(x, axis=axis),
+                                   axis=axis))
+        assert np.array_equal(_spectral_axis(x, axis, count, h), want)
