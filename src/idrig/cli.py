@@ -31,7 +31,8 @@ from . import rigidity
 from .exprlang import ExprError
 from .initial_data import constraints, dec_margin
 from .mesh import DataError, Field, MeshError, dump_field_csv, fit_order
-from .scene import SceneError, is_tolerance, parse_scene, scene_initial_data, scene_ppwave
+from .scene import (SceneError, is_tolerance, parse_scene, scene_initial_data, scene_ppwave,
+                    undefined_expression)
 
 # residual keys that are reported but never judged against a tolerance
 INFORMATIONAL = {"rho_max", "dec_margin_min", "sigma", "order"}
@@ -160,9 +161,13 @@ def _mid_leaf(scene, n_s, fn):
     return fn(ids, tau)
 
 
+def _levels(scene):
+    return [scene.n_s, 2 * scene.n_s, 4 * scene.n_s]
+
+
 def cmd_convergence(scene, args):
     fn = CONVERGENCE_CHECKS[args.check]
-    levels = [scene.n_s, 2 * scene.n_s, 4 * scene.n_s]
+    levels = _levels(scene)
     errors = []
     hs = []
     residuals = {}
@@ -255,8 +260,12 @@ def main(argv=None):
                if v is not None and not np.isfinite(v)]
         if bad:
             raise MeshError(f"non-finite residuals: {bad}")
-    except (SceneError, DataError, ExprError) as exc:  # a scene expression undefined at a node
+    except (SceneError, DataError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
+        return 2
+    except ExprError as exc:  # a scene expression undefined at a node
+        levels = _levels(scene) if args.command == "convergence" else [scene.n_s]
+        print(f"scene error: {undefined_expression(scene, levels) or exc}", file=sys.stderr)
         return 2
     except (MeshError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -46,6 +46,7 @@ class ExprError(Exception):
     """Base class for expression language errors."""
 
     def __init__(self, message, offset=None):
+        self.reason = message
         self.offset = offset
         if offset is not None:
             message = f"{message} (offset {offset})"

@@ -11,6 +11,10 @@ output inherits that layout, so one view slows every contraction downstream.
 Derivative schemes: "fd2" and "fd4" work on every axis (one-sided stencils of
 matching order at s = 0 and s = l), "spectral" works on periodic axes only.
 The default pairing is fd4 along s and spectral along the leaves.
+
+`partial` and `partial_stack` pass only the components nonzero at some node to
+a kernel, in one batch, and leave the rest exactly 0, as every scheme would;
+a stack is written axis by axis into one preallocated array.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _spectral_axis(data, axis, count, spacing):
     shape[axis] = count
     fk = np.fft.fft(data, axis=axis)
     fk *= _wavenumbers(count, spacing).reshape(shape)
-    return np.fft.ifft(fk, axis=axis).real.copy()  # a view would pin the complex array
+    return np.fft.ifft(fk, axis=axis).real  # the caller's scatter copies it
 
 
 def _fd4_periodic(data, axis, h):
@@ -177,12 +181,8 @@ def _fd4_interval(data, axis, h):
     return np.moveaxis(out, 0, axis)
 
 
-def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
-    """d(data)/d(coordinate of grid axis `axis`), componentwise.
-
-    `data` has the grid axes last; leading axes are tensor components.
-    """
-    data = np.asarray(data, dtype=float)
+def _derivative(data, grid, axis, scheme):
+    """The scheme's kernel along grid axis `axis`; `data` has the grid axes last."""
     arr_axis = data.ndim - grid.ndim + axis
     h = grid.spacing[axis]
     method = scheme.for_axis(grid, axis)
@@ -199,9 +199,30 @@ def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
     return np.gradient(data, h, axis=arr_axis, edge_order=2)
 
 
+def _partials_into(out, data, grid, axes, scheme):
+    """Fill out[k] with the derivative along axes[k]; zero components skip the kernel."""
+    flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
+    live = flat.reshape(len(flat), -1).any(axis=1)
+    nonzero = flat[live]
+    for axis, axis_out in zip(axes, out.reshape((len(axes),) + flat.shape)):
+        axis_out[live] = _derivative(nonzero, grid, axis, scheme)
+    return out
+
+
+def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
+    """d(data)/d(coordinate of grid axis `axis`), componentwise.
+
+    `data` has the grid axes last; leading axes are tensor components.
+    """
+    out = np.zeros(np.shape(data))
+    _partials_into(out[None], data, grid, (axis,), scheme)
+    return out
+
+
 def partial_stack(data, grid, scheme=DEFAULT_SCHEME):
     """All coordinate derivatives, stacked along a new leading axis."""
-    return np.stack([partial(data, grid, i, scheme) for i in range(grid.ndim)])
+    out = np.zeros((grid.ndim,) + np.shape(data))
+    return _partials_into(out, data, grid, range(grid.ndim), scheme)
 
 
 # --- fields --------------------------------------------------------------------

@@ -176,6 +176,12 @@ class TwoForThreeResult:
     gdot_defect: Field        # gdot + 2 phi k|_FF, zero for MOTS-parallel data
 
 
+@derived
+def _leaf_metric_rate(ids):
+    """d_s g_F: the s derivative of the leaf-metric block over all of M."""
+    return partial(ids.metric.data[1:, 1:], ids.grid, 0, ids.scheme)
+
+
 def two_for_three_residual(ids, tau):
     """Residual of the identity j + lambda = -(1/2phi)(div - d tr)(d_s g_F)."""
     leaf = leaf_null_geometry(ids, tau)
@@ -183,7 +189,7 @@ def two_for_three_residual(ids, tau):
     rho, j = constraints(ids)
     lam = lambda_form(ids)
     lhs = (j.data + lam.data)[1:, leaf.tau_idx]
-    gdot_full = partial(ids.metric.data[1:, 1:], ids.grid, 0, ids.scheme)
+    gdot_full = _leaf_metric_rate(ids)
     gdot = Field(leaf_grid, "sym2", geometry.symmetrize(gdot_full[:, :, leaf.tau_idx]))
     dd = leaf_div_minus_dtr(gdot, leaf.g_tau, leaf.curvature.christoffels, ids.scheme)
     rhs = -0.5 / leaf.phi * dd.data

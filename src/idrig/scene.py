@@ -62,6 +62,7 @@ class Scene:
     phi: str = None
     leaf_metric: tuple = None   # rows of entry strings, or None for identity
     k_entries: tuple = None     # n x n strings when source == "explicit"
+    k_keys: tuple = ()          # (key, string) pairs as the scene gives them
     f: str = None
     hypersurface: str = None    # graph expression, or None when absent
     tolerances: tuple = ()      # sorted (key, value) pairs
@@ -205,7 +206,9 @@ def parse_scene(path):
             if (a, b) not in seen and (b, a) in seen:
                 entries[a][b] = entries[b][a]
     return Scene(source="explicit", phi=phi, leaf_metric=leaf_metric,
-                 k_entries=tuple(tuple(r) for r in entries), **common)
+                 k_entries=tuple(tuple(r) for r in entries),
+                 k_keys=tuple((f"k_{a}_{b}", entries[a][b]) for a, b in sorted(seen)),
+                 **common)
 
 
 def scene_initial_data(scene, n_s=None):
@@ -228,3 +231,51 @@ def scene_ppwave(scene, n_s=None):
     if scene.source != "ppwave":
         raise SceneError("scene has no wave profile")
     return killing_dev.ppwave(scene.grid(n_s), scene.f, scene.scheme)
+
+
+def _evaluated_expressions(scene):
+    """(key, expression, derivative axes) for each expression a command evaluates.
+
+    Besides the expressions themselves, the recipe's k takes the first
+    derivatives of phi, the wave check the second leaf derivatives of the
+    profile and the induction the s derivative of the graph.
+    """
+    axes = ("s",) + tuple(f"x{i}" for i in range(1, scene.n))
+    if scene.source == "ppwave":
+        out = [("ppwave_f", scene.f, ())]
+        out += [("ppwave_f", scene.f, (x, x)) for x in axes[1:]]
+        if scene.hypersurface is not None:
+            out.append(("hypersurface", scene.hypersurface, ("s",)))
+        return out
+    out = [("phi", scene.phi, ())]
+    out += [("leaf_metric", entry, ()) for row in scene.leaf_metric or () for entry in row]
+    if scene.source == "recipe":
+        out += [("phi", scene.phi, (x,)) for x in axes]
+    return out + [(key, text, ()) for key, text in scene.k_keys]
+
+
+def undefined_expression(scene, n_s_values):
+    """Name the scene expression, or derivative of one, undefined at a grid node.
+
+    Each expression a command evaluates is evaluated again on the grid of
+    every s resolution given; the first that fails is described, with an
+    offset only when it counts into the key's own text.
+    Returns None when all of them are defined everywhere.
+    """
+    for n_s in n_s_values:
+        env = scene.grid(n_s).coord_env()
+        for key, text, axes in _evaluated_expressions(scene):
+            expr = exprlang.parse(text)
+            for axis in axes:
+                expr = exprlang.diff(expr, axis)
+            try:
+                exprlang.evaluate(expr, env)
+            except exprlang.ExprError as exc:
+                if axes:
+                    what = "its derivative " + " ".join(f"d/d{axis}" for axis in axes)
+                elif key == "leaf_metric":  # offsets count from the entry, not the key
+                    what = f"entry {text!r}"
+                else:
+                    return f"[data] {key}: {exc}"
+                return f"[data] {key}: {what} is undefined at a node ({exc.reason})"
+    return None

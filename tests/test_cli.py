@@ -253,12 +253,31 @@ BROKEN_SCENES = {
                                "metric is not positive definite"),
     "asymmetric_k": ("[data]\nphi = 1\nk = explicit\nk_0_1 = 1\nk_1_0 = 2\n",
                      "k_0_1 and k_1_0 differ"),
-    # expressions that are undefined at a node of SMALL_GRID (s = 0.5 is one)
-    "lapse_pole": ("[data]\nphi = 1/(s - 0.5)\n", "division produced a non-finite value"),
+    # expressions that are undefined at a node of SMALL_GRID (s = 0.5 is one); the
+    # message names the key and gives an offset only into that key's own text
+    "lapse_pole": ("[data]\nphi = 1/(s - 0.5)\n",
+                   "[data] phi: division produced a non-finite value (offset 0)"),
     "lapse_sqrt_domain": ("[data]\nphi = sqrt(s - 0.5) + 1\n",
-                          "sqrt produced a non-finite value"),
-    "profile_pole": ("[data]\nppwave_f = 1/(s-0.5)\n", "division produced a non-finite value"),
+                          "[data] phi: sqrt produced a non-finite value (offset 0)"),
+    "profile_pole": ("[data]\nppwave_f = 1/(s-0.5)\n",
+                     "[data] ppwave_f: division produced a non-finite value (offset 0)"),
+    "shifted_profile_pole": ("[data]\nppwave_f = 2 + 1/(s - 0.5)\n",
+                             "[data] ppwave_f: division produced a non-finite value (offset 4)"),
+    "lapse_derivative_pole": ("[data]\nphi = 2 + sqrt(s)\n",
+                              "[data] phi: its derivative d/ds is undefined at a node "
+                              "(division produced a non-finite value)"),
+    "k_entry_pole": ("[data]\nphi = 1\nk = explicit\nk_1_0 = 2 + 1/(s - 0.5)\n",
+                     "[data] k_1_0: division produced a non-finite value (offset 4)"),
+    "leaf_metric_pole": ("[data]\nphi = 1\nleaf_metric = 1, 0; 0, 2 + 1/(s - 0.5)\n",
+                         "[data] leaf_metric: entry '2 + 1/(s - 0.5)' is undefined at a "
+                         "node (division produced a non-finite value)"),
+    "graph_slope_domain": ("[data]\nppwave_f = 2 + sin(2*pi*x1)\nhypersurface = sqrt(s - 0.5)\n",
+                           "[data] hypersurface: its derivative d/ds is undefined at a node "
+                           "(sqrt produced a non-finite value)"),
 }
+UNDEFINED_EXPRESSIONS = ["lapse_pole", "lapse_sqrt_domain", "profile_pole",
+                         "shifted_profile_pole", "lapse_derivative_pole", "k_entry_pole",
+                         "leaf_metric_pole", "graph_slope_domain"]
 
 
 SMALL_GRID = "[grid]\nn_s = 9\nleaf_counts = 8, 8\nleaf_lengths = 1, 1\n"
@@ -285,6 +304,28 @@ def test_ppwave_on_bad_wave_data_is_a_scene_error(tmp_path, name):
     assert code == 2
     assert rep is None
     assert err.startswith("scene error:") and needle in err
+
+
+@pytest.mark.parametrize("name", UNDEFINED_EXPRESSIONS)
+def test_undefined_expression_names_its_scene_key(tmp_path, name):
+    body, message = BROKEN_SCENES[name]
+    path = tmp_path / f"{name}.scene"
+    path.write_text(SMALL_GRID + body)
+    commands = ["constraints", "rigidity"] + (["ppwave"] if "ppwave_f" in body else [])
+    for command in commands:
+        code, rep, err = run([command, path])
+        assert (code, rep, err) == (2, None, f"scene error: {message}\n"), command
+
+
+def test_undefined_expression_on_a_refined_grid_only(tmp_path):
+    # s = 1/3 is a node of the 2 n_s and 4 n_s levels but not of n_s = 8
+    path = tmp_path / "refined_pole.scene"
+    path.write_text(SMALL_GRID.replace("n_s = 9", "n_s = 8")
+                    + "[data]\nphi = 2 + 1/(s - 1/3)^2\n")
+    assert run(["constraints", path])[0] in (0, 1)
+    code, rep, err = run(["convergence", path, "--check", "lambda"])
+    assert (code, rep) == (2, None)
+    assert err == "scene error: [data] phi: division produced a non-finite value (offset 4)\n"
 
 
 def test_scene_grid_errors(tmp_path):

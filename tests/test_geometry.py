@@ -5,7 +5,8 @@ import sympy as sp
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack, sample,
                         integrate, _spectral_axis)
 from idrig import geometry
-from idrig.killing_dev import ppwave, ppwave_metric, spacetime_christoffels
+from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
+                               spacetime_christoffels)
 from idrig.rigidity import rigid_recipe
 from helpers import SCHEME, grid3
 
@@ -218,15 +219,19 @@ def test_tensor_arrays_are_c_contiguous_float64():
     spec = ppwave(grid3(9, 8), "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME)
     ginv_st, gamma_st = spacetime_christoffels(ppwave_metric(spec), spec.grid, SCHEME)
     spectral = partial(m.data, grid, 1, SCHEME)
+    # derivatives are scattered into one fresh array, not a view of a stack or a buffer
+    owners = {"spectral partial": spectral,
+              "partial_stack": partial_stack(ids.metric.data[1:, 1:], ids.grid, SCHEME),
+              "dead_v_partials": dead_v_partials(ppwave_metric(spec), spec.grid, SCHEME)}
     arrays = {"inverse_and_det": geometry.inverse_and_det(m.data)[0],
               "MetricField.ginv": m.ginv,
               "ids.curvature().christoffels": ids.curvature().christoffels,
-              "spacetime gamma": gamma_st, "spacetime ginv": ginv_st,
-              "spectral partial": spectral}
+              "spacetime gamma": gamma_st, "spacetime ginv": ginv_st, **owners}
     for name, arr in arrays.items():
         assert arr.dtype == np.float64, name
         assert arr.flags.c_contiguous, name
-    assert spectral.base is None  # holds no complex FFT buffer alive
+    for name, arr in owners.items():
+        assert arr.base is None, name  # holds no complex FFT buffer or gathered copy alive
 
 
 def test_christoffels_from_matches_the_three_contraction_form():

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from idrig import exprlang
+from idrig import exprlang, mesh
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, scalar_field, leaf_index, leaf_values, leaf_block,
                         integrate, integrate_leaf, l2_inner, l2_norm,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
+from idrig.rigidity import rigid_recipe, rigid_report
 from helpers import CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3
 
 
@@ -105,6 +106,50 @@ def test_partial_stack_shape_and_content():
     assert st.shape == (3,) + g.shape
     for ax in range(3):
         assert np.allclose(st[ax], partial(f, g, ax, SCHEME))
+
+
+def _component_cases(grid, rng):
+    """Random tensors with zero components, an all-zero tensor, a scalar, a strided slice."""
+    sparse = rng.standard_normal((3, 3) + grid.shape)
+    sparse[0, 1] = sparse[1, 0] = sparse[2, 2] = 0.0
+    return {"sparse": sparse, "all zero": np.zeros((2, 2) + grid.shape),
+            "scalar": rng.standard_normal(grid.shape), "strided": sparse[1:, ::2]}
+
+
+@pytest.mark.parametrize("s_scheme", ["fd2", "fd4"])
+@pytest.mark.parametrize("leaf_scheme", ["fd2", "fd4", "spectral"])
+def test_partials_equal_each_component_differentiated_alone(s_scheme, leaf_scheme):
+    # skipping zero components must not move a single bit: the kernel gives exactly 0 on them
+    g, scheme = grid3(9, 8), Scheme(s_scheme, leaf_scheme)
+    for name, data in _component_cases(g, np.random.default_rng(5)).items():
+        stack = partial_stack(data, g, scheme)
+        assert stack.shape == (3,) + data.shape, name
+        for axis in range(3):
+            got = partial(data, g, axis, scheme)
+            for idx in np.ndindex(data.shape[:-3]):
+                alone = mesh._derivative(data[idx], g, axis, scheme)
+                assert np.array_equal(got[idx], alone), (name, axis, idx)
+                assert np.array_equal(stack[(axis,) + idx], alone), (name, axis, idx)
+
+
+def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
+    seen = []
+
+    def recording(kernel):
+        def record(data, *args):
+            seen.append(np.any(data, axis=tuple(range(1, data.ndim))))
+            return kernel(data, *args)
+        return record
+
+    for name in ("_spectral_axis", "_fd4_interval"):
+        monkeypatch.setattr(mesh, name, recording(getattr(mesh, name)))
+    g = grid3(9, 8)
+    for data in _component_cases(g, np.random.default_rng(6)).values():
+        partial_stack(data, g, SCHEME)
+        partial(data, g, 0, SCHEME)
+    rigid_report(rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME))
+    assert len(seen) > 20
+    assert all(mask.all() for mask in seen)  # one entry per component handed to a kernel
 
 
 # --- fields --------------------------------------------------------------------
