@@ -9,6 +9,20 @@ Commands
     convergence   re-run one named residual at {N, 2N, 4N} s-resolutions and
                   fit the observed order against actual spacings
 
+Every command returns its residuals, its fields, extra report keys, and a map
+from each judged residual to its rule; `main` alone judges, in one loop:
+
+    rule     verdict                     tolerance lookup
+    bound    |value| <= tol              [tolerances] key, default, DEFAULTS, 1e-8
+    margin   value >= -tol               as for bound
+    order    value >= tol, or no value   [tolerances] order, else DEFAULTS (3.5)
+             (every error at the floor)
+
+constraints judges only `dec_margin_min`, as a margin; killing-dev judges every
+residual, `dec_margin_min` as a margin; rigidity reports `rho_max` and
+`dec_margin_min` unjudged, ppwave `dec_margin_min`; convergence judges `order`.
+`--tol` replaces `default`, so it moves every bound and margin but not `order`.
+
 Exit codes: 0 all verdicts pass, 1 a verdict fails, 2 scene parse/validation
 error, 3 numerical failure (non-finite values, solver breakdown).  Reports are
 deterministic for fixed scene and flags except the single `volatile` field.
@@ -29,60 +43,53 @@ import numpy as np
 from . import killing_dev as kdm
 from . import rigidity
 from .exprlang import ExprError
-from .initial_data import constraints, dec_margin
+from .initial_data import constraints, dec_margin, j_norm
 from .mesh import DataError, Field, MeshError, dump_field_csv, fit_order
 from .scene import (SceneError, is_tolerance, parse_scene, scene_initial_data, scene_ppwave,
                     undefined_expression)
 
-# residual keys that are reported but never judged against a tolerance
-INFORMATIONAL = {"rho_max", "dec_margin_min", "sigma", "order"}
+# built-in tolerances where the contract differs from 1e-8; "order" is the lower
+# bound on the fitted convergence order, which `default` and --tol leave alone
+DEFAULTS = {"parallel_kv_max": 1e-11, "order": 3.5}
 
-# built-in tolerance defaults for keys with a stricter contract than 1e-8
-STRICT_DEFAULTS = {"parallel_kv_max": 1e-11}
+RULES = {
+    "bound": lambda value, tol: abs(value) <= tol,
+    "margin": lambda value, tol: value >= -tol,
+    # no order is fit when every error sits at the round-off floor
+    "order": lambda value, tol: value is None or value >= tol,
+}
 
 
-def _tol(scene, key):
-    return scene.tolerance(key, STRICT_DEFAULTS.get(key, 1e-8))
+def _tolerance(scene, key, rule):
+    if rule == "order":
+        return dict(scene.tolerances).get(key, DEFAULTS[key])
+    return scene.tolerance(key, DEFAULTS.get(key, 1e-8))
 
 
-def _judge(scene, residuals, lower_bounded=("dec_margin_min",)):
-    """Verdict per residual: |value| <= tol, or value >= -tol for margins."""
-    verdicts = {}
-    tols = {}
-    for key, value in residuals.items():
-        if key in INFORMATIONAL and key not in lower_bounded:
-            continue
-        tol = _tol(scene, key)
-        tols[key] = tol
-        if key in lower_bounded:
-            verdicts[key] = bool(value >= -tol)
-        else:
-            verdicts[key] = bool(abs(value) <= tol)
-    return verdicts, tols
+def _bounds(residuals, *unjudged):
+    """Judge every residual but `unjudged` as a bound."""
+    return {key: "bound" for key in residuals if key not in unjudged}
 
 
 def cmd_constraints(scene, args):
     ids = scene_initial_data(scene)
     rho, j = constraints(ids)
     margin = dec_margin(ids, rho, j)
-    jnorm = np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
     residuals = {
         "rho_max": float(np.max(np.abs(rho.data))),
-        "j_norm_max": float(np.max(jnorm)),
+        "j_norm_max": float(np.max(j_norm(ids, j))),
         "dec_margin_min": float(np.min(margin.data)),
     }
-    verdicts, tols = _judge(scene, {"dec_margin_min": residuals["dec_margin_min"]})
     fields = {"rho": rho, "dec_margin": margin, "j": j}
-    return residuals, verdicts, tols, fields, {}
+    return residuals, {"dec_margin_min": "margin"}, fields, {}
 
 
 def cmd_rigidity(scene, args):
     ids = scene_initial_data(scene)
     residuals = rigidity.rigid_report(ids)
-    verdicts, tols = _judge(scene, residuals, lower_bounded=())
     fields = {"lambda": rigidity.lambda_form(ids),
               "theta_plus": rigidity.theta_plus_field(ids)}
-    return residuals, verdicts, tols, fields, {}
+    return residuals, _bounds(residuals, "rho_max", "dec_margin_min"), fields, {}
 
 
 def cmd_killing_dev(scene, args):
@@ -100,12 +107,11 @@ def cmd_killing_dev(scene, args):
     residuals["section_parallel_max"] = kd.parallel_max
     dec = kdm.kd_dec_check(kd, count=args.directions)
     residuals["dec_margin_min"] = dec.minimum
-    verdicts, tols = _judge(scene, residuals)
-    report_extra = {"sigma": sigma,
-                    "dec_argmin_coords": list(dec.coords),
-                    "dec_direction_count": dec.direction_count}
+    extra = {"sigma": sigma,
+             "dec_argmin_coords": list(dec.coords),
+             "dec_direction_count": dec.direction_count}
     fields = {"frame_table": kdm.kd_einstein(kd)}
-    return residuals, verdicts, tols, fields, report_extra
+    return residuals, dict(_bounds(residuals), dec_margin_min="margin"), fields, extra
 
 
 def cmd_ppwave(scene, args):
@@ -126,39 +132,27 @@ def cmd_ppwave(scene, args):
             # the data set that kd_roundtrip induced and stored on the spec
             ids = kdm.induce_from_ppwave(spec, scene.hypersurface)
         rho, j = constraints(ids)
-        jnorm = np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
         residuals.update({f"roundtrip_{k}": v for k, v in rt.items()})
         residuals["marginal_modulus_max"] = float(np.max(np.abs(
-            jnorm - np.abs(rho.data))))
-    verdicts, tols = _judge(scene, residuals, lower_bounded=())
-    return residuals, verdicts, tols, fields, {}
+            j_norm(ids, j) - np.abs(rho.data))))
+    return residuals, _bounds(residuals, "dec_margin_min"), fields, {}
 
 
+# check name -> residual of the data set, or of the wave spec for ppwave_formula;
+# the mid-leaf checks look at the leaf s = ell/2
 CONVERGENCE_CHECKS = {
-    "parallel_s": lambda scene, n_s: rigidity.parallel_residuals(
-        scene_initial_data(scene, n_s))["s"],
-    "lambda": lambda scene, n_s: rigidity.lambda_form(
-        scene_initial_data(scene, n_s)).max_norm(),
-    "d_phi_lambda": lambda scene, n_s: _mid_leaf(
-        scene, n_s, lambda ids, tau: rigidity.closedness_residual(
-            ids, tau)[0].max_norm()),
-    "two_for_three": lambda scene, n_s: _mid_leaf(
-        scene, n_s, lambda ids, tau: rigidity.two_for_three_residual(
-            ids, tau).residual.max_norm()),
-    "variation": lambda scene, n_s: _mid_leaf(
-        scene, n_s, lambda ids, tau: rigidity.variation_residual(
-            ids, tau).residual.max_norm()),
-    "ppwave_formula": lambda scene, n_s: kdm.ppwave_einstein_check(
-        scene_ppwave(scene, n_s)).formula_residual_max,
+    "parallel_s": lambda ids: rigidity.parallel_residuals(ids)["s"],
+    "lambda": lambda ids: rigidity.lambda_form(ids).max_norm(),
+    "d_phi_lambda": lambda ids: rigidity.closedness_residual(
+        ids, 0.5 * ids.grid.ell)[0].max_norm(),
+    "two_for_three": lambda ids: rigidity.two_for_three_residual(
+        ids, 0.5 * ids.grid.ell).residual.max_norm(),
+    "variation": lambda ids: rigidity.variation_residual(
+        ids, 0.5 * ids.grid.ell).residual.max_norm(),
+    "ppwave_formula": lambda spec: kdm.ppwave_einstein_check(spec).formula_residual_max,
 }
 
 CONVERGENCE_FLOOR = 1e-13
-
-
-def _mid_leaf(scene, n_s, fn):
-    ids = scene_initial_data(scene, n_s)
-    tau = 0.5 * scene.ell
-    return fn(ids, tau)
 
 
 def _levels(scene):
@@ -166,27 +160,17 @@ def _levels(scene):
 
 
 def cmd_convergence(scene, args):
-    fn = CONVERGENCE_CHECKS[args.check]
+    build = scene_ppwave if args.check == "ppwave_formula" else scene_initial_data
     levels = _levels(scene)
-    errors = []
-    hs = []
-    residuals = {}
-    for n_s in levels:
-        err = float(fn(scene, n_s))
-        errors.append(err)
-        hs.append(scene.ell / (n_s - 1))
-        residuals[f"err_n{n_s}"] = err
+    residuals = {f"err_n{n_s}": float(CONVERGENCE_CHECKS[args.check](build(scene, n_s)))
+                 for n_s in levels}
+    errors = list(residuals.values())
     floor_hit = max(errors) < CONVERGENCE_FLOOR
-    if floor_hit:
-        order = None
-    else:
-        order = fit_order(hs, [max(e, 1e-300) for e in errors])
-        residuals["order"] = order
-    threshold = scene.tolerance("order", 3.5)
-    verdicts = {"order": bool(floor_hit or order >= threshold)}
-    tols = {"order": threshold}
+    if not floor_hit:
+        hs = [scene.ell / (n_s - 1) for n_s in levels]
+        residuals["order"] = fit_order(hs, [max(e, 1e-300) for e in errors])
     extra = {"check": args.check, "levels": levels, "floor_hit": floor_hit}
-    return residuals, verdicts, tols, {}, extra
+    return residuals, {"order": "order"}, {}, extra
 
 
 COMMANDS = {
@@ -255,7 +239,7 @@ def main(argv=None):
         return 2
 
     try:
-        residuals, verdicts, tols, fields, extra = COMMANDS[args.command](scene, args)
+        residuals, rules, fields, extra = COMMANDS[args.command](scene, args)
         bad = [k for k, v in residuals.items()
                if v is not None and not np.isfinite(v)]
         if bad:
@@ -271,6 +255,9 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
+    tolerances = {key: _tolerance(scene, key, rule) for key, rule in rules.items()}
+    verdicts = {key: bool(RULES[rule](residuals.get(key), tolerances[key]))
+                for key, rule in rules.items()}
     elapsed = time.perf_counter() - started
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     report = {
@@ -282,7 +269,7 @@ def main(argv=None):
                  "leaf_lengths": list(scene.leaf_lengths)},
         "scheme": {"s": scene.scheme.s, "leaf": scene.scheme.leaf},
         "residuals": residuals,
-        "tolerances": tols,
+        "tolerances": tolerances,
         "verdicts": verdicts,
         "pass": all(verdicts.values()),
         "volatile": f"{stamp} runtime={elapsed:.3f}s",

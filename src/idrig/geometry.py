@@ -23,12 +23,10 @@ from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, partial_stack
 # --- pure array core ---------------------------------------------------------
 
 
-def inverse_and_det(gdata):
-    """Pointwise inverse and determinant of a metric component array."""
-    arr = np.moveaxis(gdata, (0, 1), (-2, -1))
-    det = np.linalg.det(arr)
-    inv = np.linalg.inv(arr)
-    return np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1))), det
+def inverse(gdata):
+    """Pointwise inverse of a metric component array."""
+    inv = np.linalg.inv(np.moveaxis(gdata, (0, 1), (-2, -1)))
+    return np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1)))
 
 
 def symmetrize(t):
@@ -76,13 +74,15 @@ class MetricField:
         self.grid = field.grid
         arr = np.moveaxis(field.data, (0, 1), (-2, -1))
         try:
-            np.linalg.cholesky(arr)
+            chol = np.linalg.cholesky(arr)
         except np.linalg.LinAlgError:
             eigs = np.linalg.eigvalsh(arr)
             worst = float(eigs.min())
             raise DataError(f"metric is not positive definite (min eigenvalue {worst:g})")
-        self.ginv, det = inverse_and_det(field.data)
-        self.sqrt_det = np.sqrt(det)
+        # g = L L^T, so sqrt(det g) is the product of the diagonal of L
+        self.sqrt_det = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+        del chol  # freed before the inverse allocates
+        self.ginv = inverse(field.data)
 
     @property
     def data(self):

@@ -217,8 +217,7 @@ def dec_margin(ids, rho=None, j=None):
     """Pointwise rho - |j|_g; nonnegative iff the DEC holds."""
     if rho is None or j is None:
         rho, j = constraints(ids)
-    jnorm = np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
-    return Field(ids.grid, "scalar", rho.data - jnorm)
+    return Field(ids.grid, "scalar", rho.data - j_norm(ids, j))
 
 
 def dec_holds(ids, tol=None):
@@ -227,6 +226,11 @@ def dec_holds(ids, tol=None):
         rho, _ = constraints(ids)
         tol = 1e-8 * (1.0 + float(np.max(np.abs(rho.data))))
     return bool(np.min(margin.data) >= -tol), margin
+
+
+def j_norm(ids, j):
+    """Pointwise |j|_g as an array; round-off below zero reads as 0."""
+    return np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
 
 
 def j_normal(ids, j):

@@ -31,8 +31,8 @@ import numpy as np
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints, derived)
-from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, dump_csv,
-                   partial, partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _partials_into,
+                   dump_csv, partial, partial_stack)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
@@ -41,8 +41,7 @@ from .rigidity import build_parallel_candidate
 def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
     """Spacetime coordinate derivatives: zero along v, grid partials on M."""
     out = np.zeros((grid.ndim + 1,) + np.shape(data))
-    for i in range(grid.ndim):
-        out[i + 1] = partial(data, grid, i, scheme)
+    _partials_into(out[1:], data, grid, range(grid.ndim), scheme)
     return out
 
 
@@ -67,7 +66,7 @@ class SpacetimeCurvature:
 
 def spacetime_christoffels(gbar, grid, scheme=DEFAULT_SCHEME):
     """Inverse metric and Christoffels Gammabar^A_BC of a v-independent metric."""
-    ginv, _ = geometry.inverse_and_det(gbar)
+    ginv = geometry.inverse(gbar)
     return ginv, geometry.christoffels_from(ginv, dead_v_partials(gbar, grid, scheme))
 
 

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from idrig import killing_dev as kdm
-from idrig.cli import main
+from idrig import rigidity
+from idrig.cli import CONVERGENCE_CHECKS, main
+from idrig.scene import parse_scene, scene_initial_data, scene_ppwave
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -41,7 +43,9 @@ def test_constraints_flat_report_shape():
     # flat vacuum: every density is exactly zero
     assert rep["residuals"] == {"rho_max": 0.0, "j_norm_max": 0.0,
                                 "dec_margin_min": 0.0}
+    # only the energy margin is judged
     assert rep["verdicts"] == {"dec_margin_min": True}
+    assert rep["tolerances"] == {"dec_margin_min": 1e-8}
     raw = (SCENES / "flat.scene").read_bytes()
     assert rep["digest"] == hashlib.sha256(raw).hexdigest()
 
@@ -97,9 +101,8 @@ def test_rigidity_recipe_passes():
     res = rep["residuals"]
     # informational densities are reported but never judged
     assert res["rho_max"] > 4 and res["dec_margin_min"] < -4
-    assert "rho_max" not in rep["verdicts"]
-    assert "dec_margin_min" not in rep["verdicts"]
-    assert sorted(rep["verdicts"]) == sorted(rep["tolerances"])
+    assert set(rep["verdicts"]) == set(rep["tolerances"]) == set(res) - {"rho_max",
+                                                                         "dec_margin_min"}
     judged = {k: res[k] for k in rep["verdicts"]}
     assert max(abs(v) for v in judged.values()) < 1e-8
     # per-leaf families at the first, middle and last s nodes (n_s = 21)
@@ -123,6 +126,8 @@ def test_killing_dev_vacuum_scene():
     assert rep["sigma"] == 1.0
     assert rep["dec_direction_count"] == 64
     assert rep["dec_argmin_coords"] == [0.0, 0.0, 0.0]
+    # every residual is judged, the energy margin from below
+    assert set(rep["verdicts"]) == set(rep["tolerances"]) == set(res)
 
 
 def test_killing_dev_energy_scan_flags_recipe():
@@ -161,6 +166,8 @@ def test_ppwave_roundtrip_scene():
                 "roundtrip_frame_table_gap_max", "roundtrip_scal_max",
                 "roundtrip_kd_formula_residual_max", "marginal_modulus_max"):
         assert abs(res[key]) < 1e-8, key
+    assert set(rep["verdicts"]) == set(rep["tolerances"]) == set(res) - {"dec_margin_min"}
+    assert rep["tolerances"]["parallel_kv_max"] == 1e-11
 
 
 def test_ppwave_roundtrip_reuses_the_wave_check(tmp_path, monkeypatch):
@@ -210,6 +217,53 @@ def test_convergence_order_fit():
     assert 3.9 < rep["residuals"]["order"] < 4.3
     assert rep["tolerances"] == {"order": 3.5}
     assert rep["verdicts"] == {"order": True}
+
+
+def test_convergence_order_threshold_ignores_the_default_tolerance(tmp_path):
+    # fd2 on the s axis fits order 2, below the built-in threshold 3.5
+    argv = ["convergence", SCENES / "vacuum_kd.scene", "--check", "parallel_s",
+            "--scheme-s", "fd2"]
+    for extra in ([], ["--tol", "1e-8"]):
+        code, rep, _ = run(argv + extra)
+        assert code == 1, extra
+        assert 1.9 < rep["residuals"]["order"] < 2.1
+        assert rep["tolerances"] == {"order": 3.5}
+        assert rep["verdicts"] == {"order": False}
+    # only an [tolerances] order key moves the threshold
+    path = tmp_path / "order.scene"
+    path.write_text((SCENES / "vacuum_kd.scene").read_text()
+                    + "\n[tolerances]\ndefault = 1e-3\norder = 1.5\n")
+    code, rep, _ = run(argv[:1] + [path] + argv[2:])
+    assert code == 0
+    assert rep["tolerances"] == {"order": 1.5}
+
+
+# each check's residual, recomputed from the library on the level's own grid
+LIBRARY_RESIDUALS = {
+    "parallel_s": lambda ids, tau: rigidity.parallel_residuals(ids)["s"],
+    "lambda": lambda ids, tau: rigidity.lambda_form(ids).max_norm(),
+    "d_phi_lambda": lambda ids, tau: rigidity.closedness_residual(ids, tau)[0].max_norm(),
+    "two_for_three": lambda ids, tau: rigidity.two_for_three_residual(
+        ids, tau).residual.max_norm(),
+    "variation": lambda ids, tau: rigidity.variation_residual(ids, tau).residual.max_norm(),
+    "ppwave_formula": lambda spec, tau: kdm.ppwave_einstein_check(spec).formula_residual_max,
+}
+
+
+@pytest.mark.parametrize("check", sorted(CONVERGENCE_CHECKS))
+def test_every_convergence_check_reports_the_library_residual(check):
+    assert set(LIBRARY_RESIDUALS) == set(CONVERGENCE_CHECKS)
+    wave = check == "ppwave_formula"
+    path = SCENES / ("wave.scene" if wave else "convergence.scene")
+    code, rep, err = run(["convergence", path, "--check", check])
+    assert code in (0, 1) and err == ""
+    scene = parse_scene(path)
+    assert rep["check"] == check and rep["levels"] == [scene.n_s, 2 * scene.n_s, 4 * scene.n_s]
+    build = scene_ppwave if wave else scene_initial_data
+    for n_s in rep["levels"]:
+        expected = LIBRARY_RESIDUALS[check](build(scene, n_s), 0.5 * scene.ell)
+        assert rep["residuals"][f"err_n{n_s}"] == float(expected), n_s
+    assert set(rep["verdicts"]) == set(rep["tolerances"]) == {"order"}
 
 
 def test_convergence_floor_on_flat_data():
