@@ -12,16 +12,19 @@ Commands
 Every command returns its residuals, its fields, extra report keys, and a map
 from each judged residual to its rule; `main` alone judges, in one loop:
 
-    rule     verdict                     tolerance lookup
-    bound    |value| <= tol              [tolerances] key, default, DEFAULTS, 1e-8
-    margin   value >= -tol               as for bound
-    order    value >= tol, or no value   [tolerances] order, else DEFAULTS (3.5)
-             (every error at the floor)
+    rule     verdict
+    bound    |value| <= tol
+    margin   value >= -tol
+    order    value >= tol, or no value (every error at the floor)
+
+A key of DEFAULTS (`parallel_kv_max`, `order`) reads only its own [tolerances]
+key, else DEFAULTS; every other key reads its [tolerances] key, then
+`default`, then 1e-8.
 
 constraints judges only `dec_margin_min`, as a margin; killing-dev judges every
 residual, `dec_margin_min` as a margin; rigidity reports `rho_max` and
 `dec_margin_min` unjudged, ppwave `dec_margin_min`; convergence judges `order`.
-`--tol` replaces `default`, so it moves every bound and margin but not `order`.
+`--tol` replaces `default`, so it moves every tolerance but those of DEFAULTS.
 
 Exit codes: 0 all verdicts pass, 1 a verdict fails, 2 scene parse/validation
 error, 3 numerical failure (non-finite values, solver breakdown).  Reports are
@@ -48,8 +51,8 @@ from .mesh import DataError, Field, MeshError, dump_field_csv, fit_order
 from .scene import (SceneError, is_tolerance, parse_scene, scene_initial_data, scene_ppwave,
                     undefined_expression)
 
-# built-in tolerances where the contract differs from 1e-8; "order" is the lower
-# bound on the fitted convergence order, which `default` and --tol leave alone
+# built-in tolerances where the contract differs from 1e-8, which `default` and
+# --tol leave alone; "order" is the lower bound on the fitted convergence order
 DEFAULTS = {"parallel_kv_max": 1e-11, "order": 3.5}
 
 RULES = {
@@ -60,10 +63,10 @@ RULES = {
 }
 
 
-def _tolerance(scene, key, rule):
-    if rule == "order":
+def _tolerance(scene, key):
+    if key in DEFAULTS:
         return dict(scene.tolerances).get(key, DEFAULTS[key])
-    return scene.tolerance(key, DEFAULTS.get(key, 1e-8))
+    return scene.tolerance(key)
 
 
 def _bounds(residuals, *unjudged):
@@ -255,7 +258,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    tolerances = {key: _tolerance(scene, key, rule) for key, rule in rules.items()}
+    tolerances = {key: _tolerance(scene, key) for key in rules}
     verdicts = {key: bool(RULES[rule](residuals.get(key), tolerances[key]))
                 for key, rule in rules.items()}
     elapsed = time.perf_counter() - started

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, partial_stack
+from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, _contract, partial_stack
 
 # --- pure array core ---------------------------------------------------------
 
@@ -37,7 +37,7 @@ def symmetrize(t):
 def christoffels_from(ginv, dg):
     """Gamma^a_bc from the inverse metric and dg[c, a, b] = d_c g_ab."""
     low = np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg) - dg
-    gam = np.einsum("ad...,dbc...->abc...", ginv, low)  # low[d, b, c] = 2 Gamma_dbc
+    gam = _contract("ad...,dbc...->abc...", ginv, low)  # low[d, b, c] = 2 Gamma_dbc
     gam *= 0.5
     return gam
 
@@ -47,7 +47,7 @@ def riemann_from(gamma, dgamma):
     r = np.einsum("cadb...->abcd...", dgamma).copy()
     r -= np.einsum("dacb...->abcd...", dgamma)
     del dgamma  # with no caller reference left, this frees it before the Gamma*Gamma terms
-    gg = np.einsum("ace...,edb...->abcd...", gamma, gamma)
+    gg = _contract("ace...,edb...->abcd...", gamma, gamma)
     r += gg
     r -= np.swapaxes(gg, 2, 3)  # Gamma^a_de Gamma^e_cb is gg with c and d swapped
     return r
@@ -56,8 +56,8 @@ def riemann_from(gamma, dgamma):
 def ricci_from(gamma, div_gamma, d_trace):
     """R_bd from Gamma, div_gamma[b, d] = d_a Gamma^a_bd and d_trace[d, b] = d_d Gamma^a_ab."""
     ric = div_gamma - np.swapaxes(d_trace, 0, 1)
-    ric += np.einsum("aae...,ebd...->bd...", gamma, gamma)
-    ric -= np.einsum("ade...,eab...->bd...", gamma, gamma)
+    ric += _contract("aae...,ebd...->bd...", gamma, gamma)
+    ric -= _contract("ade...,eab...->bd...", gamma, gamma)
     return ric
 
 
@@ -89,16 +89,16 @@ class MetricField:
         return self.field.data
 
     def norm2_covector(self, omega):
-        return np.einsum("ab...,a...,b...->...", self.ginv, omega, omega)
+        return _contract("ab...,a...,b...->...", self.ginv, omega, omega)
 
     def norm2_vector(self, x):
-        return np.einsum("ab...,a...,b...->...", self.data, x, x)
+        return _contract("ab...,a...,b...->...", self.data, x, x)
 
     def flat(self, xdata):
-        return np.einsum("ab...,b...->a...", self.data, xdata)
+        return _contract("ab...,b...->a...", self.data, xdata)
 
     def sharp(self, omega):
-        return np.einsum("ab...,b...->a...", self.ginv, omega)
+        return _contract("ab...,b...->a...", self.ginv, omega)
 
 
 def christoffels(metric, scheme=DEFAULT_SCHEME):
@@ -117,7 +117,7 @@ def curvature(metric, scheme=DEFAULT_SCHEME):
     gam = christoffels(metric, scheme)
     r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
     ric = np.einsum("abad...->bd...", r_up)
-    scal = np.einsum("bd...,bd...->...", metric.ginv, ric)
+    scal = _contract("bd...,bd...->...", metric.ginv, ric)
     return CurvatureBundle(gam, ric, scal)
 
 
@@ -127,29 +127,29 @@ def curvature(metric, scheme=DEFAULT_SCHEME):
 def cov_vector(xdata, grid, gamma, scheme=DEFAULT_SCHEME):
     """nabla_c X^a, indexed [c, a]."""
     dx = partial_stack(xdata, grid, scheme)
-    return dx + np.einsum("ace...,e...->ca...", gamma, xdata)
+    return dx + _contract("ace...,e...->ca...", gamma, xdata)
 
 
 def cov_covector(wdata, grid, gamma, scheme=DEFAULT_SCHEME):
     """nabla_c w_b, indexed [c, b]."""
     dw = partial_stack(wdata, grid, scheme)
-    return dw - np.einsum("ecb...,e...->cb...", gamma, wdata)
+    return dw - _contract("ecb...,e...->cb...", gamma, wdata)
 
 
 def cov_rank2(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
     """nabla_c T_ab for covariant rank 2, indexed [c, a, b]."""
     dt = partial_stack(tdata, grid, scheme)
-    dt -= np.einsum("eca...,eb...->cab...", gamma, tdata)
-    dt -= np.einsum("ecb...,ae...->cab...", gamma, tdata)
+    dt -= _contract("eca...,eb...->cab...", gamma, tdata)
+    dt -= _contract("ecb...,ae...->cab...", gamma, tdata)
     return dt
 
 
 def cov_rank3(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
     """nabla_c T_abd for covariant rank 3, indexed [c, a, b, d]."""
     dt = partial_stack(tdata, grid, scheme)
-    dt -= np.einsum("eca...,ebd...->cabd...", gamma, tdata)
-    dt -= np.einsum("ecb...,aed...->cabd...", gamma, tdata)
-    dt -= np.einsum("ecd...,abe...->cabd...", gamma, tdata)
+    dt -= _contract("eca...,ebd...->cabd...", gamma, tdata)
+    dt -= _contract("ecb...,aed...->cabd...", gamma, tdata)
+    dt -= _contract("ecd...,abe...->cabd...", gamma, tdata)
     return dt
 
 
@@ -174,11 +174,11 @@ def lie_metric(xdata, metric, gamma, scheme=DEFAULT_SCHEME):
 def div_sym2(tdata, metric, gamma, scheme=DEFAULT_SCHEME):
     """(div T)_b = g^{ca} nabla_c T_ab."""
     nt = cov_rank2(tdata, metric.grid, gamma, scheme)
-    return np.einsum("ca...,cab...->b...", metric.ginv, nt)
+    return _contract("ca...,cab...->b...", metric.ginv, nt)
 
 
 def trace_sym2(tdata, metric):
-    return np.einsum("ab...,ab...->...", metric.ginv, tdata)
+    return _contract("ab...,ab...->...", metric.ginv, tdata)
 
 
 # --- exterior calculus ------------------------------------------------------------
@@ -203,15 +203,15 @@ def codifferential(field, metric, gamma, scheme=DEFAULT_SCHEME):
     grid = field.grid
     if field.kind == "covector":
         nw = cov_covector(field.data, grid, gamma, scheme)
-        out = -np.einsum("ab...,ab...->...", metric.ginv, nw)
+        out = -_contract("ab...,ab...->...", metric.ginv, nw)
         return Field(grid, "scalar", out)
     if field.kind == "form2":
         nb = cov_rank2(field.data, grid, gamma, scheme)
-        out = -np.einsum("ac...,acb...->b...", metric.ginv, nb)
+        out = -_contract("ac...,acb...->b...", metric.ginv, nb)
         return Field(grid, "covector", out)
     if field.kind == "cov3":
         ng = cov_rank3(field.data, grid, gamma, scheme)
-        out = -np.einsum("ad...,adbc...->bc...", metric.ginv, ng)
+        out = -_contract("ad...,adbc...->bc...", metric.ginv, ng)
         return Field(grid, "form2", out)
     raise MeshError(f"codifferential undefined for kind {field.kind!r}")
 

@@ -34,6 +34,7 @@ from .mesh import (
     Field,
     Grid,
     MeshError,
+    _contract,
     leaf_block,
     leaf_index,
     partial_stack,
@@ -205,8 +206,8 @@ def constraints(ids):
     g = ids.metric
     k = ids.k.data
     trk = geometry.trace_sym2(k, g)
-    k_up = np.einsum("ac...,bd...,cd...->ab...", g.ginv, g.ginv, k)
-    k2 = np.einsum("ab...,ab...->...", k, k_up)
+    k_up = _contract("ac...,bd...,cd...->ab...", g.ginv, g.ginv, k)
+    k2 = _contract("ab...,ab...->...", k, k_up)
     rho = 0.5 * (curv.scal + trk**2 - k2)
     div_k = geometry.div_sym2(k, g, curv.christoffels, ids.scheme)
     j = div_k - partial_stack(trk, ids.grid, ids.scheme)
@@ -235,14 +236,14 @@ def j_norm(ids, j):
 
 def j_normal(ids, j):
     """j(nu) as a scalar array."""
-    return np.einsum("a...,a...->...", ids.nu, j.data)
+    return _contract("a...,a...->...", ids.nu, j.data)
 
 
 # --- ambient connection and curvature ------------------------------------------
 
 
 def ambient_pairing(ids, v, w):
-    return -v.a * w.a + np.einsum("ab...,a...,b...->...", ids.metric.data, v.x, w.x)
+    return -v.a * w.a + _contract("ab...,a...,b...->...", ids.metric.data, v.x, w.x)
 
 
 def ambient_derivative(ids, v):
@@ -253,7 +254,7 @@ def ambient_derivative(ids, v):
     """
     curv = ids.curvature()
     da = partial_stack(v.a, ids.grid, ids.scheme)
-    da += np.einsum("cb...,b...->c...", ids.k.data, v.x)
+    da += _contract("cb...,b...->c...", ids.k.data, v.x)
     dx = geometry.cov_vector(v.x, ids.grid, curv.christoffels, ids.scheme)
     dx += v.a * _k_mixed(ids)
     return da, dx
@@ -262,14 +263,14 @@ def ambient_derivative(ids, v):
 @derived
 def _k_mixed(ids):
     """k(d_c, .)^# over the full grid, indexed [c, b]."""
-    return np.einsum("be...,ce...->cb...", ids.metric.ginv, ids.k.data)
+    return _contract("be...,ce...->cb...", ids.metric.ginv, ids.k.data)
 
 
 def ambient_connection(ids, ydata, v):
     """nablabar_Y V for a tangent vector field Y."""
     da, dx = ambient_derivative(ids, v)
-    a = np.einsum("c...,c...->...", ydata, da)
-    x = np.einsum("c...,cb...->b...", ydata, dx)
+    a = _contract("c...,c...->...", ydata, da)
+    x = _contract("c...,cb...->b...", ydata, dx)
     return AmbientVector(ids.grid, a, x)
 
 
@@ -280,7 +281,7 @@ def ambient_residual_norm(ids, v):
     sqrt(a^2 + |X|_g^2) which vanishes exactly on parallel sections.
     """
     da, dx = ambient_derivative(ids, v)
-    mags = da**2 + np.einsum("ab...,ca...,cb...->c...", ids.metric.data, dx, dx)
+    mags = da**2 + _contract("ab...,ca...,cb...->c...", ids.metric.data, dx, dx)
     return np.sqrt(np.maximum(mags, 0.0))
 
 
@@ -301,10 +302,10 @@ def ambient_curvature(ids, v):
     # second application: the d-indexed family (da[d], dx[d]) is a set of
     # ambient fields; [d_c, d_d] = 0 so the commutator is the curvature
     dda = partial_stack(da, ids.grid, ids.scheme)
-    dda += np.einsum("cb...,db...->cd...", k, dx)
+    dda += _contract("cb...,db...->cd...", k, dx)
     ddx = partial_stack(dx, ids.grid, ids.scheme)
-    ddx += np.einsum("bce...,de...->cdb...", curv.christoffels, dx)
-    ddx += np.einsum("d...,cb...->cdb...", da, k_mixed)
+    ddx += _contract("bce...,de...->cdb...", curv.christoffels, dx)
+    ddx += _contract("d...,cb...->cdb...", da, k_mixed)
     a_part = dda - np.einsum("cd...->dc...", dda)
     x_part = ddx - np.einsum("cdb...->dcb...", ddx)
     return AmbientCurvature(a_part, x_part)
@@ -313,7 +314,7 @@ def ambient_curvature(ids, v):
 def ambient_curvature_pairing(ids, curv_v, w):
     """gbar(Rbar(d_c, d_d)V, W), indexed [c, d]."""
     out = -curv_v.a * w.a
-    out += np.einsum("ab...,cda...,b...->cd...", ids.metric.data, curv_v.x, w.x)
+    out += _contract("ab...,cda...,b...->cd...", ids.metric.data, curv_v.x, w.x)
     return out
 
 
@@ -339,7 +340,7 @@ def _shape_form(ids):
     """A(d_c, d_b) = g(nabla_c nu, d_b) over the full grid, indexed [c, b]."""
     curv = ids.curvature()
     nnu = geometry.cov_vector(ids.nu, ids.grid, curv.christoffels, ids.scheme)
-    return np.einsum("bd...,cd...->cb...", ids.metric.data, nnu)
+    return _contract("bd...,cd...->cb...", ids.metric.data, nnu)
 
 
 def leaf_null_geometry(ids, tau):
@@ -352,7 +353,7 @@ def leaf_null_geometry(ids, tau):
                        geometry.symmetrize(_shape_form(ids)[1:, 1:][:, :, idx]))
         g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
         chi = a_leaf + k_leaf
-        theta = np.einsum("ab...,ab...->...", g_tau.ginv, chi.data)
+        theta = _contract("ab...,ab...->...", g_tau.ginv, chi.data)
         ids._derived[leaf_null_geometry, idx] = _read_only(LeafData(
             idx, g_tau, geometry.curvature(g_tau, ids.scheme), ids.phi.data[idx],
             k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta)))

@@ -31,8 +31,8 @@ import numpy as np
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints, derived)
-from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _partials_into,
-                   dump_csv, partial, partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract,
+                   _partials_into, dump_csv, partial, partial_stack)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
@@ -75,7 +75,7 @@ def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME):
     div_gamma = sum(partial(gamma[i + 1], grid, i, scheme) for i in range(grid.ndim))
     d_trace = dead_v_partials(np.einsum("aab...->b...", gamma), grid, scheme)
     ricci = geometry.ricci_from(gamma, div_gamma, d_trace)
-    scal = np.einsum("bd...,bd...->...", ginv, ricci)
+    scal = _contract("bd...,bd...->...", ginv, ricci)
     einstein = ricci - 0.5 * scal * gbar
     return SpacetimeCurvature(gamma, ricci, scal, einstein, ginv)
 
@@ -160,7 +160,7 @@ def _gram_schmidt_spatial(g):
         y = np.zeros((n,) + g.grid.shape)
         y[a] = 1.0
         for b in range(a):
-            proj = np.einsum("cd...,c...,d...->...", g.data, frame[b], y)
+            proj = _contract("cd...,c...,d...->...", g.data, frame[b], y)
             y -= proj * frame[b]
         nrm2 = g.norm2_vector(y)
         if float(np.min(nrm2)) <= 0.0:
@@ -194,12 +194,12 @@ def kd_einstein(kd):
         frame[i, 1:] = spatial[i]
     frame[n, 1:] = spatial[0]                   # nu last
 
-    gram = np.einsum("Ai...,ij...,Bj...->AB...", frame, kd.gbar, frame)
+    gram = _contract("Ai...,ij...,Bj...->AB...", frame, kd.gbar, frame)
     eta = np.diag([-1.0] + [1.0] * n).reshape((n + 1, n + 1) + (1,) * ids.grid.ndim)
     defect = float(np.max(np.abs(gram - eta)))
 
     curv = kd.curvature()
-    ein = np.einsum("Ai...,ij...,Bj...->AB...", frame, curv.einstein, frame)
+    ein = _contract("Ai...,ij...,Bj...->AB...", frame, curv.einstein, frame)
     labels = ("e0",) + tuple(f"e{i}" for i in range(1, n)) + ("nu",)
     return FrameEinstein(ids.grid, labels, frame, ein, curv.scal, defect)
 
@@ -454,9 +454,9 @@ def induce_from_ppwave(spec, w="0"):
     conormal = np.zeros((n + 1,) + grid.shape)
     conormal[0] = 1.0
     conormal[1] = -dw_vals
-    normal = np.einsum("AB...,B...->A...", ginv, conormal)
+    normal = _contract("AB...,B...->A...", ginv, conormal)
     e0 = -normal / phi.data
-    e0_v = np.einsum("A...,A...->...", gbar[0], e0)
+    e0_v = _contract("A...,A...->...", gbar[0], e0)
     if float(np.max(e0_v)) >= 0.0:
         raise DataError("graph normal is not future directed")
 
@@ -467,8 +467,8 @@ def induce_from_ppwave(spec, w="0"):
         tangents[i, i + 1] = 1.0
 
     de0 = partial_stack(e0, grid, spec.scheme)
-    cov = de0 + np.einsum("BCD...,aC...,D...->aB...", gamma, tangents, e0)
-    k = np.einsum("BD...,bD...,aB...->ab...", gbar, tangents, cov)
+    cov = de0 + _contract("BCD...,aC...,D...->aB...", gamma, tangents, e0)
+    k = _contract("BD...,bD...,aB...->ab...", gbar, tangents, cov)
     asym = float(np.max(np.abs(k - np.einsum("ab...->ba...", k))))
     if asym > 1e-6 * (1.0 + float(np.max(np.abs(k)))):
         warnings.warn(f"induced second fundamental form asymmetry {asym:.3e}")
@@ -512,8 +512,8 @@ def kd_roundtrip(spec, w="0", tol=1e-8):
     off = kd_ein.copy()
     off[1, 1] = 0.0
     table = kd_einstein(kd)
-    wave_frame = np.einsum("Ai...,ij...,Bj...->AB...", table.frame,
-                           wave_report.einstein, table.frame)
+    wave_frame = _contract("Ai...,ij...,Bj...->AB...", table.frame,
+                            wave_report.einstein, table.frame)
     return {
         "metric_gap_max": float(np.max(np.abs(kd.gbar - expected))),
         "einstein_gap_max": float(np.max(np.abs(kd_ein - wave_report.einstein))),

@@ -3,23 +3,33 @@
 The s axis carries both interval endpoints (N_s nodes, spacing l/(N_s - 1));
 leaf axes are periodic with the right endpoint identified (N_i nodes, spacing
 L_i/N_i).  Field data is stored with component axes first and grid axes last,
-so einsum contractions broadcast over the grid.  Metric inverses, Christoffels,
-spectral partials and partial stacks come out C-contiguous: einsum runs several
-times slower on a strided view (say a moveaxis of a metric inverse), and its
-output inherits that layout, so one view slows every contraction downstream.
+so contractions broadcast over the grid.  Metric inverses, Christoffels,
+spectral partials and partial stacks come out C-contiguous: a contraction runs
+several times slower on a strided view (say a moveaxis of a metric inverse),
+and einsum's output inherits that layout, so one view slows everything
+downstream.
 
 Derivative schemes: "fd2" and "fd4" work on every axis (one-sided stencils of
 matching order at s = 0 and s = l), "spectral" works on periodic axes only.
 The default pairing is fd4 along s and spectral along the leaves.
 
-`partial` and `partial_stack` pass only the components nonzero at some node to
-a kernel, in one batch, and leave the rest exactly 0, as every scheme would;
-a stack is written axis by axis into one preallocated array.
+Structural zeros: a component slice that is exactly 0.0 at every node (NaN and
+inf count as nonzero) is never handed to a kernel.  `partial` and
+`partial_stack` differentiate only the other components, in one batch, and
+leave these exactly 0, as every scheme would; a stack is written axis by axis
+into one preallocated array.  `_contract`, which every multi-operand pointwise
+contraction goes through, multiplies only the products with no such factor.
+It sums each output component in np.einsum's own order (the summed labels in
+the loop order of einsum's iterator, factors left to right) into a fresh
+C-contiguous array, so its result is einsum's bit for bit: a skipped product
+is exactly zero, and adding it cannot change a float sum.  (Where another
+factor is inf or NaN, einsum's product is NaN; the skipped one is not.)
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -209,6 +219,109 @@ def _partials_into(out, data, grid, axes, scheme):
     return out
 
 
+@lru_cache(maxsize=None)
+def _labels(subscripts):
+    """Component labels of each operand, of the output, and the summed ones ascending."""
+    ins, out = subscripts.replace("...", "").split("->")
+    ins = tuple(ins.split(","))
+    return ins, out, "".join(sorted(set("".join(ins)) - set(out)))
+
+
+def _summed_order(ins, summed, ops):
+    """The summed labels, outermost first, in the loop order of np.einsum's iterator.
+
+    The iterator sorts its axes by the operands' strides with numpy's stable
+    insertion sort, innermost first; with the grid axes innermost, the summed
+    labels keep the order that sort gives them among themselves.
+    """
+    # a repeated label is a diagonal, whose stride is the sum
+    strides = {c: [sum(op.strides[i] for i, d in enumerate(labels) if d == c)
+                   for labels, op in zip(ins, ops)] for c in summed}
+    order = []  # innermost first
+    for c in reversed(summed):
+        pos = len(order)
+        for i in range(len(order) - 1, -1, -1):
+            swap = None
+            for s0, s1 in zip(strides[c], strides[order[i]]):
+                if s0 and s1:  # a no-swap vote wins over swap votes
+                    swap = abs(s1) > abs(s0) and swap is not False
+            if swap is None:
+                continue
+            if not swap:
+                break
+            pos = i
+        order.insert(pos, c)
+    return "".join(reversed(order))
+
+
+_PLANS = {}  # a run meets a few hundred layouts and zero patterns
+
+
+def _plan(subscripts, ops, masks):
+    """Result shape and dtype, grid shape, and per output component its live products.
+
+    Each output component lists the factor indices of its products in
+    einsum's own order.  Every index ends in Ellipsis, so it selects a view.
+    """
+    ins, out, summed = _labels(subscripts)
+    loop = out + _summed_order(ins, summed, ops)
+    size = {}
+    for labels, op in zip(ins, ops):
+        size.update(zip(labels, op.shape))
+    dims = [size[c] for c in loop]
+    index = dict(zip(loop, np.indices(dims).reshape(len(loop), math.prod(dims))))
+    live = np.ones(math.prod(dims), dtype=bool)
+    for labels, mask in zip(ins, masks):
+        live &= mask[tuple(index[c] for c in labels)]
+    index = {c: column[live].tolist() for c, column in index.items()}
+    ends = [Ellipsis] * int(live.sum())
+    products = {}  # output component index -> factor indices of each product
+    for target, *factors in zip(zip(*(index[c] for c in out), ends),
+                                *(zip(*(index[c] for c in labels), ends) for labels in ins)):
+        products.setdefault(target, []).append(factors)
+    grid = np.broadcast_shapes(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
+    return (tuple(size[c] for c in out) + grid, grid, np.result_type(*ops),
+            list(products.items()))
+
+
+def _contract(subscripts, *operands):
+    """np.einsum(subscripts, *operands) over the products with no structural-zero factor.
+
+    Subscripts give the component labels of each operand, then "..." for the
+    grid axes.  A plan is built once per subscripts, operand shapes, strides
+    and dtypes, and zero masks.  The result is einsum's bit for bit when every
+    operand keeps its grid axes innermost and each summed label sits in an
+    operand that varies along the grid.
+    """
+    ops = [np.asarray(op) for op in operands]
+    masks, key, scanned = [], [subscripts], {}  # an operand passed twice is scanned once
+    for labels, op in zip(_labels(subscripts)[0], ops):
+        mask = scanned.get((id(op), len(labels)))
+        if mask is None:
+            mask = np.logical_or.reduce(op, axis=tuple(range(len(labels), op.ndim)))
+            scanned[id(op), len(labels)] = mask
+        masks.append(mask)
+        key.append((op.shape, op.strides, op.dtype.char, mask.tobytes()))
+    key = tuple(key)
+    if key not in _PLANS:
+        _PLANS[key] = _plan(subscripts, ops, masks)
+    shape, grid, dtype, products = _PLANS[key]
+    result = np.zeros(shape, dtype=dtype)
+    term = np.empty(grid, dtype=dtype)
+    # einsum rounds the real and imaginary parts of a complex product separately
+    multiply = np.multiply if dtype.kind != "c" else (
+        lambda x, y, out: np.einsum("...,...->...", x, y, out=out))
+    first, second, *tail = ops
+    for target, factors in products:
+        acc = result[target]
+        for a, b, *more in factors:
+            multiply(first[a], second[b], out=term)
+            for op, idx in zip(tail, more):
+                multiply(term, op[idx], out=term)
+            acc += term
+    return result
+
+
 def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
     """d(data)/d(coordinate of grid axis `axis`), componentwise.
 
@@ -392,11 +505,11 @@ def pointwise_inner(a, b, ginv):
         return a.data * b.data
     ginv = np.asarray(ginv, dtype=float)
     if rank == 1:
-        raised = np.einsum("ab...,b...->a...", ginv, b.data)
-        out = np.einsum("a...,a...->...", a.data, raised)
+        raised = _contract("ab...,b...->a...", ginv, b.data)
+        out = _contract("a...,a...->...", a.data, raised)
     elif rank == 2:
-        raised = np.einsum("ac...,bd...,cd...->ab...", ginv, ginv, b.data)
-        out = np.einsum("ab...,ab...->...", a.data, raised)
+        raised = _contract("ac...,bd...,cd...->ab...", ginv, ginv, b.data)
+        out = _contract("ab...,ab...->...", a.data, raised)
     else:
         raise MeshError(f"no inner product for rank {rank}")
     return out * _FORM_WEIGHT.get(a.kind, 1.0)

@@ -36,6 +36,7 @@ from .mesh import (
     DEFAULT_SCHEME,
     Field,
     MeshError,
+    _contract,
     integrate,
     leaf_block,
     leaf_index,
@@ -105,8 +106,8 @@ def lambda_form(ids):
     curv = ids.curvature()
     nk = geometry.cov_rank2(ids.k.data, ids.grid, curv.christoffels, ids.scheme)
     nu = ids.nu
-    first = np.einsum("cab...,a...,b...->c...", nk, nu, nu)
-    second = np.einsum("c...,cab...,b...->a...", nu, nk, nu)
+    first = _contract("cab...,a...,b...->c...", nk, nu, nu)
+    second = _contract("c...,cab...,b...->a...", nu, nk, nu)
     lam = first - second
     lam[0] = 0.0  # the s component mixes in lambda(nu) = 0
     return Field(ids.grid, "covector", lam)
@@ -119,7 +120,7 @@ def lambda_via_curvature(ids):
     w = AmbientVector(ids.grid, np.zeros(ids.grid.shape), nu)
     rv = ambient_curvature(ids, v)
     paired = ambient_curvature_pairing(ids, rv, w)  # gbar(Rbar(d_c, d_d)V, nu)
-    lam = np.einsum("cd...,d...->c...", paired, nu)
+    lam = _contract("cd...,d...->c...", paired, nu)
     lam[0] = 0.0
     return Field(ids.grid, "covector", lam)
 
@@ -149,7 +150,7 @@ def _closedness_forms(ids, lam):
     d_phil = geometry.exterior_d(phil, ids.scheme)
     dlam = geometry.exterior_d(lam, ids.scheme)
     dlogphi = partial_stack(np.log(phi), ids.grid, ids.scheme)
-    wedge = np.einsum("a...,b...->ab...", dlogphi, lam.data)
+    wedge = _contract("a...,b...->ab...", dlogphi, lam.data)
     wedge = wedge - np.einsum("ab...->ba...", wedge)
     return d_phil, Field(ids.grid, "form2", dlam.data + wedge)
 
@@ -220,7 +221,7 @@ def theta_plus_field(ids):
     """Expansion theta+ of every leaf as one scalar field over M."""
     chi = _shape_form(ids)[1:, 1:] + ids.k.data[1:, 1:]
     ginv_leaf = ids.metric.ginv[1:, 1:]
-    return Field(ids.grid, "scalar", np.einsum("ab...,ab...->...", ginv_leaf, chi))
+    return Field(ids.grid, "scalar", _contract("ab...,ab...->...", ginv_leaf, chi))
 
 
 def variation_residual(ids, tau):
@@ -236,8 +237,8 @@ def variation_residual(ids, tau):
     gam_tau = leaf.curvature.christoffels
     rho, j = constraints(ids)
     jn = j_normal(ids, j)
-    chi2 = np.einsum("ac...,bd...,ab...,cd...->...", leaf.g_tau.ginv, leaf.g_tau.ginv,
-                     leaf.chi_plus.data, leaf.chi_plus.data)
+    chi2 = _contract("ac...,bd...,ab...,cd...->...", leaf.g_tau.ginv, leaf.g_tau.ginv,
+                      leaf.chi_plus.data, leaf.chi_plus.data)
     q = 0.5 * leaf.curvature.scal - (rho.data[idx] + jn[idx]) - 0.5 * chi2
 
     # X = tangential part of k(nu, .)# on the leaf
@@ -253,7 +254,7 @@ def variation_residual(ids, tau):
     y2 = leaf.g_tau.norm2_vector(y_vec)
     lap_phi = geometry.hodge_laplacian(Field(leaf_grid, "scalar", leaf.phi),
                                        leaf.g_tau, gam_tau, scheme).data
-    d_x_phi = np.einsum("i...,i...->...", x_vec, dphi)
+    d_x_phi = _contract("i...,i...->...", x_vec, dphi)
 
     rhs_simpl = (div_y - y2 + q) * leaf.phi
     rhs_raw = lap_phi + 2.0 * d_x_phi + (div_x - x2 + q) * leaf.phi
@@ -327,7 +328,7 @@ def hodge_decompose(omega, gmat):
     _, _, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
     axes = tuple(range(-m, 0))
     what = np.fft.fftn(omega.data, axes=axes)
-    fhat = -1j * np.einsum("a...,a...->...", xi_up, what) / safe
+    fhat = -1j * _contract("a...,a...->...", xi_up, what) / safe
     fhat = np.where(zero, 0.0, fhat)
     exact_hat = 1j * xi * fhat
 
@@ -404,7 +405,7 @@ def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
 
     # div(L_W g)_j = -(|xi|^2 W_j + xi_j xi* . W) in Fourier; invert by
     # Sherman-Morrison: W = -(R - xi (xi* . R) / (2|xi|^2)) / |xi|^2
-    xis_r = np.einsum("a...,a...->...", xi_up, rhat)
+    xis_r = _contract("a...,a...->...", xi_up, rhat)
     what = -(rhat - xi * (xis_r / (2.0 * safe))) / safe
     what[:, zero] = 0.0
     w = np.real(np.fft.ifftn(what, axes=axes))

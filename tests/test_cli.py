@@ -170,6 +170,18 @@ def test_ppwave_roundtrip_scene():
     assert rep["tolerances"]["parallel_kv_max"] == 1e-11
 
 
+def test_default_and_tol_leave_parallel_kv_max_alone(tmp_path):
+    # its built-in 1e-11 is stricter than 1e-8, so a looser default must not reach it
+    path = tmp_path / "wave_default.scene"
+    path.write_text((SCENES / "wave.scene").read_text() + "\n[tolerances]\ndefault = 1e-3\n")
+    for argv in (["ppwave", SCENES / "wave.scene", "--tol", "1e-3"], ["ppwave", path]):
+        code, rep, _ = run(argv)
+        assert code == 0, argv
+        tolerances = rep["tolerances"]
+        assert tolerances.pop("parallel_kv_max") == 1e-11, argv
+        assert tolerances and set(tolerances.values()) == {1e-3}, argv
+
+
 def test_ppwave_roundtrip_reuses_the_wave_check(tmp_path, monkeypatch):
     calls = []
     original = kdm.spacetime_curvature

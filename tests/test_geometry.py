@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack, sample,
-                        integrate, _spectral_axis)
+                        integrate, _contract, _spectral_axis)
 from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
                                spacetime_christoffels)
@@ -222,7 +222,8 @@ def test_tensor_arrays_are_c_contiguous_float64():
     # derivatives are scattered into one fresh array, not a view of a stack or a buffer
     owners = {"spectral partial": spectral,
               "partial_stack": partial_stack(ids.metric.data[1:, 1:], ids.grid, SCHEME),
-              "dead_v_partials": dead_v_partials(ppwave_metric(spec), spec.grid, SCHEME)}
+              "dead_v_partials": dead_v_partials(ppwave_metric(spec), spec.grid, SCHEME),
+              "_contract": _contract("ab...,b...->a...", m.ginv, m.data[0])}
     arrays = {"inverse": geometry.inverse(m.data),
               "MetricField.ginv": m.ginv,
               "ids.curvature().christoffels": ids.curvature().christoffels,

@@ -1,10 +1,15 @@
 import csv
+import importlib
 import math
+import re
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from idrig import exprlang, mesh
+from idrig.killing_dev import ppwave, ppwave_einstein_check
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, scalar_field, leaf_index, leaf_values, leaf_block,
                         integrate, integrate_leaf, l2_inner, l2_norm,
@@ -150,6 +155,86 @@ def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
     rigid_report(rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME))
     assert len(seen) > 20
     assert all(mask.all() for mask in seen)  # one entry per component handed to a kernel
+
+
+# --- pointwise contractions -------------------------------------------------------
+
+# every subscripts string and module that calls the contraction kernel, so that a new
+# call site is covered without editing these tests
+SOURCES = {path.stem: path.read_text() for path in Path(mesh.__file__).parent.glob("*.py")}
+CONTRACTED = sorted({subscripts for text in SOURCES.values()
+                     for subscripts in re.findall(r'_contract\(\s*"([^"]+)"', text)})
+KERNEL_USERS = [importlib.import_module(f"idrig.{name}") for name, text in SOURCES.items()
+                if "_contract(" in text]
+
+
+def test_contraction_call_sites_are_found():
+    assert len(CONTRACTED) > 40
+    assert mesh in KERNEL_USERS and len(KERNEL_USERS) >= 5
+    assert {"ad...,dbc...->abc...", "a...,a...->...", "ab...,ab...->..."} <= set(CONTRACTED)
+
+
+@pytest.mark.parametrize("subscripts", CONTRACTED)
+def test_contract_equals_einsum_bit_for_bit(subscripts):
+    rng = np.random.default_rng(zlib.crc32(subscripts.encode()))
+    ranks = [len(labels) for labels in subscripts.split("->")[0].replace("...", "").split(",")]
+    for n, grid in ((3, (4, 5, 6)), (4, (3, 8))):
+        dense = [rng.standard_normal((n,) * rank + grid) for rank in ranks]
+        sparse = [op.copy() for op in dense]
+        for op, rank in zip(sparse, ranks):
+            op[rng.random((n,) * rank) < 0.7] = 0.0   # about 70% of the component slices
+        cases = {
+            "dense": dense,
+            "sparse": sparse,
+            "all-zero operand": [np.zeros_like(dense[0])] + sparse[1:],
+            "zero-stride operand": sparse[:-1] + [np.broadcast_to(
+                dense[-1][(Ellipsis,) + (slice(0, 1),) * len(grid)], dense[-1].shape)],
+            "complex": [op + 1j * rng.standard_normal(op.shape) for op in sparse],
+            "real times complex": sparse[:1] + [op - 2j * op for op in dense[1:]],
+        }
+        for name, ops in cases.items():
+            want = np.einsum(subscripts, *ops)
+            got = mesh._contract(subscripts, *ops)
+            assert got.dtype == want.dtype and got.flags.c_contiguous, (name, n)
+            # equal bit for bit, up to the sign of zero
+            assert np.array_equal(got + 0.0, want + 0.0), (name, n)
+
+
+def test_contractions_never_read_an_all_zero_slice(monkeypatch):
+    builds, calls = [], []
+    build, contract = mesh._plan, mesh._contract
+
+    def recording_build(subscripts, ops, masks):
+        plan = build(subscripts, ops, masks)
+        builds.append(subscripts)
+        for _, products in plan[3]:
+            for factors in products:
+                for op, idx in zip(ops, factors):
+                    assert np.any(op[idx]), (subscripts, idx)
+        return plan
+
+    def checked(subscripts, *ops):
+        calls.append(subscripts)
+        got = contract(subscripts, *ops)
+        assert np.array_equal(got, np.einsum(subscripts, *ops)), subscripts
+        return got
+
+    monkeypatch.setattr(mesh, "_PLANS", {})
+    monkeypatch.setattr(mesh, "_plan", recording_build)
+    for module in KERNEL_USERS:
+        monkeypatch.setattr(module, "_contract", checked)
+
+    def one_pass():  # fresh data sets each time, so nothing comes from a derived store
+        g = grid3(9, 8)
+        ppwave_einstein_check(ppwave(g, "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME))
+        rigid_report(rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME))
+
+    one_pass()
+    assert len(builds) > 20 and len(calls) > len(builds)
+    builds.clear()
+    calls.clear()
+    one_pass()  # the same zero masks again: every plan is reused
+    assert len(calls) > 20 and builds == []
 
 
 # --- fields --------------------------------------------------------------------
