@@ -17,9 +17,9 @@ from each judged residual to its rule; `main` alone judges, in one loop:
     margin   value >= -tol
     order    value >= tol, or no value (every error at the floor)
 
-A key of DEFAULTS (`parallel_kv_max`, `order`) reads only its own [tolerances]
-key, else DEFAULTS; every other key reads its [tolerances] key, then
-`default`, then 1e-8.
+`_tolerance`, the only tolerance lookup, gives a key of DEFAULTS
+(`parallel_kv_max`, `order`) its own [tolerances] key, else DEFAULTS; every
+other key its [tolerances] key, then `default`, then 1e-8.
 
 constraints judges only `dec_margin_min`, as a margin; killing-dev judges every
 residual, `dec_margin_min` as a margin; rigidity reports `rho_max` and
@@ -64,9 +64,8 @@ RULES = {
 
 
 def _tolerance(scene, key):
-    if key in DEFAULTS:
-        return dict(scene.tolerances).get(key, DEFAULTS[key])
-    return scene.tolerance(key)
+    tols = dict(scene.tolerances)
+    return tols.get(key, DEFAULTS.get(key, tols.get("default", 1e-8)))
 
 
 def _bounds(residuals, *unjudged):
@@ -221,6 +220,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.directions < 1:
         parser.error(f"--directions must be a positive integer, got {args.directions}")
+    if args.check is not None and args.command != "convergence":
+        parser.error(f"--check applies only to convergence, not {args.command}")
     if args.tol is not None and not is_tolerance(args.tol):
         parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     started = time.perf_counter()
@@ -279,13 +280,17 @@ def main(argv=None):
     }
     report.update(extra)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.dump_fields:
-        _dump_fields(fields, args.dump_fields)
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.dump_fields:
+            _dump_fields(fields, args.dump_fields)
+    except OSError as exc:
+        print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0 if report["pass"] else 1
 
 

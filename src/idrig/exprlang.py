@@ -466,16 +466,17 @@ def unparse(expr):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def lint_periodicity(expr, leaf_lengths, tol=1e-10, samples=17, seed=20260814):
+def lint_periodicity(expr, leaf_lengths):
     """Check Li-periodicity of `expr` in each leaf variable it uses.
 
     leaf_lengths maps variable names ("x1", ...) to torus circumferences.
-    Returns a list of (variable, mismatch) pairs where the expression fails
-    to be periodic beyond `tol` relative to its sampled magnitude.  The s
-    variable is never linted.
+    Returns a list of (variable, mismatch) pairs where the expression, at 17
+    fixed random points, fails to be periodic beyond 1e-10 relative to its
+    sampled magnitude.  The s variable is never linted.
     """
     used = variables_of(expr)
-    rng = np.random.default_rng(seed)
+    samples = 17
+    rng = np.random.default_rng(20260814)
     base = {v: rng.uniform(0.0, leaf_lengths.get(v, 1.0), samples) for v in used}
     base["s"] = rng.uniform(0.0, 1.0, samples)
     warnings = []
@@ -490,6 +491,6 @@ def lint_periodicity(expr, leaf_lengths, tol=1e-10, samples=17, seed=20260814):
         fhi = np.asarray(evaluate(expr, hi), dtype=float)
         scale = 1.0 + max(np.max(np.abs(flo)), np.max(np.abs(fhi)))
         mismatch = float(np.max(np.abs(fhi - flo)))
-        if mismatch > tol * scale:
+        if mismatch > 1e-10 * scale:
             warnings.append((var, mismatch))
     return warnings

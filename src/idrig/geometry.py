@@ -156,10 +156,6 @@ def cov_rank3(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
 # --- first-order metric operations ----------------------------------------------
 
 
-def grad_scalar(fdata, metric, scheme=DEFAULT_SCHEME):
-    return metric.sharp(partial_stack(fdata, metric.grid, scheme))
-
-
 def divergence_vector(xdata, metric, gamma, scheme=DEFAULT_SCHEME):
     return np.einsum("cc...->...", cov_vector(xdata, metric.grid, gamma, scheme))
 
@@ -223,9 +219,3 @@ def hodge_laplacian(field, metric, gamma, scheme=DEFAULT_SCHEME):
     up = codifferential(exterior_d(field, scheme), metric, gamma, scheme)
     down = exterior_d(codifferential(field, metric, gamma, scheme), scheme)
     return up + down
-
-
-def laplace_beltrami(fdata, metric, gamma, scheme=DEFAULT_SCHEME):
-    """div grad f, the negative of the Hodge Laplacian on functions."""
-    f = Field(metric.grid, "scalar", np.asarray(fdata, dtype=float))
-    return -hodge_laplacian(f, metric, gamma, scheme).data

@@ -134,14 +134,6 @@ class InitialDataSet:
         out[0] = 1.0 / self.phi.data
         return out
 
-    @property
-    def nu_flat(self):
-        """nu^flat = phi ds."""
-        n = self.grid.ndim
-        out = np.zeros((n,) + self.grid.shape)
-        out[0] = self.phi.data
-        return out
-
     def curvature(self):
         if self._curv is None:
             self._curv = _read_only(geometry.curvature(self.metric, self.scheme))
@@ -221,14 +213,6 @@ def dec_margin(ids, rho=None, j=None):
     return Field(ids.grid, "scalar", rho.data - j_norm(ids, j))
 
 
-def dec_holds(ids, tol=None):
-    margin = dec_margin(ids)
-    if tol is None:
-        rho, _ = constraints(ids)
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(rho.data))))
-    return bool(np.min(margin.data) >= -tol), margin
-
-
 def j_norm(ids, j):
     """Pointwise |j|_g as an array; round-off below zero reads as 0."""
     return np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
@@ -264,14 +248,6 @@ def ambient_derivative(ids, v):
 def _k_mixed(ids):
     """k(d_c, .)^# over the full grid, indexed [c, b]."""
     return _contract("be...,ce...->cb...", ids.metric.ginv, ids.k.data)
-
-
-def ambient_connection(ids, ydata, v):
-    """nablabar_Y V for a tangent vector field Y."""
-    da, dx = ambient_derivative(ids, v)
-    a = _contract("c...,c...->...", ydata, da)
-    x = _contract("c...,cb...->b...", ydata, dx)
-    return AmbientVector(ids.grid, a, x)
 
 
 def ambient_residual_norm(ids, v):
@@ -386,11 +362,12 @@ def _lagrange_weights(offsets, t):
 class _StencilInterpolator:
     """Tensor-product Lagrange interpolation of stacked component arrays."""
 
-    def __init__(self, arrays, grid, degree=6):
+    degree = 6
+
+    def __init__(self, arrays, grid):
         self.grid = grid
         self.data = np.concatenate([a.reshape((-1,) + grid.shape) for a in arrays])
         self.sizes = [int(np.prod(a.shape[: a.ndim - grid.ndim], dtype=int)) for a in arrays]
-        self.degree = degree
 
     def __call__(self, point):
         grid = self.grid
@@ -425,13 +402,14 @@ class _StencilInterpolator:
         return out
 
 
-def parallel_transport(ids, v0_a, v0_x, path, tol=1e-10, max_steps=65536, degree=6):
+def parallel_transport(ids, v0_a, v0_x, path):
     """Transport (v0_a, v0_x) along a polyline of grid node indices.
 
     path is a sequence of node index tuples; consecutive nodes are joined by
     straight coordinate segments.  Integration is RK4 with step halving until
-    the endpoint state changes by less than tol; connection coefficients are
-    interpolated with tensor-product Lagrange polynomials of the given degree.
+    the endpoint state changes by less than 1e-10, in at most 65536 steps a
+    segment; connection coefficients are interpolated with tensor-product
+    Lagrange polynomials of degree 6.
     """
     grid = ids.grid
     n = grid.ndim
@@ -444,8 +422,7 @@ def parallel_transport(ids, v0_a, v0_x, path, tol=1e-10, max_steps=65536, degree
     interp = _StencilInterpolator(
         [curv.christoffels.reshape((n**3,) + grid.shape),
          ids.k.data.reshape((n**2,) + grid.shape),
-         _k_mixed(ids).reshape((n**2,) + grid.shape)],
-        grid, degree=degree)
+         _k_mixed(ids).reshape((n**2,) + grid.shape)], grid)
 
     def rhs(point, state, direction):
         gam_f, k_f, km_f = interp(point)
@@ -485,11 +462,11 @@ def parallel_transport(ids, v0_a, v0_x, path, tol=1e-10, max_steps=65536, degree
         coarse = run_segment(p0, p1, state, nsteps)
         while True:
             fine = run_segment(p0, p1, state, 2 * nsteps)
-            if np.max(np.abs(fine - coarse)) < tol:
+            if np.max(np.abs(fine - coarse)) < 1e-10:
                 state = fine
                 total_steps += 2 * nsteps
                 break
-            if 2 * nsteps > max_steps:
+            if 2 * nsteps > 65536:
                 raise MeshError("parallel transport step size underflow")
             coarse = fine
             nsteps *= 2

@@ -99,12 +99,12 @@ class KillingDevelopment:
         return spacetime_curvature(self.gbar, self.grid, self.scheme)
 
 
-def build_kd(ids, section=None, tol=1e-8):
+def build_kd(ids, section=None):
     """Assemble the development of `ids` along `section` (default: phi^{-1}(e0+nu)).
 
     The section must be transversal (positive e0 coefficient) or the
     build fails; near-lightlike and near-parallel are checked against
-    `tol` and only warned about, since finite differences leave residue
+    1e-8 and only warned about, since finite differences leave residue
     even on exact data.  The assembled coordinate metric must have
     Lorentzian signature at every node.
     """
@@ -115,11 +115,11 @@ def build_kd(ids, section=None, tol=1e-8):
     g = ids.metric
     lightlike = float(np.max(np.abs(-section.a**2 + g.norm2_vector(section.x))))
     scale = 1.0 + float(np.max(section.a**2 + g.norm2_vector(section.x)))
-    if lightlike > tol * scale:
+    if lightlike > 1e-8 * scale:
         warnings.warn("development section is not lightlike; "
                       f"max |gbar(V,V)| = {lightlike:.3e}")
     par = float(np.max(ambient_residual_norm(ids, section)))
-    if par > tol:
+    if par > 1e-8:
         warnings.warn(f"development section is not parallel; max residual {par:.3e}")
 
     n = ids.grid.ndim
@@ -279,9 +279,6 @@ class DecReport:
     direction_count: int
     scale: float
 
-    def holds(self, tol=1e-8):
-        return self.minimum >= -tol * (1.0 + self.scale)
-
 
 def frame_dec_minimum(ein_frame, grid, count=64):
     """Scan Ein(e0+d, e0+d') over null directions d from the sampled set."""
@@ -376,10 +373,6 @@ class PpWaveReport:
     dec_margin_min: float
     einstein: np.ndarray
     expected_ss: np.ndarray
-
-    def dec_holds(self, tol=1e-8):
-        scale = 1.0 + float(np.max(np.abs(self.expected_ss)))
-        return self.dec_margin_min >= -tol * scale
 
 
 @derived
@@ -491,7 +484,7 @@ def restricted_killing_section(ids):
     return AmbientVector(ids.grid, inv_phi, x)
 
 
-def kd_roundtrip(spec, w="0", tol=1e-8):
+def kd_roundtrip(spec, w="0"):
     """Induce data on a graph, develop it, compare against the shifted wave.
 
     The development of the induced data equals the wave with profile
@@ -500,7 +493,7 @@ def kd_roundtrip(spec, w="0", tol=1e-8):
     """
     ids = induce_from_ppwave(spec, w)
     section = restricted_killing_section(ids)
-    kd = build_kd(ids, section, tol=tol)
+    kd = build_kd(ids, section)
 
     w_ast = exprlang.parse(w) if isinstance(w, str) else w
     dw = exprlang.diff(w_ast, "s")

@@ -87,12 +87,12 @@ class Grid:
                     (False,) + (True,) * (n - 1))
 
     @staticmethod
-    def torus(counts, lengths, names=None):
+    def torus(counts, lengths):
+        """Periodic grid with axes x1, x2, ..."""
         counts = tuple(int(c) for c in counts)
         lengths = tuple(float(length) for length in lengths)
-        if names is None:
-            names = tuple(f"x{i}" for i in range(1, len(counts) + 1))
-        return Grid(tuple(names), counts, lengths, (True,) * len(counts))
+        names = tuple(f"x{i}" for i in range(1, len(counts) + 1))
+        return Grid(names, counts, lengths, (True,) * len(counts))
 
     @property
     def ndim(self):
@@ -402,17 +402,9 @@ class Field:
     def __neg__(self):
         return Field(self.grid, self.kind, -self.data)
 
-    def scaled(self, factor):
-        """Multiply by a constant or a scalar-field data array."""
-        return Field(self.grid, self.kind, self.data * np.asarray(factor))
-
     def _check_compat(self, other):
         if self.grid != other.grid or self.kind != other.kind:
             raise MeshError("field mismatch in arithmetic")
-
-
-def scalar_field(grid, data):
-    return Field(grid, "scalar", np.broadcast_to(np.asarray(data, dtype=float), grid.shape).copy())
 
 
 def sample(grid, source, kind="scalar"):

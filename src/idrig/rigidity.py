@@ -77,15 +77,13 @@ def build_parallel_candidate(ids):
     return AmbientVector(ids.grid, inv_phi, x)
 
 
-def parallel_residuals(ids, v=None):
-    """Max norms of nablabar V split by direction class.
+def parallel_residuals(ids):
+    """Max norms of nablabar V for the candidate V, split by direction class.
 
     Returns dict with keys all/s/leaf; the leaf part is spectral-exact on
     band-limited data while the s part carries the finite-difference error.
     """
-    if v is None:
-        v = build_parallel_candidate(ids)
-    per_dir = ambient_residual_norm(ids, v)
+    per_dir = ambient_residual_norm(ids, build_parallel_candidate(ids))
     return {
         "all": float(np.max(per_dir)),
         "s": float(np.max(per_dir[0])),

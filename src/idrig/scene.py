@@ -75,10 +75,6 @@ class Scene:
         return Grid.product(self.ell, self.n_s if n_s is None else n_s,
                             self.leaf_counts, self.leaf_lengths)
 
-    def tolerance(self, key, fallback=1e-8):
-        tols = dict(self.tolerances)
-        return float(tols.get(key, tols.get("default", fallback)))
-
     def override_tolerance(self, value):
         tols = dict(self.tolerances)
         tols["default"] = float(value)

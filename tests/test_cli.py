@@ -70,21 +70,27 @@ def test_constraints_energy_condition_failure_exits_one():
     assert res["rho_max"] > 4
 
 
-def test_tolerance_override_flips_verdict():
-    code, rep, _ = run(["constraints", SCENES / "recipe.scene", "--tol", "100"])
-    assert code == 0
-    assert rep["tolerances"] == {"dec_margin_min": 100.0}
-    assert rep["verdicts"] == {"dec_margin_min": True}
+def test_tolerance_override_flips_verdict(tmp_path):
+    # --tol replaces the scene's default
+    path = tmp_path / "default.scene"
+    path.write_text((SCENES / "recipe.scene").read_text() + "\n[tolerances]\ndefault = 1e-3\n")
+    for scene in (SCENES / "recipe.scene", path):
+        code, rep, _ = run(["constraints", scene, "--tol", "100"])
+        assert code == 0, scene
+        assert rep["tolerances"] == {"dec_margin_min": 100.0}, scene
+        assert rep["verdicts"] == {"dec_margin_min": True}, scene
 
 
 def test_constraints_reads_the_dec_margin_min_tolerance(tmp_path):
     path = tmp_path / "loose.scene"
     path.write_text((SCENES / "recipe.scene").read_text()
-                    + "\n[tolerances]\ndec_margin_min = 100\n")
-    code, rep, _ = run(["constraints", path])
-    assert code == 0
-    assert rep["tolerances"] == {"dec_margin_min": 100.0}
-    assert rep["verdicts"] == {"dec_margin_min": True}
+                    + "\n[tolerances]\ndec_margin_min = 100\ndefault = 1e-3\n")
+    # the key's own value beats `default` and --tol
+    for extra in ([], ["--tol", "1e-5"]):
+        code, rep, _ = run(["constraints", path] + extra)
+        assert code == 0, extra
+        assert rep["tolerances"] == {"dec_margin_min": 100.0}, extra
+        assert rep["verdicts"] == {"dec_margin_min": True}, extra
 
 
 def test_scheme_override_is_reflected():
@@ -174,11 +180,16 @@ def test_default_and_tol_leave_parallel_kv_max_alone(tmp_path):
     # its built-in 1e-11 is stricter than 1e-8, so a looser default must not reach it
     path = tmp_path / "wave_default.scene"
     path.write_text((SCENES / "wave.scene").read_text() + "\n[tolerances]\ndefault = 1e-3\n")
-    for argv in (["ppwave", SCENES / "wave.scene", "--tol", "1e-3"], ["ppwave", path]):
+    # ... but its own key does, over `default` and --tol alike
+    keyed = tmp_path / "wave_keyed.scene"
+    keyed.write_text(path.read_text() + "parallel_kv_max = 1e-9\n")
+    for argv, kv_tol in ((["ppwave", SCENES / "wave.scene", "--tol", "1e-3"], 1e-11),
+                         (["ppwave", path], 1e-11),
+                         (["ppwave", keyed, "--tol", "1e-3"], 1e-9)):
         code, rep, _ = run(argv)
         assert code == 0, argv
         tolerances = rep["tolerances"]
-        assert tolerances.pop("parallel_kv_max") == 1e-11, argv
+        assert tolerances.pop("parallel_kv_max") == kv_tol, argv
         assert tolerances and set(tolerances.values()) == {1e-3}, argv
 
 
@@ -235,19 +246,22 @@ def test_convergence_order_threshold_ignores_the_default_tolerance(tmp_path):
     # fd2 on the s axis fits order 2, below the built-in threshold 3.5
     argv = ["convergence", SCENES / "vacuum_kd.scene", "--check", "parallel_s",
             "--scheme-s", "fd2"]
-    for extra in ([], ["--tol", "1e-8"]):
-        code, rep, _ = run(argv + extra)
+    default = tmp_path / "default.scene"
+    default.write_text((SCENES / "vacuum_kd.scene").read_text()
+                       + "\n[tolerances]\ndefault = 1e-3\n")
+    for scene, extra in ((argv[1], []), (argv[1], ["--tol", "1e-8"]), (default, [])):
+        code, rep, _ = run(argv[:1] + [scene] + argv[2:] + extra)
         assert code == 1, extra
         assert 1.9 < rep["residuals"]["order"] < 2.1
         assert rep["tolerances"] == {"order": 3.5}
         assert rep["verdicts"] == {"order": False}
-    # only an [tolerances] order key moves the threshold
+    # only an [tolerances] order key moves the threshold, whatever --tol says
     path = tmp_path / "order.scene"
-    path.write_text((SCENES / "vacuum_kd.scene").read_text()
-                    + "\n[tolerances]\ndefault = 1e-3\norder = 1.5\n")
-    code, rep, _ = run(argv[:1] + [path] + argv[2:])
-    assert code == 0
-    assert rep["tolerances"] == {"order": 1.5}
+    path.write_text(default.read_text() + "order = 1.5\n")
+    for extra in ([], ["--tol", "1e-8"]):
+        code, rep, _ = run(argv[:1] + [path] + argv[2:] + extra)
+        assert code == 0, extra
+        assert rep["tolerances"] == {"order": 1.5}, extra
 
 
 # each check's residual, recomputed from the library on the level's own grid
@@ -444,6 +458,10 @@ def test_argparse_rejects_bad_invocations():
         with pytest.raises(SystemExit) as exc:
             run(["constraints", SCENES / "flat.scene", "--tol", tol])
         assert exc.value.code == 2
+    # --check refines a convergence residual and means nothing to the other commands
+    with pytest.raises(SystemExit) as exc:
+        run(["constraints", SCENES / "flat.scene", "--check", "lambda"])
+    assert exc.value.code == 2
 
 
 def test_out_flag_and_determinism(tmp_path):
@@ -456,6 +474,11 @@ def test_out_flag_and_determinism(tmp_path):
     assert blank(first.read_text()) == blank(second.read_text())
     rep = json.loads(first.read_text())
     assert re.fullmatch(r"[0-9T:+\-]+ runtime=\d+\.\d{3}s", rep["volatile"])
+    # a path that cannot be written exits 2 with one line naming it
+    missing = tmp_path / "missing" / "r.json"
+    code, rep, err = run(["constraints", SCENES / "flat.scene", "--out", missing])
+    assert code == 2 and rep is None
+    assert err == f"output error: {missing}: No such file or directory\n"
 
 
 def test_dump_fields_constraints(tmp_path):
@@ -472,6 +495,10 @@ def test_dump_fields_constraints(tmp_path):
     lines = (out / "j.csv").read_text().splitlines()
     assert len(lines) - 1 == 3 * 16 * 16 * 16
     assert lines[1].endswith("comp_0,0")
+    # a directory path that names an existing file exits 2 with one line naming it
+    code, _, err = run(["constraints", SCENES / "flat.scene", "--dump-fields", out / "rho.csv"])
+    assert code == 2
+    assert err == f"output error: {out / 'rho.csv'}: File exists\n"
 
 
 def test_dump_fields_frame_table(tmp_path):
