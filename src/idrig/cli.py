@@ -34,6 +34,7 @@ deterministic for fixed scene and flags except the single `volatile` field.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -96,10 +97,7 @@ def cmd_rigidity(scene, args):
 
 def cmd_killing_dev(scene, args):
     ids = scene_initial_data(scene)
-    if scene.source == "ppwave":
-        section = kdm.restricted_killing_section(ids)
-    else:
-        section = None
+    section = kdm.restricted_killing_section(ids) if scene.source == "ppwave" else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kd = kdm.build_kd(ids, section)
@@ -215,6 +213,21 @@ def _dump_fields(fields, directory):
             dump_field_csv(obj, path)
 
 
+def _output_errno(path, directory):
+    """errno of writing `path`, or 0, found without creating or truncating anything.
+
+    A `directory` is made with its missing parents, as `_dump_fields` does.
+    """
+    if os.path.exists(path):
+        if os.path.isdir(path) != directory:
+            return errno.EEXIST if directory else errno.EISDIR
+        return 0 if os.access(path, os.W_OK | (os.X_OK if directory else 0)) else errno.EACCES
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(parent) or directory and not os.path.exists(parent):
+        return _output_errno(parent, True)
+    return errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -241,6 +254,10 @@ def main(argv=None):
     except (SceneError, ExprError, MeshError) as exc:
         print(f"scene error: {exc}", file=sys.stderr)
         return 2
+    for path, directory in ((args.out, False), (args.dump_fields, True)):
+        if path and (code := _output_errno(path, directory)):  # before any work or output
+            print(f"output error: {path}: {os.strerror(code)}", file=sys.stderr)
+            return 2
 
     try:
         residuals, rules, fields, extra = COMMANDS[args.command](scene, args)

@@ -170,7 +170,7 @@ def lie_metric(xdata, metric, gamma, scheme=DEFAULT_SCHEME):
 def div_sym2(tdata, metric, gamma, scheme=DEFAULT_SCHEME):
     """(div T)_b = g^{ca} nabla_c T_ab."""
     nt = cov_rank2(tdata, metric.grid, gamma, scheme)
-    return _contract("ca...,cab...->b...", metric.ginv, nt)
+    return _contract("ac...,acb...->b...", metric.ginv, nt)
 
 
 def trace_sym2(tdata, metric):

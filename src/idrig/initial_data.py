@@ -106,16 +106,15 @@ class InitialDataSet:
         """Assemble k from k(nu,nu), the leaf covector k(nu, .) and k|_FF."""
         phi_f = phi if isinstance(phi, Field) else sample(grid, phi)
         n = grid.ndim
-        knn = k_nn if isinstance(k_nn, np.ndarray) else sample(grid, k_nn).data
+        values = lambda entry: (entry if isinstance(entry, np.ndarray)
+                                else sample(grid, entry).data)
+        knn = values(k_nn)
         kff = np.zeros((n - 1, n - 1) + grid.shape)
-        for i in range(n - 1):
-            for jj in range(n - 1):
-                entry = k_ff[i][jj]
-                kff[i, jj] = entry if isinstance(entry, np.ndarray) else sample(grid, entry).data
         knf = np.zeros((n - 1,) + grid.shape)
         for i in range(n - 1):
-            entry = k_nf[i]
-            knf[i] = entry if isinstance(entry, np.ndarray) else sample(grid, entry).data
+            knf[i] = values(k_nf[i])
+            for jj in range(n - 1):
+                kff[i, jj] = values(k_ff[i][jj])
         k = np.zeros((n, n) + grid.shape)
         k[0, 0] = phi_f.data**2 * knn
         k[0, 1:] = phi_f.data * knf
@@ -374,19 +373,13 @@ class _StencilInterpolator:
         npts = self.degree + 1
         idx_lists, weight_lists = [], []
         for axis in range(grid.ndim):
-            h = grid.spacing[axis]
-            u = point[axis] / h
+            u = point[axis] / grid.spacing[axis]
             base = int(np.floor(u)) - self.degree // 2
+            if not grid.periodic[axis]:  # the stencil stays inside the interval
+                base = min(max(base, 0), grid.counts[axis] - npts)
             offs = np.arange(base, base + npts)
-            count = grid.counts[axis]
-            if grid.periodic[axis]:
-                idx = offs % count
-            else:
-                base = min(max(base, 0), count - npts)
-                offs = np.arange(base, base + npts)
-                idx = offs
             weight_lists.append(_lagrange_weights(offs, u))
-            idx_lists.append(idx)
+            idx_lists.append(offs % grid.counts[axis])
         block = self.data
         for axis in range(grid.ndim):
             block = np.take(block, idx_lists[axis], axis=1 + axis)
@@ -395,11 +388,7 @@ class _StencilInterpolator:
             w = np.multiply.outer(w, wl)
         flat = np.tensordot(block, w, axes=(tuple(range(1, grid.ndim + 1)),
                                             tuple(range(grid.ndim))))
-        out, pos = [], 0
-        for size in self.sizes:
-            out.append(flat[pos:pos + size])
-            pos += size
-        return out
+        return np.split(flat, np.cumsum(self.sizes)[:-1])
 
 
 def parallel_transport(ids, v0_a, v0_x, path):

@@ -19,11 +19,12 @@ inf count as nonzero) is never handed to a kernel.  `partial` and
 leave these exactly 0, as every scheme would; a stack is written axis by axis
 into one preallocated array.  `_contract`, which every multi-operand pointwise
 contraction goes through, multiplies only the products with no such factor.
-It sums each output component in np.einsum's own order (the summed labels in
-the loop order of einsum's iterator, factors left to right) into a fresh
-C-contiguous array, so its result is einsum's bit for bit: a skipped product
-is exactly zero, and adding it cannot change a float sum.  (Where another
-factor is inf or NaN, einsum's product is NaN; the skipped one is not.)
+It sums each output component over its summed labels in ascending order,
+outermost first, factors left to right, into a fresh C-contiguous array.  With
+component axes C-ordered and grid axes innermost, as every caller passes them,
+that is np.einsum's order, so the result is einsum's bit for bit: a skipped
+product is exactly zero and cannot change a float sum.  (Where another factor
+is inf or NaN, einsum's product is NaN; the skipped one is not.)
 """
 
 from __future__ import annotations
@@ -209,10 +210,15 @@ def _derivative(data, grid, axis, scheme):
     return np.gradient(data, h, axis=arr_axis, edge_order=2)
 
 
+def _live(data, rank):
+    """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere."""
+    return np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
+
+
 def _partials_into(out, data, grid, axes, scheme):
     """Fill out[k] with the derivative along axes[k]; zero components skip the kernel."""
     flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
-    live = flat.reshape(len(flat), -1).any(axis=1)
+    live = _live(flat, 1)
     nonzero = flat[live]
     for axis, axis_out in zip(axes, out.reshape((len(axes),) + flat.shape)):
         axis_out[live] = _derivative(nonzero, grid, axis, scheme)
@@ -227,47 +233,20 @@ def _labels(subscripts):
     return ins, out, "".join(sorted(set("".join(ins)) - set(out)))
 
 
-def _summed_order(ins, summed, ops):
-    """The summed labels, outermost first, in the loop order of np.einsum's iterator.
-
-    The iterator sorts its axes by the operands' strides with numpy's stable
-    insertion sort, innermost first; with the grid axes innermost, the summed
-    labels keep the order that sort gives them among themselves.
-    """
-    # a repeated label is a diagonal, whose stride is the sum
-    strides = {c: [sum(op.strides[i] for i, d in enumerate(labels) if d == c)
-                   for labels, op in zip(ins, ops)] for c in summed}
-    order = []  # innermost first
-    for c in reversed(summed):
-        pos = len(order)
-        for i in range(len(order) - 1, -1, -1):
-            swap = None
-            for s0, s1 in zip(strides[c], strides[order[i]]):
-                if s0 and s1:  # a no-swap vote wins over swap votes
-                    swap = abs(s1) > abs(s0) and swap is not False
-            if swap is None:
-                continue
-            if not swap:
-                break
-            pos = i
-        order.insert(pos, c)
-    return "".join(reversed(order))
+_PLANS = {}  # a run meets about a hundred subscripts and zero patterns
 
 
-_PLANS = {}  # a run meets a few hundred layouts and zero patterns
+def _plan(subscripts, masks):
+    """Output component shape and, per output component, its live products.
 
-
-def _plan(subscripts, ops, masks):
-    """Result shape and dtype, grid shape, and per output component its live products.
-
-    Each output component lists the factor indices of its products in
-    einsum's own order.  Every index ends in Ellipsis, so it selects a view.
+    Products run over the summed labels ascending, outermost first.  Every
+    factor index ends in Ellipsis, so it selects a view.
     """
     ins, out, summed = _labels(subscripts)
-    loop = out + _summed_order(ins, summed, ops)
+    loop = out + summed
     size = {}
-    for labels, op in zip(ins, ops):
-        size.update(zip(labels, op.shape))
+    for labels, mask in zip(ins, masks):
+        size.update(zip(labels, mask.shape))
     dims = [size[c] for c in loop]
     index = dict(zip(loop, np.indices(dims).reshape(len(loop), math.prod(dims))))
     live = np.ones(math.prod(dims), dtype=bool)
@@ -279,34 +258,33 @@ def _plan(subscripts, ops, masks):
     for target, *factors in zip(zip(*(index[c] for c in out), ends),
                                 *(zip(*(index[c] for c in labels), ends) for labels in ins)):
         products.setdefault(target, []).append(factors)
-    grid = np.broadcast_shapes(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
-    return (tuple(size[c] for c in out) + grid, grid, np.result_type(*ops),
-            list(products.items()))
+    return tuple(size[c] for c in out), list(products.items())
 
 
 def _contract(subscripts, *operands):
     """np.einsum(subscripts, *operands) over the products with no structural-zero factor.
 
     Subscripts give the component labels of each operand, then "..." for the
-    grid axes.  A plan is built once per subscripts, operand shapes, strides
-    and dtypes, and zero masks.  The result is einsum's bit for bit when every
-    operand keeps its grid axes innermost and each summed label sits in an
-    operand that varies along the grid.
+    grid axes.  A plan is built once per subscripts and operand zero masks, so
+    it serves every grid, layout and dtype.  The result is einsum's bit for bit
+    when each operand's component axes are C-ordered, its grid axes innermost,
+    and each summed label sits in an operand that varies along the grid.
     """
     ops = [np.asarray(op) for op in operands]
-    masks, key, scanned = [], [subscripts], {}  # an operand passed twice is scanned once
-    for labels, op in zip(_labels(subscripts)[0], ops):
+    ins = _labels(subscripts)[0]
+    masks, scanned = [], {}  # an operand passed twice is scanned once
+    for labels, op in zip(ins, ops):
         mask = scanned.get((id(op), len(labels)))
         if mask is None:
-            mask = np.logical_or.reduce(op, axis=tuple(range(len(labels), op.ndim)))
-            scanned[id(op), len(labels)] = mask
+            mask = scanned[id(op), len(labels)] = _live(op, len(labels))
         masks.append(mask)
-        key.append((op.shape, op.strides, op.dtype.char, mask.tobytes()))
-    key = tuple(key)
+    key = (subscripts,) + tuple((mask.shape, mask.tobytes()) for mask in masks)
     if key not in _PLANS:
-        _PLANS[key] = _plan(subscripts, ops, masks)
-    shape, grid, dtype, products = _PLANS[key]
-    result = np.zeros(shape, dtype=dtype)
+        _PLANS[key] = _plan(subscripts, masks)
+    shape, products = _PLANS[key]
+    grid = np.broadcast_shapes(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
+    dtype = np.result_type(*ops)
+    result = np.zeros(shape + grid, dtype=dtype)
     term = np.empty(grid, dtype=dtype)
     # einsum rounds the real and imaginary parts of a complex product separately
     multiply = np.multiply if dtype.kind != "c" else (
@@ -448,17 +426,13 @@ def leaf_index(grid, tau):
 
 def leaf_values(field, tau_idx):
     """Slice all components of a product-grid field at one s node."""
-    rank = field.rank
-    return field.data[(slice(None),) * rank + (tau_idx,)]
+    return field.data[(slice(None),) * field.rank + (tau_idx,)]
 
 
 def leaf_block(field, tau_idx):
     """Leaf-tangential component block at one s node, as a leaf-grid field."""
-    vals = leaf_values(field, tau_idx)
-    rank = field.rank
-    block = vals[(slice(1, None),) * rank]
-    kind = field.kind
-    return Field(field.grid.leaf(), kind, block)
+    block = leaf_values(field, tau_idx)[(slice(1, None),) * field.rank]
+    return Field(field.grid.leaf(), field.kind, block)
 
 
 # --- quadrature and inner products ----------------------------------------------

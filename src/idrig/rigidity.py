@@ -105,7 +105,7 @@ def lambda_form(ids):
     nk = geometry.cov_rank2(ids.k.data, ids.grid, curv.christoffels, ids.scheme)
     nu = ids.nu
     first = _contract("cab...,a...,b...->c...", nk, nu, nu)
-    second = _contract("c...,cab...,b...->a...", nu, nk, nu)
+    second = _contract("b...,bac...,c...->a...", nu, nk, nu)
     lam = first - second
     lam[0] = 0.0  # the s component mixes in lambda(nu) = 0
     return Field(ids.grid, "covector", lam)

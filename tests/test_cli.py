@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from idrig import cli
 from idrig import killing_dev as kdm
 from idrig import rigidity
 from idrig.cli import CONVERGENCE_CHECKS, main
@@ -19,14 +20,19 @@ from idrig.scene import parse_scene, scene_initial_data, scene_ppwave
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
 
-def run(argv):
-    """Invoke the CLI in process; returns (exit code, report dict or None, stderr)."""
+def run_text(argv):
+    """Invoke the CLI in process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
-    text = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv):
+    """Invoke the CLI in process; returns (exit code, report dict or None, stderr)."""
+    code, text, err = run_text(argv)
     report = json.loads(text) if text.strip().startswith("{") else None
-    return code, report, err.getvalue()
+    return code, report, err
 
 
 def test_constraints_flat_report_shape():
@@ -464,7 +470,18 @@ def test_argparse_rejects_bad_invocations():
     assert exc.value.code == 2
 
 
-def test_out_flag_and_determinism(tmp_path):
+def counting_commands(monkeypatch):
+    """Replace every command by a counting wrapper; returns the list of names run."""
+    ran = []
+    for name, command in cli.COMMANDS.items():
+        def counted(scene, args, name=name, command=command):
+            ran.append(name)
+            return command(scene, args)
+        monkeypatch.setitem(cli.COMMANDS, name, counted)
+    return ran
+
+
+def test_out_flag_and_determinism(tmp_path, monkeypatch):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     for path in (first, second):
         code, rep, _ = run(["constraints", SCENES / "flat.scene", "--out", path])
@@ -474,14 +491,17 @@ def test_out_flag_and_determinism(tmp_path):
     assert blank(first.read_text()) == blank(second.read_text())
     rep = json.loads(first.read_text())
     assert re.fullmatch(r"[0-9T:+\-]+ runtime=\d+\.\d{3}s", rep["volatile"])
-    # a path that cannot be written exits 2 with one line naming it
+    # a path that cannot be written exits 2 with one line naming it, before any work
+    ran = counting_commands(monkeypatch)
     missing = tmp_path / "missing" / "r.json"
-    code, rep, err = run(["constraints", SCENES / "flat.scene", "--out", missing])
-    assert code == 2 and rep is None
-    assert err == f"output error: {missing}: No such file or directory\n"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory"),
+                         (first / "r.json", "Not a directory")):
+        result = run_text(["constraints", SCENES / "flat.scene", "--out", path])
+        assert result == (2, "", f"output error: {path}: {reason}\n")
+    assert ran == [] and not missing.parent.exists()
 
 
-def test_dump_fields_constraints(tmp_path):
+def test_dump_fields_constraints(tmp_path, monkeypatch):
     out = tmp_path / "fields"
     code, _, _ = run(["constraints", SCENES / "flat.scene",
                       "--dump-fields", out])
@@ -495,10 +515,18 @@ def test_dump_fields_constraints(tmp_path):
     lines = (out / "j.csv").read_text().splitlines()
     assert len(lines) - 1 == 3 * 16 * 16 * 16
     assert lines[1].endswith("comp_0,0")
-    # a directory path that names an existing file exits 2 with one line naming it
-    code, _, err = run(["constraints", SCENES / "flat.scene", "--dump-fields", out / "rho.csv"])
-    assert code == 2
-    assert err == f"output error: {out / 'rho.csv'}: File exists\n"
+    # a directory path that names an existing file exits 2 with one line naming it, before
+    # the command runs, so no report goes to stdout or --out
+    ran = counting_commands(monkeypatch)
+    report = tmp_path / "ok.json"
+    for flags in ([], ["--out", report]):
+        result = run_text(["constraints", SCENES / "flat.scene",
+                           "--dump-fields", out / "rho.csv", *flags])
+        assert result == (2, "", f"output error: {out / 'rho.csv'}: File exists\n")
+    below = out / "rho.csv" / "deeper"
+    result = run_text(["constraints", SCENES / "flat.scene", "--dump-fields", below])
+    assert result == (2, "", f"output error: {below}: Not a directory\n")
+    assert ran == [] and not report.exists()
 
 
 def test_dump_fields_frame_table(tmp_path):

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idrig import exprlang, mesh
-from idrig.killing_dev import ppwave, ppwave_einstein_check
+from idrig import exprlang, geometry, mesh
+from idrig.killing_dev import build_kd, kd_dec_check, kd_roundtrip, ppwave, ppwave_einstein_check
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, leaf_index, leaf_values, leaf_block,
                         integrate, integrate_leaf, l2_inner, l2_norm,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
-from idrig.rigidity import rigid_recipe, rigid_report
+from idrig.rigidity import hodge_decompose, rigid_recipe, rigid_report, tt_split
 from helpers import CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3
 
 
@@ -169,7 +169,9 @@ KERNEL_USERS = [importlib.import_module(f"idrig.{name}") for name, text in SOURC
 
 
 def test_contraction_call_sites_are_found():
-    assert len(CONTRACTED) >= 40
+    calls = sum(len(re.findall(r"(?<!def )_contract\(", text)) for text in SOURCES.values())
+    literal = sum(len(re.findall(r'_contract\(\s*"([^"]+)"', text)) for text in SOURCES.values())
+    assert calls >= 56 and literal == calls  # every call passes a subscripts string found here
     assert mesh in KERNEL_USERS and len(KERNEL_USERS) >= 5
     assert {"ad...,dbc...->abc...", "a...,a...->...", "ab...,ab...->..."} <= set(CONTRACTED)
 
@@ -200,37 +202,84 @@ def test_contract_equals_einsum_bit_for_bit(subscripts):
             assert np.array_equal(got + 0.0, want + 0.0), (name, n)
 
 
-def test_contractions_never_read_an_all_zero_slice(monkeypatch):
-    builds, calls = [], []
-    build, contract = mesh._plan, mesh._contract
+def recorded_builds(monkeypatch):
+    """Record the subscripts of every contraction plan built; returns the list."""
+    builds, build = [], mesh._plan
 
-    def recording_build(subscripts, ops, masks):
-        plan = build(subscripts, ops, masks)
+    def recording_build(subscripts, masks):
         builds.append(subscripts)
-        for _, products in plan[3]:
-            for factors in products:
-                for op, idx in zip(ops, factors):
-                    assert np.any(op[idx]), (subscripts, idx)
-        return plan
+        return build(subscripts, masks)
+
+    monkeypatch.setattr(mesh, "_plan", recording_build)
+    return builds
+
+
+def test_one_plan_serves_every_grid(monkeypatch):
+    monkeypatch.setattr(mesh, "_PLANS", {})
+    builds = recorded_builds(monkeypatch)
+    rng = np.random.default_rng(3)
+    ginv = rng.standard_normal((3, 3, 1, 1))
+    ginv[0, 1] = ginv[1, 0] = ginv[1, 2] = ginv[2, 1] = 0.0  # a block pattern
+    for grid in ((6, 8), (10, 4)):
+        vec = rng.standard_normal((3,) + grid)
+        vec[1] = 0.0
+        # the same zero masks on a stored and on a zero-stride grid operand
+        for metric in (ginv * np.ones(grid), np.broadcast_to(ginv, (3, 3) + grid)):
+            got = mesh._contract("ab...,b...->a...", metric, vec)
+            assert np.array_equal(got, np.einsum("ab...,b...->a...", metric, vec)), grid
+    assert builds == ["ab...,b...->a..."]
+
+
+# on 9 x 8 nodes the developments carry finite-difference residue that build_kd warns about
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_contractions_never_read_an_all_zero_slice(monkeypatch):
+    calls, served = [], []
+    contract = mesh._contract
+
+    class ServedPlans(dict):  # records the plan each call multiplies by
+        def __getitem__(self, key):
+            served.append(super().__getitem__(key))
+            return served[-1]
 
     def checked(subscripts, *ops):
         calls.append(subscripts)
         got = contract(subscripts, *ops)
+        for _, products in served.pop()[1]:
+            for factors in products:
+                for op, idx in zip(ops, factors):
+                    assert np.any(np.asarray(op)[idx]), (subscripts, idx)
         assert np.array_equal(got, np.einsum(subscripts, *ops)), subscripts
         return got
 
-    monkeypatch.setattr(mesh, "_PLANS", {})
-    monkeypatch.setattr(mesh, "_plan", recording_build)
+    monkeypatch.setattr(mesh, "_PLANS", ServedPlans())
+    builds = recorded_builds(monkeypatch)
     for module in KERNEL_USERS:
         monkeypatch.setattr(module, "_contract", checked)
 
     def one_pass():  # fresh data sets each time, so nothing comes from a derived store
         g = grid3(9, 8)
+        leaf = g.leaf()
         ppwave_einstein_check(ppwave(g, "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME))
-        rigid_report(rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME))
+        kd_roundtrip(ppwave(g, "2 + 0.2*sin(2*pi*x1) + 0.3*s", SCHEME), "0.05*s^2")
+        recipe = rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME)
+        rigid_report(recipe)
+        kd_dec_check(build_kd(recipe))
+        metric = geometry.MetricField(sample(leaf, [["1 + 0.1*sin(2*pi*x1)", "0"],
+                                                    ["0", "1"]], kind="sym2"))
+        gamma = geometry.christoffels(metric, SCHEME)
+        one_form = sample(leaf, ["sin(2*pi*x2)", "cos(2*pi*x1)"], kind="covector")
+        geometry.hodge_laplacian(one_form, metric, gamma, SCHEME)
+        geometry.hodge_laplacian(geometry.exterior_d(one_form, SCHEME), metric, gamma, SCHEME)
+        hodge_decompose(one_form, np.eye(2))
+        flat = geometry.MetricField(Field(leaf, "sym2", np.eye(2)[..., None, None]
+                                          * np.ones(leaf.shape)))
+        lie = geometry.lie_metric(flat.sharp(one_form.data), flat,
+                                  geometry.christoffels(flat, SCHEME), SCHEME)
+        tt_split(Field(leaf, "sym2", geometry.symmetrize(lie)), np.eye(2), SCHEME)
 
     one_pass()
     assert len(builds) > 20 and len(calls) > len(builds)
+    assert sorted(set(calls)) == CONTRACTED  # every call site is reached
     builds.clear()
     calls.clear()
     one_pass()  # the same zero masks again: every plan is reused
