@@ -10,6 +10,21 @@ The *_from helpers are plain array algebra over precomputed partials; the
 Lorentzian development module reuses them with its own derivative rule.
 ricci_from takes the Christoffels, their divergence d_a Gamma^a_bd and the
 partials of their trace Gamma^a_ab, so Ricci needs no Riemann tensor.
+
+Metric blocks: the metrics idrig factors are block diagonal up to a
+permutation of their indices (the recipe metric is diagonal; a development
+metric is a {v, s} block with gbar_vv = 0 beside its leaf part).
+metric_blocks finds the blocks as the connected components of the live
+component pattern (mesh._live): i and j share a block when g_ij is nonzero at
+some node, directly or through other indices.  The inverse, the Cholesky
+factor behind sqrt(det g) and the signature count work block by block, a 1x1
+block by a division or a square root, a larger one by LAPACK on that block
+alone.  On finite data sqrt(det g) equals the whole-matrix Cholesky product bit
+for bit, and so does the inverse for diagonal and dense metrics and for
+development metrics, whose {v, s} block comes first.  A block after or around
+another one can differ from np.linalg.inv of the whole matrix by a few ulps of
+the node's largest entry: OpenBLAS's triangular solve rounds a row by its place
+in the matrix.
 """
 
 from __future__ import annotations
@@ -18,15 +33,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, _contract, partial_stack
+from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _live, partial_stack
 
 # --- pure array core ---------------------------------------------------------
 
 
+def metric_blocks(gdata):
+    """Index tuples of the diagonal blocks of a metric array, ascending by first index.
+
+    A block is a connected component of the graph whose edges are the
+    components g_ij that are nonzero at some node (mesh._live).
+    """
+    live = _live(gdata, 2)
+    reach = live | live.T | np.eye(len(live), dtype=bool)
+    for _ in range(len(live).bit_length()):  # paths of up to 2^k edges after k squarings
+        reach = reach @ reach
+    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+
+
+def _block_matrices(gdata, block):
+    """The block's components of every node as a stack of matrices [*grid, k, k]."""
+    return np.moveaxis(gdata[np.ix_(block, block)], (0, 1), (-2, -1))
+
+
+def _inverse(gdata, blocks):
+    out = np.zeros(np.shape(gdata))
+    for block in blocks:
+        if len(block) == 1:
+            (i,) = block
+            if not np.all(gdata[i, i]):  # LAPACK's zero pivot; NaN counts as nonzero
+                raise np.linalg.LinAlgError("Singular matrix")
+            np.divide(1.0, gdata[i, i], out=out[i, i])
+        else:
+            inv = np.linalg.inv(_block_matrices(gdata, block))
+            out[np.ix_(block, block)] = np.moveaxis(inv, (-2, -1), (0, 1))
+    return out
+
+
 def inverse(gdata):
-    """Pointwise inverse of a metric component array."""
-    inv = np.linalg.inv(np.moveaxis(gdata, (0, 1), (-2, -1)))
-    return np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (0, 1)))
+    """Pointwise inverse of a metric component array, one metric block at a time.
+
+    Returns a fresh C-contiguous float64 array whose components outside the
+    blocks are exactly 0 (see the module docstring for how it compares with
+    np.linalg.inv of the whole matrix).  A block that is singular at some node
+    raises np.linalg.LinAlgError; a NaN leaves its node non-finite.
+    """
+    return _inverse(gdata, metric_blocks(gdata))
 
 
 def symmetrize(t):
@@ -72,17 +124,28 @@ class MetricField:
             raise MeshError("metric must be a sym2 field")
         self.field = field
         self.grid = field.grid
-        arr = np.moveaxis(field.data, (0, 1), (-2, -1))
+        g = field.data
+        blocks = metric_blocks(g)
+        # g = L L^T with L block diagonal, so sqrt(det g) is the product of the
+        # diagonal of L, taken in index order as over the Cholesky factor of all of g
+        chol_diag = np.empty(g.shape[1:])
         try:
-            chol = np.linalg.cholesky(arr)
+            for block in blocks:
+                if len(block) == 1:
+                    (i,) = block
+                    if not np.all(g[i, i] > 0.0):  # LAPACK's test, NaN fails it too
+                        raise np.linalg.LinAlgError
+                    np.sqrt(g[i, i], out=chol_diag[i])
+                else:
+                    chol = np.linalg.cholesky(_block_matrices(g, block))
+                    chol_diag[list(block)] = np.moveaxis(
+                        np.diagonal(chol, axis1=-2, axis2=-1), -1, 0)
         except np.linalg.LinAlgError:
-            eigs = np.linalg.eigvalsh(arr)
+            eigs = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
             worst = float(eigs.min())
             raise DataError(f"metric is not positive definite (min eigenvalue {worst:g})")
-        # g = L L^T, so sqrt(det g) is the product of the diagonal of L
-        self.sqrt_det = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
-        del chol  # freed before the inverse allocates
-        self.ginv = inverse(field.data)
+        self.sqrt_det = np.prod(chol_diag, axis=0)
+        self.ginv = _inverse(g, blocks)
 
     @property
     def data(self):

@@ -46,10 +46,15 @@ def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
 
 
 def lorentz_signature_defect(gbar):
-    """Number of nodes whose metric does not have exactly one negative eigenvalue."""
-    arr = np.moveaxis(gbar, (0, 1), (-2, -1))
-    eigs = np.linalg.eigvalsh(arr)
-    negatives = np.sum(eigs < 0.0, axis=-1)
+    """Number of nodes whose metric does not have exactly one negative eigenvalue.
+
+    The eigenvalues of a block-diagonal matrix are those of its blocks, so the
+    negative ones are counted block by block (geometry.metric_blocks).
+    """
+    negatives = 0
+    for block in geometry.metric_blocks(gbar):
+        eigs = np.linalg.eigvalsh(geometry._block_matrices(gbar, block))
+        negatives += np.sum(eigs < 0.0, axis=-1)
     return int(np.count_nonzero(negatives != 1))
 
 

@@ -3,11 +3,11 @@
 The s axis carries both interval endpoints (N_s nodes, spacing l/(N_s - 1));
 leaf axes are periodic with the right endpoint identified (N_i nodes, spacing
 L_i/N_i).  Field data is stored with component axes first and grid axes last,
-so contractions broadcast over the grid.  Metric inverses, Christoffels,
-spectral partials and partial stacks come out C-contiguous: a contraction runs
-several times slower on a strided view (say a moveaxis of a metric inverse),
-and einsum's output inherits that layout, so one view slows everything
-downstream.
+so contractions broadcast over the grid.  Christoffels, spectral partials and
+partial stacks come out C-contiguous, and metric inverses are written block by
+block into one fresh C-contiguous array: a contraction runs several times
+slower on a strided view (say a moveaxis of np.linalg.inv's output), and
+einsum's output inherits that layout, so one view slows everything downstream.
 
 Derivative schemes: "fd2" and "fd4" work on every axis (one-sided stencils of
 matching order at s = 0 and s = l), "spectral" works on periodic axes only.

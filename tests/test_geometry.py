@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack, sample,
+from idrig.mesh import (DataError, Grid, Scheme, Field, MeshError, partial, partial_stack, sample,
                         integrate, _contract, _spectral_axis)
 from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
@@ -28,10 +30,113 @@ def riemann_up(m):
 
 def test_metric_field_rejects_indefinite():
     grid = Grid.torus((8, 8), (1.0, 1.0))
-    with pytest.raises(MeshError):
+    with pytest.raises(DataError, match=r"^metric is not positive definite \(min eigenvalue -1\)$"):
         geometry.MetricField(sample(grid, [["1", "0"], ["0", "-1"]], kind="sym2"))
     with pytest.raises(MeshError):
         geometry.MetricField(sample(grid, "1", kind="scalar"))
+
+
+def test_metric_field_names_the_least_eigenvalue_of_an_indefinite_block():
+    # a 2x2 block {0, 2} with eigenvalues 1 +- 2 beside a positive 1x1 block
+    grid = Grid.product(1.0, 9, (8, 8), (1.0, 1.0))
+    with pytest.raises(DataError, match=r"^metric is not positive definite \(min eigenvalue -1\)$"):
+        geometry.MetricField(sample(grid, [["1", "0", "2"], ["0", "1", "0"], ["2", "0", "1"]],
+                                    kind="sym2"))
+
+
+PATTERNS = ("diagonal", "dense", "permuted", "gbar")
+
+
+def pattern_metric(grid, pattern):
+    """A smooth symmetric metric array on `grid` with the given zero pattern.
+
+    "permuted" couples only indices 0 and n-1; "gbar" is a development metric,
+    an indefinite {v, s} block with gbar_vv = 0 beside a diagonal leaf part, so
+    it has one more index than the grid has axes.
+    """
+    x = np.meshgrid(*(grid.axis_coords(i) for i in range(grid.ndim)), indexing="ij")
+
+    def wave(k):
+        return (np.sin(2 * np.pi * (k + 1) * x[k % grid.ndim] + k)
+                * np.cos(2 * np.pi * x[(k + 1) % grid.ndim]))
+
+    n = grid.ndim + (pattern == "gbar")
+    g = np.zeros((n, n) + grid.shape)
+    for i in range(n):
+        g[i, i] = 1.0 + 0.3 * wave(i)
+    pairs = {"diagonal": [], "dense": [(i, j) for i in range(n) for j in range(i + 1, n)],
+             "permuted": [(0, n - 1)], "gbar": [(0, 1)]}[pattern]
+    for k, (i, j) in enumerate(pairs):
+        g[i, j] = g[j, i] = 0.4 * wave(k + 3)
+    if pattern == "gbar":
+        g[0, 0] = 0.0
+        g[0, 1] = g[1, 0] = -1.0 + 0.2 * wave(5)
+    return g
+
+
+def pattern_grid(ndim):
+    return Grid.product(1.0, 10, (8,) * (ndim - 1), (1.0,) * (ndim - 1))
+
+
+def dense_inverse(g):
+    return np.moveaxis(np.linalg.inv(np.moveaxis(g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_block_inverse_matches_the_dense_inverse(ndim, pattern):
+    g = pattern_metric(pattern_grid(ndim), pattern)
+    got, want = geometry.inverse(g), dense_inverse(g)
+    dead = ~np.logical_or.reduce(want != 0.0, axis=tuple(range(2, want.ndim)))
+    assert np.all(got[dead] == 0.0)
+    if pattern == "permuted":
+        # a block after or around another one rounds by its place in the whole matrix
+        scale = np.max(np.abs(want), axis=(0, 1))
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_block_inverse_blocks_follow_the_zero_pattern():
+    grid = pattern_grid(4)
+    assert geometry.metric_blocks(pattern_metric(grid, "permuted")) == [(0, 3), (1,), (2,)]
+    assert geometry.metric_blocks(pattern_metric(grid, "gbar")) == [(0, 1), (2,), (3,), (4,)]
+    chain = np.zeros((4, 4, 2))
+    chain[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+    chain[0, 2, 0] = chain[2, 0, 0] = chain[2, 3, 1] = chain[3, 2, 1] = 0.5
+    assert geometry.metric_blocks(chain) == [(0, 2, 3), (1,)]  # joined through index 2
+
+
+def test_block_inverse_raises_on_a_singular_block():
+    g = pattern_metric(pattern_grid(3), "permuted")
+    one = g.copy()
+    one[1, 1, 2, 3, 4] = 0.0  # the 1x1 block {1} at one node
+    two = g.copy()
+    two[np.ix_((0, 2), (0, 2), (2,), (3,), (4,))] = 1.0  # the block {0, 2} at one node
+    for singular in (one, two):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division-by-zero warning and inf
+            with pytest.raises(np.linalg.LinAlgError):
+                geometry.inverse(singular)
+
+
+@pytest.mark.parametrize("index", ((1, 1), (0, 2)))
+def test_block_inverse_leaves_a_nan_node_non_finite(index):
+    g = pattern_metric(pattern_grid(3), "permuted")
+    g[index + (2, 3, 4)] = np.nan
+    got = geometry.inverse(g)
+    assert not np.all(np.isfinite(got[..., 2, 3, 4]))
+    assert np.isfinite(got[..., 3, 3, 4]).all()
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+@pytest.mark.parametrize("pattern", ("diagonal", "dense", "permuted"))
+def test_sqrt_det_equals_the_full_cholesky_product(ndim, pattern):
+    grid = pattern_grid(ndim)
+    g = pattern_metric(grid, pattern)
+    chol = np.linalg.cholesky(np.moveaxis(g, (0, 1), (-2, -1)))
+    want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+    assert np.array_equal(geometry.MetricField(Field(grid, "sym2", g)).sqrt_det, want)
 
 
 def test_flat_curvature_is_bitwise_zero():
@@ -226,11 +331,14 @@ def test_tensor_arrays_are_c_contiguous_float64():
     owners = {"spectral partial": spectral,
               "partial_stack": partial_stack(ids.metric.data[1:, 1:], ids.grid, SCHEME),
               "dead_v_partials": dead_v_partials(ppwave_metric(spec), spec.grid, SCHEME),
-              "_contract": _contract("ab...,b...->a...", m.ginv, m.data[0])}
-    arrays = {"inverse": geometry.inverse(m.data),
-              "MetricField.ginv": m.ginv,
+              "_contract": _contract("ab...,b...->a...", m.ginv, m.data[0]),
+              # written block by block into one fresh array
+              "block inverse, dense": geometry.inverse(m.data),
+              "block inverse, diagonal": ids.metric.ginv,
+              "block inverse, null block": ginv_st}
+    arrays = {"MetricField.ginv": m.ginv,
               "ids.curvature().christoffels": ids.curvature().christoffels,
-              "spacetime gamma": gamma_st, "spacetime ginv": ginv_st, **owners}
+              "spacetime gamma": gamma_st, **owners}
     for name, arr in arrays.items():
         assert arr.dtype == np.float64, name
         assert arr.flags.c_contiguous, name

@@ -96,6 +96,26 @@ def test_lorentz_signature_defect():
     assert lorentz_signature_defect(eucl) == int(np.prod(grid.shape))
 
 
+def dense_signature_defect(gbar):
+    eigs = np.linalg.eigvalsh(np.moveaxis(gbar, (0, 1), (-2, -1)))
+    return int(np.count_nonzero(np.sum(eigs < 0.0, axis=-1) != 1))
+
+
+def test_lorentz_signature_defect_counts_block_by_block_as_the_dense_count():
+    grid = grid3(9, 8)
+    wave = ppwave_metric(ppwave(grid, "1 + 0.5*sin(2*pi*x1)", SCHEME))
+    recipe = build_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME)).gbar
+    # the wave with the leaf direction x2 turned timelike at half the nodes: a
+    # second negative eigenvalue in a 1x1 block
+    two = wave.copy()
+    two[3, 3] = np.where(np.arange(grid.shape[0])[:, None, None] % 2 == 0, -1.0, 1.0)
+    assert len(geometry.metric_blocks(wave)) == 3
+    assert lorentz_signature_defect(wave) == dense_signature_defect(wave) == 0
+    assert lorentz_signature_defect(recipe) == dense_signature_defect(recipe) == 0
+    bad = lorentz_signature_defect(two)
+    assert bad == dense_signature_defect(two) == 5 * 8 * 8  # the even s nodes
+
+
 # --- developments of rigid data -----------------------------------------------------
 
 
