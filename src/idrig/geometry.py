@@ -57,7 +57,7 @@ def _block_matrices(gdata, block):
 
 
 def _inverse(gdata, blocks):
-    out = np.zeros(np.shape(gdata))
+    out = np.zeros(gdata.shape)
     for block in blocks:
         if len(block) == 1:
             (i,) = block
