@@ -20,11 +20,12 @@ some node, directly or through other indices.  The inverse, the Cholesky
 factor behind sqrt(det g) and the signature count work block by block, a 1x1
 block by a division or a square root, a larger one by LAPACK on that block
 alone.  On finite data sqrt(det g) equals the whole-matrix Cholesky product bit
-for bit, and so does the inverse for diagonal and dense metrics and for
-development metrics, whose {v, s} block comes first.  A block after or around
-another one can differ from np.linalg.inv of the whole matrix by a few ulps of
-the node's largest entry: OpenBLAS's triangular solve rounds a row by its place
-in the matrix.
+for bit.  So does the inverse for diagonal and dense metrics and for a
+development metric with a diagonal leaf part ({v, s} first, then 1x1 blocks),
+on the OpenBLAS kernels tried (SkylakeX, Haswell).  Other patterns can differ
+from np.linalg.inv of the whole matrix by a few ulps of the node's largest
+entry, because OpenBLAS's triangular solve rounds a row by where it sits in the
+whole matrix.
 """
 
 from __future__ import annotations
