@@ -29,7 +29,8 @@ REPORTS = GOLDEN / "reports.json"
 
 # the benchmark's seven shipped-scene commands, then the scenes whose metrics
 # are diagonal with a null block (recipe development), dense (off-diagonal
-# leaf metric) or indefinite
+# leaf metric) or indefinite, then a pp-wave and a recipe on a 4D grid
+# (8^4 nodes) and on the small 2D grid (16 x 32 nodes)
 CASES = [
     ["constraints", "scenes/constant_k.scene"],
     ["constraints", "scenes/flat.scene"],
@@ -42,7 +43,11 @@ CASES = [
     ["convergence", "scenes/convergence.scene", "--check", "two_for_three"],
 ] + [[command, f"tests/golden/{scene}.scene"]
      for scene in ("offdiag", "indefinite")
-     for command in ("constraints", "rigidity", "killing-dev")]
+     for command in ("constraints", "rigidity", "killing-dev")] + [
+    [command, f"tests/golden/{scene}{dim}.scene"]
+    for dim in ("4d", "2d")
+    for scene, commands in (("wave", ("ppwave",)), ("recipe", ("rigidity", "killing-dev")))
+    for command in commands]
 
 
 def _label(argv):
