@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _live, partial_stack
+from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _known, _live,
+                   partial_stack)
 
 # --- pure array core ---------------------------------------------------------
 
@@ -68,15 +69,17 @@ def _inverse(gdata, blocks):
         else:
             inv = np.linalg.inv(_block_matrices(gdata, block))
             out[np.ix_(block, block)] = np.moveaxis(inv, (-2, -1), (0, 1))
-    return out
+    # scanned, not taken from the blocks: a block can hold exact zeros, as
+    # ginv_ss = 0 does in a development metric's {v, s} block
+    return _known(out, _live(out, 2))
 
 
 def inverse(gdata):
     """Pointwise inverse of a metric component array, one metric block at a time.
 
-    Returns a fresh C-contiguous float64 array whose components outside the
-    blocks are exactly 0 (see the module docstring for how it compares with
-    np.linalg.inv of the whole matrix).  A block that is singular at some node
+    Returns a fresh, read-only C-contiguous float64 array whose components
+    outside the blocks are exactly 0 (see the module docstring for how it
+    compares with np.linalg.inv of the whole matrix).  A block that is singular at some node
     raises np.linalg.LinAlgError; a NaN leaves its node non-finite.
     """
     return _inverse(gdata, metric_blocks(gdata))
@@ -87,12 +90,27 @@ def symmetrize(t):
     return 0.5 * (t + np.swapaxes(t, 0, 1))
 
 
+_TRIPLES = {}  # zero mask of dg -> the (d, b, c) where Gamma_dbc can be nonzero
+
+
 def christoffels_from(ginv, dg):
-    """Gamma^a_bc from the inverse metric and dg[c, a, b] = d_c g_ab."""
-    low = np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg) - dg
-    gam = _contract("ad...,dbc...->abc...", ginv, low)  # low[d, b, c] = 2 Gamma_dbc
-    gam *= 0.5
-    return gam
+    """Gamma^a_bc from the inverse metric and dg[c, a, b] = d_c g_ab.
+
+    The lowered Christoffels Gamma_dbc = 0.5*((dg[b, d, c] + dg[c, d, b]) -
+    dg[d, b, c]) are written only where one of those three dg slices is live
+    (mesh._live); the rest stay exactly 0.  The 0.5 is applied here, before
+    ginv raises d.  A power of two commutes with rounding, so that equals
+    halving the raised sum bit for bit unless a value is subnormal.
+    """
+    mask = _live(dg, 3)
+    key = (mask.shape, mask.tobytes())
+    if key not in _TRIPLES:
+        live = np.einsum("bdc->dbc", mask) | np.einsum("cdb->dbc", mask) | mask
+        _TRIPLES[key] = [tuple(t) for t in np.argwhere(live).tolist()]
+    low = np.zeros(dg.shape)
+    for d, b, c in _TRIPLES[key]:
+        low[d, b, c] = 0.5 * ((dg[b, d, c] + dg[c, d, b]) - dg[d, b, c])
+    return _contract("ad...,dbc...->abc...", ginv, low)
 
 
 def riemann_from(gamma, dgamma):

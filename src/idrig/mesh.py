@@ -25,12 +25,23 @@ component axes C-ordered and grid axes innermost, as every caller passes them,
 that is np.einsum's order, so the result is einsum's bit for bit: a skipped
 product is exactly zero and cannot change a float sum.  (Where another factor
 is inf or NaN, einsum's product is NaN; the skipped one is not.)
+
+Which slices are zero is found by a scan (`_live`), at most once for an
+array nobody can write.  `_contract` results and metric inverses come back
+read-only with a recorded mask: the output components that have a live
+product, and one scan of the inverse.  A read-only owner with no record (a
+value initial_data stores) is scanned once, then recorded.  Read-only keeps a
+record true while its array lives; the record goes with the array.  Writeable
+arrays and views are scanned on every call.  A recorded mask may call an
+exactly-0 slice live; that only adds exact-0 products, which einsum multiplies
+too, so the bits stay einsum's.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -210,15 +221,47 @@ def _derivative(data, grid, axis, scheme):
     return np.gradient(data, h, axis=arr_axis, edge_order=2)
 
 
+_MASKS = {}  # id of a frozen array -> (weak reference to the array, its component mask)
+
+
+def _known(arr, mask):
+    """Freeze `arr`, which owns its data, and record `mask` of its leading axes for _live.
+
+    `mask` may only err towards True.  Returns `arr`.
+    """
+    arr.flags.writeable = False
+    key = id(arr)
+
+    def forget(ref):  # a later array with the same id has a record of its own
+        if _MASKS.get(key, (None,))[0] is ref:
+            del _MASKS[key]
+
+    _MASKS[key] = (weakref.ref(arr, forget), mask)
+    return arr
+
+
 def _live(data, rank):
-    """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere."""
-    return np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
+    """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere.
+
+    A read-only owner is scanned at most once; its recorded mask is served,
+    reduced to `rank`.  Anything writeable, and any view, is scanned.
+    """
+    frozen = isinstance(data, np.ndarray) and not data.flags.writeable and data.base is None
+    if frozen:
+        ref, mask = _MASKS.get(id(data), (None, None))
+        if ref is not None and ref() is data and mask.ndim >= rank:
+            return mask if mask.ndim == rank else np.logical_or.reduce(
+                mask, axis=tuple(range(rank, mask.ndim)))
+    mask = np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
+    if frozen:
+        _known(data, mask)
+    return mask
 
 
 def _partials_into(out, data, grid, axes, scheme):
     """Fill out[k] with the derivative along axes[k]; zero components skip the kernel."""
+    live = _live(data, np.ndim(data) - grid.ndim).reshape(-1)
     flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
-    live = _live(flat, 1)
     nonzero = flat[live]
     for axis, axis_out in zip(axes, out.reshape((len(axes),) + flat.shape)):
         axis_out[live] = _derivative(nonzero, grid, axis, scheme)
@@ -237,7 +280,7 @@ _PLANS = {}  # a run meets about a hundred subscripts and zero patterns
 
 
 def _plan(subscripts, masks):
-    """Output component shape and, per output component, its live products.
+    """Output component shape, per output component its live products, and the output mask.
 
     Products run over the summed labels ascending, outermost first.  Every
     factor index ends in Ellipsis, so it selects a view.
@@ -258,7 +301,11 @@ def _plan(subscripts, masks):
     for target, *factors in zip(zip(*(index[c] for c in out), ends),
                                 *(zip(*(index[c] for c in labels), ends) for labels in ins)):
         products.setdefault(target, []).append(factors)
-    return tuple(size[c] for c in out), list(products.items())
+    shape = tuple(size[c] for c in out)
+    live_out = np.zeros(shape, dtype=bool)  # the components with a live product
+    for target in products:
+        live_out[target] = True
+    return shape, list(products.items()), live_out
 
 
 def _contract(subscripts, *operands):
@@ -268,7 +315,8 @@ def _contract(subscripts, *operands):
     grid axes.  A plan is built once per subscripts and operand zero masks, so
     it serves every grid, layout and dtype.  The result is einsum's bit for bit
     when each operand's component axes are C-ordered, its grid axes innermost,
-    and each summed label sits in an operand that varies along the grid.
+    and each summed label sits in an operand that varies along the grid.  It is
+    read-only and carries the plan's output mask (see _known).
     """
     ops = [np.asarray(op) for op in operands]
     ins = _labels(subscripts)[0]
@@ -281,7 +329,7 @@ def _contract(subscripts, *operands):
     key = (subscripts,) + tuple((mask.shape, mask.tobytes()) for mask in masks)
     if key not in _PLANS:
         _PLANS[key] = _plan(subscripts, masks)
-    shape, products = _PLANS[key]
+    shape, products, live = _PLANS[key]
     grid = np.broadcast_shapes(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
     dtype = np.result_type(*ops)
     result = np.zeros(shape + grid, dtype=dtype)
@@ -297,7 +345,7 @@ def _contract(subscripts, *operands):
             for op, idx in zip(tail, more):
                 multiply(term, op[idx], out=term)
             acc += term
-    return result
+    return _known(result, live)
 
 
 def partial(data, grid, axis, scheme=DEFAULT_SCHEME):

@@ -118,8 +118,8 @@ def lambda_via_curvature(ids):
     w = AmbientVector(ids.grid, np.zeros(ids.grid.shape), nu)
     rv = ambient_curvature(ids, v)
     paired = ambient_curvature_pairing(ids, rv, w)  # gbar(Rbar(d_c, d_d)V, nu)
+    paired[0] = 0.0  # lambda(nu) = 0; a zero row is skipped, so lam[0] is exactly 0
     lam = _contract("cd...,d...->c...", paired, nu)
-    lam[0] = 0.0
     return Field(ids.grid, "covector", lam)
 
 

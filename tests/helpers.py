@@ -7,7 +7,7 @@ so both axis schemes are exercised by the same expression.
 import numpy as np
 
 from idrig import exprlang
-from idrig.mesh import Grid, Scheme, Field, partial_stack, fit_order
+from idrig.mesh import Grid, Scheme, Field, _contract, partial_stack, fit_order
 
 SCHEME = Scheme("fd4", "spectral")
 
@@ -44,6 +44,16 @@ def measured_order(hs, errors, floor=FLOOR):
 def order_passes(hs, errors, want, floor=FLOOR):
     order, hit = measured_order(hs, errors, floor)
     return hit or order >= want
+
+
+def dense_christoffels_from(ginv, dg):
+    """Gamma^a_bc with every lowered component built densely and the 0.5 applied last.
+
+    The reference for geometry.christoffels_from, which builds only the live
+    components and applies the 0.5 before the contraction.
+    """
+    low = np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg) - dg
+    return _contract("ad...,dbc...->abc...", ginv, low) * 0.5  # low[d, b, c] = 2 Gamma_dbc
 
 
 def grid3(n_s=17, leaf=16, ell=1.0):

@@ -10,7 +10,7 @@ from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
                                spacetime_christoffels)
 from idrig.rigidity import rigid_recipe
-from helpers import SCHEME, grid3
+from helpers import SCHEME, dense_christoffels_from, grid3
 
 
 CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
@@ -357,6 +357,36 @@ def test_christoffels_from_matches_the_three_contraction_form():
     got = geometry.christoffels_from(ginv, dg)
     assert got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def christoffel_cases(ndim):
+    """(ginv, dg) pairs: the metric patterns, then a dg with no symmetry and one with -0.0."""
+    grid = pattern_grid(ndim)
+    cases = {}
+    for pattern in PATTERNS:
+        g = pattern_metric(grid, pattern)
+        dg = (dead_v_partials(g, grid, SCHEME) if pattern == "gbar"
+              else partial_stack(g, grid, SCHEME))
+        cases[pattern] = (geometry.inverse(g), dg)
+    rng = np.random.default_rng(ndim)
+    ginv = geometry.inverse(pattern_metric(grid, "dense"))
+    n = ndim
+    dg = rng.standard_normal((n, n, n) + grid.shape)
+    dg[rng.random((n, n, n)) < 0.6] = 0.0  # no symmetry in any index pair
+    cases["non-symmetric"] = (ginv, dg)
+    signed = dg.copy()
+    signed[rng.random(signed.shape) < 0.3] = -0.0   # inside live slices
+    signed[rng.random((n, n, n)) < 0.3] = -0.0      # whole slices, which count as dead
+    cases["negative zeros"] = (ginv, signed)
+    return cases
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+def test_live_lowering_equals_the_dense_lowering_bit_for_bit(ndim):
+    for name, (ginv, dg) in christoffel_cases(ndim).items():
+        got, want = geometry.christoffels_from(ginv, dg), dense_christoffels_from(ginv, dg)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name  # the sign of zero included
 
 
 def test_riemann_from_one_product_equals_the_two_product_form():

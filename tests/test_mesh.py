@@ -241,6 +241,19 @@ def test_contractions_never_read_an_all_zero_slice(monkeypatch):
             served.append(super().__getitem__(key))
             return served[-1]
 
+    def exact(live):  # every mask served or scanned is the operand's own
+        def checked_live(data, rank):
+            mask = live(data, rank)
+            fresh = np.logical_or.reduce(np.asarray(data), axis=tuple(range(rank, np.ndim(data))))
+            assert np.shape(mask) == fresh.shape and np.array_equal(mask, fresh)
+            masks.append(mask)
+            return mask
+        return checked_live
+
+    masks = []
+    monkeypatch.setattr(mesh, "_live", exact(mesh._live))
+    monkeypatch.setattr(geometry, "_live", exact(geometry._live))
+
     def checked(subscripts, *ops):
         calls.append(subscripts)
         got = contract(subscripts, *ops)
@@ -284,6 +297,69 @@ def test_contractions_never_read_an_all_zero_slice(monkeypatch):
     calls.clear()
     one_pass()  # the same zero masks again: every plan is reused
     assert len(calls) > 20 and builds == []
+    assert len(masks) > len(calls)
+
+
+# --- recorded component masks ------------------------------------------------------
+
+
+def test_contraction_and_inverse_outputs_are_read_only():
+    rng = np.random.default_rng(5)
+    metric = np.eye(3)[..., None, None] + 0.1 * rng.random((3, 3, 4, 5))
+    metric = metric + np.swapaxes(metric, 0, 1)
+    for out in (mesh._contract("ab...,b...->a...", metric, rng.random((3, 4, 5))),
+                geometry.inverse(metric)):
+        assert not out.flags.writeable and out.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 0.0
+
+
+def test_a_writeable_operand_is_scanned_on_every_call():
+    rng = np.random.default_rng(8)
+    subscripts = "ab...,b...->a..."
+    metric = rng.standard_normal((3, 3, 4, 5))
+    vec = rng.standard_normal((3, 4, 5))
+    vec[1] = 0.0
+    assert np.array_equal(mesh._contract(subscripts, metric, vec),
+                          np.einsum(subscripts, metric, vec))
+    vec[1] = rng.standard_normal((4, 5))  # a dead component comes alive in place
+    vec[2] = 0.0
+    assert np.array_equal(mesh._contract(subscripts, metric, vec),
+                          np.einsum(subscripts, metric, vec))
+
+
+def test_a_record_is_never_served_to_a_later_array_with_the_same_id():
+    rng = np.random.default_rng(9)
+    vec = rng.standard_normal((3, 4, 5))
+    vec[1] = 0.0
+    out = mesh._contract("ab...,b...->a...", np.eye(3)[..., None, None] * np.ones((4, 5)), vec)
+    assert np.array_equal(mesh._live(out, 1), [True, False, True])  # served from the record
+    freed = id(out)
+    del out
+    assert freed not in mesh._MASKS  # the record went with its array
+    later = []
+    while len(later) < 1000 and (not later or id(later[-1]) != freed):
+        later.append(np.ones((3, 4, 5)))
+    assert id(later[-1]) == freed  # the address was handed out again
+    later[-1].flags.writeable = False
+    assert np.array_equal(mesh._live(later[-1], 1), [True, True, True])
+
+
+def test_a_superset_mask_keeps_einsums_bits():
+    rng = np.random.default_rng(10)
+    subscripts = "ac...,bd...,cd...->ab..."
+    ginv = rng.standard_normal((3, 3, 4, 5))
+    ginv[0, 2] = ginv[2, 0] = 0.0
+    form = rng.standard_normal((3, 3, 4, 5))
+    form[1] = 0.0
+    want = np.einsum(subscripts, ginv, ginv, form)
+    # records that call every component live, so every product is multiplied
+    ginv_all = mesh._known(ginv.copy(), np.ones((3, 3), dtype=bool))
+    form_all = mesh._known(form.copy(), np.ones((3, 3), dtype=bool))
+    assert mesh._live(form_all, 1).all()
+    got = mesh._contract(subscripts, ginv_all, ginv_all, form_all)
+    assert got.tobytes() == mesh._contract(subscripts, ginv, ginv, form).tobytes()
+    assert np.array_equal(got, want)
 
 
 # --- fields --------------------------------------------------------------------
