@@ -106,7 +106,7 @@ def christoffels_from(ginv, dg):
     key = (mask.shape, mask.tobytes())
     if key not in _TRIPLES:
         live = np.einsum("bdc->dbc", mask) | np.einsum("cdb->dbc", mask) | mask
-        _TRIPLES[key] = [tuple(t) for t in np.argwhere(live).tolist()]
+        _TRIPLES[key] = np.argwhere(live).tolist()
     low = np.zeros(dg.shape)
     for d, b, c in _TRIPLES[key]:
         low[d, b, c] = 0.5 * ((dg[b, d, c] + dg[c, d, b]) - dg[d, b, c])
