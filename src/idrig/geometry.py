@@ -54,8 +54,19 @@ def metric_blocks(gdata):
 
 
 def _block_matrices(gdata, block):
-    """The block's components of every node as a stack of matrices [*grid, k, k]."""
-    return np.moveaxis(gdata[np.ix_(block, block)], (0, 1), (-2, -1))
+    """The block's matrices [*grid, k, k] at its distinct nodes.
+
+    Along every grid axis on which all of the block's components are constant,
+    compared bit by bit (so -0.0 and +0.0 differ), the stack keeps one slice of
+    length 1; LAPACK results on it broadcast back to the grid.
+    """
+    sub = gdata[np.ix_(block, block)].astype(float, copy=False)
+    bits = sub.view(np.uint64)
+    for axis in range(2, sub.ndim):
+        first = (slice(None),) * axis + (slice(0, 1),)
+        if (bits == bits[first]).all():
+            bits, sub = bits[first], sub[first]
+    return np.moveaxis(sub, (0, 1), (-2, -1))
 
 
 def _inverse(gdata, blocks):
@@ -90,7 +101,26 @@ def symmetrize(t):
     return 0.5 * (t + np.swapaxes(t, 0, 1))
 
 
-_TRIPLES = {}  # zero mask of dg -> the (d, b, c) where Gamma_dbc can be nonzero
+_INDICES = {}  # (union, its zero masks) -> the components a kernel assembles
+
+
+def _live_indices(union, *masks):
+    """Indices, as lists, of the True entries of union(*masks), cached per union and masks."""
+    key = (union,) + tuple((mask.shape, mask.tobytes()) for mask in masks)
+    if key not in _INDICES:
+        _INDICES[key] = np.argwhere(union(*masks)).tolist()
+    return _INDICES[key]
+
+
+def _lowered_live(mask):
+    """Where Gamma_dbc has a live term, from the zero mask of dg."""
+    return np.einsum("bdc->dbc", mask) | np.einsum("cdb->dbc", mask) | mask
+
+
+def _riemann_live(dmask, gmask):
+    """Where R^a_bcd has a live term, from the zero masks of dgamma and gg."""
+    return (np.einsum("cadb->abcd", dmask) | np.einsum("dacb->abcd", dmask)
+            | gmask | np.swapaxes(gmask, 2, 3))
 
 
 def christoffels_from(ginv, dg):
@@ -98,29 +128,43 @@ def christoffels_from(ginv, dg):
 
     The lowered Christoffels Gamma_dbc = 0.5*((dg[b, d, c] + dg[c, d, b]) -
     dg[d, b, c]) are written only where one of those three dg slices is live
-    (mesh._live); the rest stay exactly 0.  The 0.5 is applied here, before
-    ginv raises d.  A power of two commutes with rounding, so that equals
-    halving the raised sum bit for bit unless a value is subnormal.
+    (mesh._live); the rest stay exactly 0.  Each written component is checked
+    once, so the lowered array carries its exact mask into the contraction: a
+    component whose terms cancel to 0 at every node stays dead.  The 0.5 is
+    applied here, before ginv raises d.  A power of two commutes with
+    rounding, so that equals halving the raised sum bit for bit unless a value
+    is subnormal.
     """
     mask = _live(dg, 3)
-    key = (mask.shape, mask.tobytes())
-    if key not in _TRIPLES:
-        live = np.einsum("bdc->dbc", mask) | np.einsum("cdb->dbc", mask) | mask
-        _TRIPLES[key] = np.argwhere(live).tolist()
     low = np.zeros(dg.shape)
-    for d, b, c in _TRIPLES[key]:
-        low[d, b, c] = 0.5 * ((dg[b, d, c] + dg[c, d, b]) - dg[d, b, c])
-    return _contract("ad...,dbc...->abc...", ginv, low)
+    low_mask = np.zeros(mask.shape, dtype=bool)
+    for d, b, c in _live_indices(_lowered_live, mask):
+        component = low[d, b, c]
+        np.add(dg[b, d, c], dg[c, d, b], out=component)
+        component -= dg[d, b, c]
+        component *= 0.5
+        low_mask[d, b, c] = component.any()
+    return _contract("ad...,dbc...->abc...", ginv, _known(low, low_mask))
 
 
 def riemann_from(gamma, dgamma):
-    """R^a_bcd from Christoffels and dgamma[e, a, b, c] = d_e Gamma^a_bc."""
-    r = np.einsum("cadb...->abcd...", dgamma).copy()
-    r -= np.einsum("dacb...->abcd...", dgamma)
-    del dgamma  # with no caller reference left, this frees it before the Gamma*Gamma terms
+    """R^a_bcd from Christoffels and dgamma[e, a, b, c] = d_e Gamma^a_bc.
+
+    R^a_bcd = ((dgamma[c, a, d, b] - dgamma[d, a, c, b]) + gg[a, b, c, d])
+    - gg[a, b, d, c] with gg = Gamma^a_ce Gamma^e_db, in that order, as a dense
+    assembly would round it.  Only the components where one of the four terms
+    is live are assembled (mesh._live; gg's mask is the one _contract records),
+    the others stay +0.0.  That is the dense result bit for bit: there both gg
+    terms are the +0.0 _contract leaves in a component it never writes, and
+    (+-0.0 - +-0.0) + 0.0 - 0.0 is +0.0.
+    """
     gg = _contract("ace...,edb...->abcd...", gamma, gamma)
-    r += gg
-    r -= np.swapaxes(gg, 2, 3)  # Gamma^a_de Gamma^e_cb is gg with c and d swapped
+    r = np.zeros(gg.shape)
+    for a, b, c, d in _live_indices(_riemann_live, _live(dgamma, 4), _live(gg, 4)):
+        component = r[a, b, c, d]
+        np.subtract(dgamma[c, a, d, b], dgamma[d, a, c, b], out=component)
+        component += gg[a, b, c, d]
+        component -= gg[a, b, d, c]
     return r
 
 

@@ -240,20 +240,43 @@ def _known(arr, mask):
     return arr
 
 
+def _recorded(data):
+    """The recorded mask of a read-only `data`, or of the owner of which it is owner[j]; else None.
+
+    A view qualifies only if it is exactly owner[j] for an integer j: the
+    owner's dtype, shape and strides past the leading axis, and an offset of j
+    leading strides.
+    """
+    owner = data.base
+    if owner is None:
+        ref, mask = _MASKS.get(id(data), (None, None))
+        return mask if ref is not None and ref() is data else None
+    if (not isinstance(owner, np.ndarray) or owner.flags.writeable or data.dtype != owner.dtype
+            or data.shape != owner.shape[1:] or data.strides != owner.strides[1:]):
+        return None
+    ref, mask = _MASKS.get(id(owner), (None, None))
+    if ref is None or ref() is not owner or mask.ndim < 1:
+        return None
+    j, rest = divmod(data.ctypes.data - owner.ctypes.data, owner.strides[0] or 1)
+    return mask[j] if rest == 0 and 0 <= j < owner.shape[0] else None
+
+
 def _live(data, rank):
     """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere.
 
     A read-only owner is scanned at most once; its recorded mask is served,
-    reduced to `rank`.  Anything writeable, and any view, is scanned.
+    reduced to `rank`.  An integer index owner[j] of a recorded read-only
+    owner is served the slice mask[j] of its record.  Anything writeable, and
+    any other view, is scanned.
     """
-    frozen = isinstance(data, np.ndarray) and not data.flags.writeable and data.base is None
+    frozen = isinstance(data, np.ndarray) and not data.flags.writeable
     if frozen:
-        ref, mask = _MASKS.get(id(data), (None, None))
-        if ref is not None and ref() is data and mask.ndim >= rank:
+        mask = _recorded(data)
+        if mask is not None and mask.ndim >= rank:
             return mask if mask.ndim == rank else np.logical_or.reduce(
                 mask, axis=tuple(range(rank, mask.ndim)))
     mask = np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
-    if frozen:
+    if frozen and data.base is None:
         _known(data, mask)
     return mask
 

@@ -56,5 +56,19 @@ def dense_christoffels_from(ginv, dg):
     return _contract("ad...,dbc...->abc...", ginv, low) * 0.5  # low[d, b, c] = 2 Gamma_dbc
 
 
+def dense_riemann_from(gamma, dgamma):
+    """R^a_bcd with every component assembled densely.
+
+    The reference for geometry.riemann_from, which assembles only the live
+    components.
+    """
+    r = np.einsum("cadb...->abcd...", dgamma).copy()
+    r -= np.einsum("dacb...->abcd...", dgamma)
+    gg = _contract("ace...,edb...->abcd...", gamma, gamma)
+    r += gg
+    r -= np.swapaxes(gg, 2, 3)  # Gamma^a_de Gamma^e_cb is gg with c and d swapped
+    return r
+
+
 def grid3(n_s=17, leaf=16, ell=1.0):
     return Grid.product(ell, n_s, (leaf, leaf), (1.0, 1.0))

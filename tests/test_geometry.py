@@ -10,7 +10,7 @@ from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
                                spacetime_christoffels)
 from idrig.rigidity import rigid_recipe
-from helpers import SCHEME, dense_christoffels_from, grid3
+from helpers import SCHEME, dense_christoffels_from, dense_riemann_from, grid3
 
 
 CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
@@ -118,6 +118,86 @@ def test_block_inverse_raises_on_a_singular_block():
             warnings.simplefilter("error")  # no division-by-zero warning and inf
             with pytest.raises(np.linalg.LinAlgError):
                 geometry.inverse(singular)
+
+
+def constant_along(g, axes):
+    """A copy of the metric array `g` that takes its first slice along every grid axis in `axes`."""
+    for axis in axes:
+        g = np.broadcast_to(g[(slice(None),) * (2 + axis) + (slice(0, 1),)], g.shape)
+    return np.ascontiguousarray(g)
+
+
+def per_node_inverse(g):
+    """Each node's block inverted alone: by LAPACK, or a division for a 1x1 block."""
+    want = np.zeros(g.shape)
+    for block in geometry.metric_blocks(g):
+        ix = np.ix_(block, block)
+        for node in np.ndindex(*g.shape[2:]):
+            m = g[ix][(Ellipsis,) + node]
+            inv = 1.0 / m if len(block) == 1 else np.linalg.inv(m)
+            for p, i in enumerate(block):
+                for q, j in enumerate(block):
+                    want[(i, j) + node] = inv[p, q]
+    return want
+
+
+def constancies(ndim):
+    """Grid axes to hold constant: none, the first, the others, all."""
+    return ((), (0,), tuple(range(1, ndim)), tuple(range(ndim)))
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_distinct_node_inverse_equals_per_node_lapack(ndim, pattern):
+    g = pattern_metric(pattern_grid(ndim), pattern)[(slice(None),) * 2 + (slice(0, 3),) * ndim]
+    for axes in constancies(ndim):
+        const = constant_along(g, axes)
+        big = max(geometry.metric_blocks(const), key=len)
+        cut = geometry._block_matrices(const, big).shape[:-2]
+        assert all(cut[axis] == 1 for axis in axes), axes  # LAPACK sees one slice
+        assert geometry.inverse(const).tobytes() == per_node_inverse(const).tobytes(), axes
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+@pytest.mark.parametrize("pattern", ("diagonal", "dense", "permuted"))
+def test_distinct_node_sqrt_det_equals_the_full_cholesky_product(ndim, pattern):
+    grid = pattern_grid(ndim)
+    for axes in constancies(ndim):
+        g = constant_along(pattern_metric(grid, pattern), axes)
+        chol = np.linalg.cholesky(np.moveaxis(g, (0, 1), (-2, -1)))
+        want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+        got = geometry.MetricField(Field(grid, "sym2", g)).sqrt_det
+        assert got.shape == grid.shape and got.tobytes() == want.tobytes(), axes
+
+
+def test_distinct_nodes_tell_negative_from_positive_zero():
+    # a constant metric but for the sign of g_01 = 0 along x1; LAPACK's
+    # eigenvalues of this matrix depend on that sign
+    grid = pattern_grid(3)
+    g = np.array([[1.0, 0.0, 0.1], [0.0, 1.1, 0.2], [0.1, 0.2, 1.2]])[..., None, None, None]
+    g = np.ascontiguousarray(np.broadcast_to(g, (3, 3) + grid.shape))
+    g[0, 1, :, 1::2] = g[1, 0, :, 1::2] = -0.0
+    per_node = np.moveaxis(g, (0, 1), (-2, -1))
+    eigs = np.linalg.eigvalsh(per_node)
+    assert eigs[0, 0, 0].tobytes() != eigs[0, 1, 0].tobytes()
+    cut = geometry._block_matrices(g, (0, 1, 2))
+    assert cut.shape == (1, 8, 1, 3, 3)  # s and x2 are cut, x1 is not
+    assert np.broadcast_to(np.linalg.eigvalsh(cut), eigs.shape).tobytes() == eigs.tobytes()
+    assert geometry.inverse(g).tobytes() == per_node_inverse(g).tobytes()
+    chol = np.linalg.cholesky(per_node)
+    want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+    got = geometry.MetricField(Field(grid, "sym2", g)).sqrt_det
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_singular_node_on_a_constant_axis_still_raises():
+    g = constant_along(pattern_metric(pattern_grid(3), "permuted"), (1,))
+    g[np.ix_((0, 2), (0, 2), (4,))] = 1.0  # the block {0, 2} at the nodes s = 4, every x1
+    assert geometry._block_matrices(g, (0, 2)).shape[1] == 1
+    with pytest.raises(np.linalg.LinAlgError):
+        geometry.inverse(g)
+    with pytest.raises(DataError, match="not positive definite"):
+        geometry.MetricField(Field(pattern_grid(3), "sym2", g))
 
 
 @pytest.mark.parametrize("index", ((1, 1), (0, 2)))
@@ -386,6 +466,38 @@ def test_live_lowering_equals_the_dense_lowering_bit_for_bit(ndim):
     for name, (ginv, dg) in christoffel_cases(ndim).items():
         got, want = geometry.christoffels_from(ginv, dg), dense_christoffels_from(ginv, dg)
         assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name  # the sign of zero included
+
+
+def riemann_cases(ndim):
+    """(gamma, dgamma) pairs: Christoffels of three metric patterns with their
+    partials, then a dgamma that is not the stack of gamma, then -0.0 entries."""
+    grid = pattern_grid(ndim)
+    cases = {}
+    for pattern in ("diagonal", "gbar", "dense"):
+        g = pattern_metric(grid, pattern)
+        stack = dead_v_partials if pattern == "gbar" else partial_stack
+        gamma = geometry.christoffels_from(geometry.inverse(g), stack(g, grid, SCHEME))
+        cases[pattern] = (gamma, stack(gamma, grid, SCHEME))
+    gamma, dgamma = cases["diagonal"]
+    rng = np.random.default_rng(20 + ndim)
+    other = rng.standard_normal(dgamma.shape)
+    other[rng.random(dgamma.shape[:4]) < 0.7] = 0.0  # live where gamma's stack is dead
+    cases["other dgamma"] = (gamma, other)
+    signed_gamma, signed = gamma.copy(), other.copy()
+    for arr, rank in ((signed_gamma, 3), (signed, 4)):
+        arr[rng.random(arr.shape) < 0.3] = -0.0  # inside live slices
+        arr[rng.random(arr.shape[:rank]) < 0.3] = -0.0  # whole slices, which count as dead
+    cases["negative zeros"] = (signed_gamma, signed)
+    return cases
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+def test_live_riemann_equals_the_dense_riemann_bit_for_bit(ndim):
+    for name, (gamma, dgamma) in riemann_cases(ndim).items():
+        got, want = geometry.riemann_from(gamma, dgamma), dense_riemann_from(gamma, dgamma)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.flags.c_contiguous, name
         assert got.tobytes() == want.tobytes(), name  # the sign of zero included
 
 

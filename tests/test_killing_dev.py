@@ -116,6 +116,46 @@ def test_lorentz_signature_defect_counts_block_by_block_as_the_dense_count():
     assert bad == dense_signature_defect(two) == 5 * 8 * 8  # the even s nodes
 
 
+def development_metric(grid):
+    """A gbar-pattern metric on `grid`: {v, s} block with gbar_vv = 0, diagonal leaf part."""
+    x = np.meshgrid(*(grid.axis_coords(i) for i in range(grid.ndim)), indexing="ij")
+    n = grid.ndim + 1
+    gbar = np.zeros((n, n) + grid.shape)
+    gbar[0, 1] = gbar[1, 0] = -1.0 + 0.2 * np.sin(2 * np.pi * x[-1]) * np.cos(x[0])
+    for i in range(1, n):
+        gbar[i, i] = 1.0 + 0.3 * np.cos(2 * np.pi * x[i % grid.ndim] + i) * np.sin(x[0])
+    return gbar
+
+
+def constant_along(g, axes):
+    for axis in axes:
+        g = np.broadcast_to(g[(slice(None),) * (2 + axis) + (slice(0, 1),)], g.shape)
+    return np.ascontiguousarray(g)
+
+
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+def test_distinct_node_signature_count_equals_the_per_node_count(ndim):
+    grid = Grid.product(1.0, 9, (8,) * (ndim - 1), (1.0,) * (ndim - 1))
+    gbar = development_metric(grid)
+    gbar[2, 2, 3::4] = -0.5  # a second negative direction on two s slices
+    for axes in ((), (0,), tuple(range(1, ndim)), tuple(range(ndim))):
+        const = constant_along(gbar, axes)
+        cut = geometry._block_matrices(const, (0, 1)).shape[:-2]
+        assert all(cut[axis] == 1 for axis in axes), axes
+        assert lorentz_signature_defect(const) == dense_signature_defect(const), axes
+    assert lorentz_signature_defect(gbar) == 2 * 8 ** (ndim - 1)
+
+
+def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
+    # a wave whose profile depends on s alone, so every block is constant along
+    # the leaves; at one s node the leaf direction x2 turns timelike
+    grid = grid3(9, 8)
+    wave = ppwave_metric(ppwave(grid, "1 + 0.5*s^2", SCHEME))
+    wave[3, 3, 4] = -1.0
+    assert geometry._block_matrices(wave, (3,)).shape == (9, 1, 1, 1, 1)
+    assert lorentz_signature_defect(wave) == dense_signature_defect(wave) == 8 * 8
+
+
 # --- developments of rigid data -----------------------------------------------------
 
 

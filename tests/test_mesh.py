@@ -362,6 +362,72 @@ def test_a_superset_mask_keeps_einsums_bits():
     assert np.array_equal(got, want)
 
 
+def fresh_scan(data, rank):
+    return np.logical_or.reduce(np.asarray(data), axis=tuple(range(rank, np.ndim(data))))
+
+
+def test_the_lowered_christoffels_carry_their_exact_mask(monkeypatch):
+    rng = np.random.default_rng(12)
+    n, shape = 3, (5, 4)
+    ginv = np.eye(n)[..., None, None] + 0.1 * rng.standard_normal((n, n) + shape)
+    dg = rng.standard_normal((n, n, n) + shape)
+    dg[rng.random((n, n, n)) < 0.5] = 0.0
+    dg[1, 0, 1] = rng.standard_normal(shape)
+    dg[0, 1, 1] = 2.0 * dg[1, 0, 1]  # Gamma_011 = 0.5*((x + x) - 2x) cancels to exactly 0
+    lowered = []
+
+    def capture(subscripts, ginv, low):
+        lowered.append(low)
+        return mesh._contract(subscripts, ginv, low)
+
+    monkeypatch.setattr(geometry, "_contract", capture)
+    geometry.christoffels_from(ginv, dg)
+    (low,) = lowered
+    assert not low.flags.writeable and low.base is None
+    assert not np.any(low[0, 1, 1])
+    recorded = mesh._live(low, 3)
+    assert not recorded[0, 1, 1]  # a live triple that cancels stays dead
+    assert np.array_equal(recorded, fresh_scan(low, 3))
+
+
+def recorded_owner(rng, mask=None):
+    """A read-only array with dead component slices, recorded with `mask` (default: a scan)."""
+    data = rng.standard_normal((3, 3, 4, 5))
+    data[0, 1] = data[2] = 0.0
+    data[1, 2] = -0.0
+    return mesh._known(data, fresh_scan(data, 2) if mask is None else mask)
+
+
+def test_an_integer_index_of_a_recorded_owner_is_served_its_slice_of_the_record():
+    rng = np.random.default_rng(13)
+    owner = recorded_owner(rng)
+    for i in range(3):
+        for rank in (0, 1):
+            assert np.array_equal(mesh._live(owner[i], rank), fresh_scan(owner[i], rank))
+    # served, not scanned: a record that calls every component live reaches the view
+    loose = recorded_owner(rng, np.ones((3, 3), dtype=bool))
+    assert mesh._live(loose[2], 1).all()
+    assert loose[2].base is loose and id(loose[2]) not in mesh._MASKS  # no record for views
+
+
+def test_other_views_and_writeable_arrays_are_scanned():
+    rng = np.random.default_rng(14)
+    loose = recorded_owner(rng, np.ones((3, 3), dtype=bool))
+    for view in (loose[::2], loose[:, 1], loose[0, 1:], loose[1, 2], loose[1][None]):
+        rank = min(view.ndim - 2, 1)
+        assert np.array_equal(mesh._live(view, rank), fresh_scan(view, rank))
+    writeable = np.array(loose)
+    view = writeable[2]
+    assert not mesh._live(view, 1).any()
+    view[1] = 1.0  # written through the view between two calls
+    assert np.array_equal(mesh._live(view, 1), [False, True, False])
+    frozen_view = writeable[0]
+    frozen_view.flags.writeable = False  # read-only, but its owner is not
+    assert np.array_equal(mesh._live(frozen_view, 1), [True, False, True])
+    writeable[0, 1] = 1.0
+    assert mesh._live(frozen_view, 1).all()
+
+
 # --- fields --------------------------------------------------------------------
 
 
