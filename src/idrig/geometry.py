@@ -19,8 +19,13 @@ component pattern (mesh._live): i and j share a block when g_ij is nonzero at
 some node, directly or through other indices.  The inverse, the Cholesky
 factor behind sqrt(det g) and the signature count work block by block, a 1x1
 block by a division or a square root, a larger one by LAPACK on that block
-alone.  On finite data sqrt(det g) equals the whole-matrix Cholesky product bit
-for bit.  So does the inverse for diagonal and dense metrics and for a
+alone, once per distinct node: along every grid axis on which the block is
+constant, compared bit by bit so that -0.0 and +0.0 stay apart, LAPACK sees one
+slice and its result is broadcast back.  A development or pp-wave {v, s} block
+depends on one or two coordinates, so on a 12^4 wave 12 of its 20,736 blocks
+are factored.  LAPACK factors each matrix of a stack on its own, so this
+changes no bit.  On finite data sqrt(det g) equals the whole-matrix Cholesky
+product bit for bit.  So does the inverse for diagonal and dense metrics and for a
 development metric with a diagonal leaf part ({v, s} first, then 1x1 blocks),
 on the OpenBLAS kernels tried (SkylakeX, Haswell).  Other patterns can differ
 from np.linalg.inv of the whole matrix by a few ulps of the node's largest

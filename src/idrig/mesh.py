@@ -29,12 +29,17 @@ is inf or NaN, einsum's product is NaN; the skipped one is not.)
 Which slices are zero is found by a scan (`_live`), at most once for an
 array nobody can write.  `_contract` results and metric inverses come back
 read-only with a recorded mask: the output components that have a live
-product, and one scan of the inverse.  A read-only owner with no record (a
-value initial_data stores) is scanned once, then recorded.  Read-only keeps a
-record true while its array lives; the record goes with the array.  Writeable
-arrays and views are scanned on every call.  A recorded mask may call an
-exactly-0 slice live; that only adds exact-0 products, which einsum multiplies
-too, so the bits stay einsum's.
+product, and one scan of the inverse.  The lowered Christoffels inside
+geometry.christoffels_from record the exact mask as they are written, one
+check per written component, so a component whose terms cancel to 0 stays
+dead.  A read-only owner with no record (a value initial_data stores) is
+scanned once, then recorded.  Read-only keeps a record true while its array
+lives; the record goes with the array.  A view that is an integer index
+owner[j] of a recorded read-only owner (such as the gamma[i + 1] that
+killing_dev.spacetime_curvature differentiates) is served the slice of the
+owner's record.  Writeable arrays and other views are scanned on every call.
+A recorded mask may call an exactly-0 slice live; that only adds exact-0
+products, which einsum multiplies too, so the bits stay einsum's.
 """
 
 from __future__ import annotations

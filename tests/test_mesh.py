@@ -413,9 +413,16 @@ def test_an_integer_index_of_a_recorded_owner_is_served_its_slice_of_the_record(
 def test_other_views_and_writeable_arrays_are_scanned():
     rng = np.random.default_rng(14)
     loose = recorded_owner(rng, np.ones((3, 3), dtype=bool))
-    for view in (loose[::2], loose[:, 1], loose[0, 1:], loose[1, 2], loose[1][None]):
+    for view in (loose[::2], loose[:, 1], loose[0, 1:], loose[1, :, ::2],
+                 np.swapaxes(loose[1], 0, 1), loose[1, 2], loose[1][None]):
         rank = min(view.ndim - 2, 1)
         assert np.array_equal(mesh._live(view, rank), fresh_scan(view, rank))
+    thawed = recorded_owner(rng)
+    thawed.flags.writeable = True  # its record no longer holds
+    thawed[2, 1] = 1.0
+    frozen_view = thawed[2]
+    frozen_view.flags.writeable = False
+    assert np.array_equal(mesh._live(frozen_view, 1), [False, True, False])
     writeable = np.array(loose)
     view = writeable[2]
     assert not mesh._live(view, 1).any()
