@@ -25,12 +25,12 @@ slice and its result is broadcast back.  A development or pp-wave {v, s} block
 depends on one or two coordinates, so on a 12^4 wave 12 of its 20,736 blocks
 are factored.  LAPACK factors each matrix of a stack on its own, so this
 changes no bit.  On finite data sqrt(det g) equals the whole-matrix Cholesky
-product bit for bit.  So does the inverse for diagonal and dense metrics and for a
-development metric with a diagonal leaf part ({v, s} first, then 1x1 blocks),
-on the OpenBLAS kernels tried (SkylakeX, Haswell).  Other patterns can differ
-from np.linalg.inv of the whole matrix by a few ulps of the node's largest
-entry, because OpenBLAS's triangular solve rounds a row by where it sits in the
-whole matrix.
+product bit for bit.  So does the inverse for diagonal and dense metrics and
+for a development metric with a diagonal leaf part ({v, s} first, then 1x1
+blocks), on the OpenBLAS kernels tried (SkylakeX, Haswell).  Other patterns can
+differ from np.linalg.inv of the whole matrix by a few ulps of the node's
+largest entry, because OpenBLAS's triangular solve rounds a row by where it
+sits in the whole matrix.
 """
 
 from __future__ import annotations

@@ -72,3 +72,41 @@ def dense_riemann_from(gamma, dgamma):
 
 def grid3(n_s=17, leaf=16, ell=1.0):
     return Grid.product(ell, n_s, (leaf, leaf), (1.0, 1.0))
+
+
+def pattern_metric(grid, pattern):
+    """A smooth symmetric metric array on `grid` with the given zero pattern.
+
+    "permuted" couples only indices 0 and n-1; "gbar" is a development metric,
+    an indefinite {v, s} block with gbar_vv = 0 beside a diagonal leaf part, so
+    it has one more index than the grid has axes.
+    """
+    x = np.meshgrid(*(grid.axis_coords(i) for i in range(grid.ndim)), indexing="ij")
+
+    def wave(k):
+        return (np.sin(2 * np.pi * (k + 1) * x[k % grid.ndim] + k)
+                * np.cos(2 * np.pi * x[(k + 1) % grid.ndim]))
+
+    n = grid.ndim + (pattern == "gbar")
+    g = np.zeros((n, n) + grid.shape)
+    for i in range(n):
+        g[i, i] = 1.0 + 0.3 * wave(i)
+    pairs = {"diagonal": [], "dense": [(i, j) for i in range(n) for j in range(i + 1, n)],
+             "permuted": [(0, n - 1)], "gbar": [(0, 1)]}[pattern]
+    for k, (i, j) in enumerate(pairs):
+        g[i, j] = g[j, i] = 0.4 * wave(k + 3)
+    if pattern == "gbar":
+        g[0, 0] = 0.0
+        g[0, 1] = g[1, 0] = -1.0 + 0.2 * wave(5)
+    return g
+
+
+def pattern_grid(ndim):
+    return Grid.product(1.0, 10, (8,) * (ndim - 1), (1.0,) * (ndim - 1))
+
+
+def constant_along(g, axes):
+    """A copy of the metric array `g` that is constant along each grid axis in `axes`."""
+    for axis in axes:
+        g = np.broadcast_to(g[(slice(None),) * (2 + axis) + (slice(0, 1),)], g.shape)
+    return np.ascontiguousarray(g)

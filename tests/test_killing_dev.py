@@ -16,7 +16,7 @@ from idrig.killing_dev import (dead_v_partials, lorentz_signature_defect,
                                restricted_killing_section, kd_roundtrip,
                                dump_frame_table_csv, ppwave_metric,
                                spacetime_christoffels, spacetime_curvature)
-from helpers import SCHEME, grid3
+from helpers import SCHEME, constant_along, grid3, pattern_grid, pattern_metric
 
 
 # --- spacetime calculus -------------------------------------------------------------
@@ -116,27 +116,9 @@ def test_lorentz_signature_defect_counts_block_by_block_as_the_dense_count():
     assert bad == dense_signature_defect(two) == 5 * 8 * 8  # the even s nodes
 
 
-def development_metric(grid):
-    """A gbar-pattern metric on `grid`: {v, s} block with gbar_vv = 0, diagonal leaf part."""
-    x = np.meshgrid(*(grid.axis_coords(i) for i in range(grid.ndim)), indexing="ij")
-    n = grid.ndim + 1
-    gbar = np.zeros((n, n) + grid.shape)
-    gbar[0, 1] = gbar[1, 0] = -1.0 + 0.2 * np.sin(2 * np.pi * x[-1]) * np.cos(x[0])
-    for i in range(1, n):
-        gbar[i, i] = 1.0 + 0.3 * np.cos(2 * np.pi * x[i % grid.ndim] + i) * np.sin(x[0])
-    return gbar
-
-
-def constant_along(g, axes):
-    for axis in axes:
-        g = np.broadcast_to(g[(slice(None),) * (2 + axis) + (slice(0, 1),)], g.shape)
-    return np.ascontiguousarray(g)
-
-
 @pytest.mark.parametrize("ndim", (2, 3, 4))
 def test_distinct_node_signature_count_equals_the_per_node_count(ndim):
-    grid = Grid.product(1.0, 9, (8,) * (ndim - 1), (1.0,) * (ndim - 1))
-    gbar = development_metric(grid)
+    gbar = pattern_metric(pattern_grid(ndim), "gbar")
     gbar[2, 2, 3::4] = -0.5  # a second negative direction on two s slices
     for axes in ((), (0,), tuple(range(1, ndim)), tuple(range(ndim))):
         const = constant_along(gbar, axes)
