@@ -246,11 +246,11 @@ def _known(arr, mask):
 
 
 def _recorded(data):
-    """The recorded mask of a read-only `data`, or of the owner of which it is owner[j]; else None.
+    """The recorded mask of read-only `data`, or mask[j] of its owner's if it is owner[j].
 
     A view qualifies only if it is exactly owner[j] for an integer j: the
     owner's dtype, shape and strides past the leading axis, and an offset of j
-    leading strides.
+    leading strides.  None when there is no such record.
     """
     owner = data.base
     if owner is None:
