@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _known, _live,
-                   partial_stack)
+                   _recorded_stack, partial_stack)
 
 # --- pure array core ---------------------------------------------------------
 
@@ -233,8 +233,7 @@ class MetricField:
 
 
 def christoffels(metric, scheme=DEFAULT_SCHEME):
-    dg = partial_stack(metric.data, metric.grid, scheme)
-    return christoffels_from(metric.ginv, dg)
+    return christoffels_from(metric.ginv, _recorded_stack(metric.data, metric.grid, scheme))
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ class CurvatureBundle:
 
 def curvature(metric, scheme=DEFAULT_SCHEME):
     gam = christoffels(metric, scheme)
-    r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
+    r_up = riemann_from(gam, _recorded_stack(gam, metric.grid, scheme))
     ric = np.einsum("abad...->bd...", r_up)
     scal = _contract("bd...,bd...->...", metric.ginv, ric)
     return CurvatureBundle(gam, ric, scal)

@@ -32,17 +32,18 @@ from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints, derived)
 from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract,
-                   _partials_into, dump_csv, partial, partial_stack)
+                   _recorded_stack, dump_csv, partial, partial_stack)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
 
 
 def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
-    """Spacetime coordinate derivatives: zero along v, grid partials on M."""
-    out = np.zeros((grid.ndim + 1,) + np.shape(data))
-    _partials_into(out[1:], data, grid, range(grid.ndim), scheme)
-    return out
+    """Spacetime coordinate derivatives: zero along v, grid partials on M.
+
+    Read-only, with its exact mask recorded (mesh._known).
+    """
+    return _recorded_stack(data, grid, scheme, zero_axes=1)
 
 
 def lorentz_signature_defect(gbar):

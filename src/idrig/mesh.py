@@ -17,10 +17,22 @@ Structural zeros: a component slice that is exactly 0.0 at every node (NaN and
 inf count as nonzero) is never handed to a kernel.  `partial` and
 `partial_stack` differentiate only the other components, in one batch, and
 leave these exactly 0, as every scheme would; a stack is written axis by axis
-into one preallocated array.  `_contract`, which every multi-operand pointwise
-contraction goes through, multiplies only the products with no such factor.
-It sums each output component over its summed labels in ascending order,
-outermost first, factors left to right, into a fresh C-contiguous array.  With
+into one preallocated array.
+
+Repeated components: symmetric tensors (a metric, the Christoffels in their
+last two indices) hold components equal bit for bit.  On lines of at least
+_DISTINCT_MIN_NODES nodes only the first of each is differentiated and the
+others get a copy of its derivative.  This rests on every kernel treating
+each line on its own: the stencils are elementwise along the other axes and
+pocketfft transforms every line by itself, so the copy is the derivative
+bit for bit.  Lines are matched through .view(np.uint64), so -0.0 and +0.0
+never merge: first at a fixed spread of probe nodes, then confirmed over the
+whole line.  On shorter lines the search costs more than the kernel it saves.
+
+`_contract`, which every multi-operand pointwise contraction goes through,
+multiplies only the products with no all-zero factor slice.  It sums each
+output component over its summed labels in ascending order, outermost first,
+factors left to right, into a fresh C-contiguous array.  With
 component axes C-ordered and grid axes innermost, as every caller passes them,
 that is np.einsum's order, so the result is einsum's bit for bit: a skipped
 product is exactly zero and cannot change a float sum.  (Where another factor
@@ -29,7 +41,13 @@ is inf or NaN, einsum's product is NaN; the skipped one is not.)
 Which slices are zero is found by a scan (`_live`), at most once for an
 array nobody can write.  `_contract` results and metric inverses come back
 read-only with a recorded mask: the output components that have a live
-product, and one scan of the inverse.  The lowered Christoffels inside
+product, and one scan of the inverse.  So do the partial stacks that only
+feed a kernel (the dg of geometry.christoffels, the dgamma of
+geometry.curvature, killing_dev.dead_v_partials): their mask per axis and
+component comes from one reduce over each distinct derivative, so it is
+exact where a live component has a derivative that is 0 at every node.
+`partial` and `partial_stack` stay writeable, because callers subtract into
+their results.  The lowered Christoffels inside
 geometry.christoffels_from record the exact mask as they are written, one
 check per written component, so a component whose terms cancel to 0 stays
 dead.  A read-only owner with no record (a value initial_data stores) is
@@ -286,14 +304,74 @@ def _live(data, rank):
     return mask
 
 
-def _partials_into(out, data, grid, axes, scheme):
-    """Fill out[k] with the derivative along axes[k]; zero components skip the kernel."""
+# Below this many nodes a repeated line is cheaper to differentiate again than
+# to search for.  Measured on whole rigidity, killing-dev and ppwave reports:
+# with the search, 2D grids of 512-2048 nodes ran 1-3% slower and 3D grids of
+# 1728-4096 nodes 2-5% faster.
+_DISTINCT_MIN_NODES = 4096
+
+
+@lru_cache(maxsize=64)
+def _probes(shape):
+    """A fixed spread of nodes, as an index tuple, where lines are compared first."""
+    size = math.prod(shape)
+    picks = np.random.default_rng(0).choice(size, min(16, size), replace=False)
+    return np.unravel_index(np.sort(picks), shape)
+
+
+def _first_equal(bits, rows):
+    """Per row of bits[rows], the position in `rows` of the first row equal to it bit for bit.
+
+    Rows are matched at the probe nodes, and a match is confirmed over the
+    whole line, so the answer is exact.
+    """
+    probe = bits[(rows[:, None],) + _probes(bits.shape[1:])]
+    first = (probe[:, None] == probe[None]).all(axis=2).argmax(axis=1)
+    for i in np.flatnonzero(first != np.arange(len(rows))):
+        if not np.array_equal(bits[rows[i]], bits[rows[first[i]]]):
+            first[i] = i
+    return first
+
+
+def _partials_into(out, data, grid, axes, scheme, mask=None):
+    """Fill out[k] with the derivative along axes[k]; zero components skip the kernel.
+
+    On lines of at least _DISTINCT_MIN_NODES nodes a component equal bit for
+    bit to an earlier one gets a copy of that one's derivative.  A given
+    `mask` (out's leading axes) is filled with where out is nonzero somewhere.
+    """
     live = _live(data, np.ndim(data) - grid.ndim).reshape(-1)
     flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
+    copies = []
+    if flat[0].size >= _DISTINCT_MIN_NODES and np.count_nonzero(live) > 1:
+        rows = np.flatnonzero(live)
+        first = _first_equal(flat.view(np.uint64), rows)
+        repeat = first != np.arange(len(rows))
+        copies = list(zip(rows[repeat].tolist(), rows[first[repeat]].tolist()))
+        live = live.copy()  # it may be a recorded mask
+        live[rows[repeat]] = False
     nonzero = flat[live]
-    for axis, axis_out in zip(axes, out.reshape((len(axes),) + flat.shape)):
-        axis_out[live] = _derivative(nonzero, grid, axis, scheme)
+    stack = out.reshape((len(axes),) + flat.shape)
+    written = None if mask is None else mask.reshape(stack.shape[:2])
+    for k, (axis, axis_out) in enumerate(zip(axes, stack)):
+        derivative = _derivative(nonzero, grid, axis, scheme)
+        axis_out[live] = derivative
+        if written is not None:
+            written[k, live] = np.logical_or.reduce(derivative, axis=tuple(range(1, flat.ndim)))
+    for row, source in copies:
+        stack[:, row] = stack[:, source]
+        if written is not None:
+            written[:, row] = written[:, source]
     return out
+
+
+def _recorded_stack(data, grid, scheme, zero_axes=0):
+    """partial_stack after `zero_axes` derivatives that are 0, read-only, with its exact
+    (axis, component) mask recorded (see _known)."""
+    out = np.zeros((zero_axes + grid.ndim,) + np.shape(data))
+    mask = np.zeros(out.shape[:out.ndim - grid.ndim], dtype=bool)
+    _partials_into(out[zero_axes:], data, grid, range(grid.ndim), scheme, mask[zero_axes:])
+    return _known(out, mask)
 
 
 @lru_cache(maxsize=None)

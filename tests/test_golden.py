@@ -296,8 +296,10 @@ def regenerate_fields():
                 continue
             name, head = key.split(":", 1)
             column = ref["files"][name]["header"].index(head)
+            kept = case["files"][name]["columns"][column]
+            stored = ref["files"][name]["columns"][column]
             for i in cells:  # every differing cell is within tolerance
-                case["files"][name]["columns"][column][i] = ref["files"][name]["columns"][column][i]
+                kept[i] = stored[i]
             print(f"{label}: {key} within tolerance, kept")
     for label in sorted(set(old) - set(new)):
         print(f"{label}: field case removed")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from idrig import exprlang, geometry, mesh
-from idrig.killing_dev import build_kd, kd_dec_check, kd_roundtrip, ppwave, ppwave_einstein_check
+from idrig.killing_dev import (build_kd, dead_v_partials, kd_dec_check, kd_roundtrip, ppwave,
+                               ppwave_einstein_check)
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, leaf_index, leaf_values, leaf_block,
                         integrate, integrate_leaf, l2_inner, l2_norm,
@@ -113,19 +114,43 @@ def test_partial_stack_shape_and_content():
         assert np.allclose(st[ax], partial(f, g, ax, SCHEME))
 
 
+def _unprobed_node(grid):
+    """A node where the duplicate search does not compare lines before confirming a match."""
+    probed = set(np.ravel_multi_index(mesh._probes(grid.shape), grid.shape).tolist())
+    return np.unravel_index(min(set(range(math.prod(grid.shape))) - probed), grid.shape)
+
+
 def _component_cases(grid, rng):
-    """Random tensors with zero components, an all-zero tensor, a scalar, a strided slice."""
+    """Random tensors with zero components, an all-zero tensor, a scalar, a strided slice,
+    then tensors with bitwise-equal components and pairs that are almost equal."""
     sparse = rng.standard_normal((3, 3) + grid.shape)
     sparse[0, 1] = sparse[1, 0] = sparse[2, 2] = 0.0
+    sym2 = rng.standard_normal((3, 3) + grid.shape)
+    sym2 = sym2 + np.swapaxes(sym2, 0, 1)
+    gamma = rng.standard_normal((3, 3, 3) + grid.shape)
+    gamma = gamma + np.swapaxes(gamma, 1, 2)
+    gamma[0, 1, 2] = gamma[0, 2, 1] = 0.0
+    diagonal = np.zeros((3, 3) + grid.shape)
+    diagonal[0, 0] = diagonal[1, 1] = diagonal[2, 2] = rng.standard_normal(grid.shape)
+    signed = rng.standard_normal((2,) + grid.shape)
+    signed[0, 3, 5] = 0.0  # a run of zeros, where fd2 passes the sign of a zero on
+    signed[1] = signed[0]
+    signed[1, 3, 5, 7] = -0.0  # equal in value, not in bits
+    one_node = np.stack([signed[0], signed[0]])
+    one_node[1][_unprobed_node(grid)] += 1.0  # equal wherever the search compares first
     return {"sparse": sparse, "all zero": np.zeros((2, 2) + grid.shape),
-            "scalar": rng.standard_normal(grid.shape), "strided": sparse[1:, ::2]}
+            "scalar": rng.standard_normal(grid.shape), "strided": sparse[1:, ::2],
+            "symmetric": sym2, "symmetric in the last two": gamma,
+            "equal diagonal": diagonal, "signed zero": signed, "one node apart": one_node}
 
 
 @pytest.mark.parametrize("s_scheme", ["fd2", "fd4"])
 @pytest.mark.parametrize("leaf_scheme", ["fd2", "fd4", "spectral"])
 def test_partials_equal_each_component_differentiated_alone(s_scheme, leaf_scheme):
-    # skipping zero components must not move a single bit: the kernel gives exactly 0 on them
-    g, scheme = grid3(9, 8), Scheme(s_scheme, leaf_scheme)
+    # skipping zero components must not move a single bit: the kernel gives exactly 0 on
+    # them, and a copied derivative is that of an equal line
+    g, scheme = grid3(), Scheme(s_scheme, leaf_scheme)
+    assert math.prod(g.shape) >= mesh._DISTINCT_MIN_NODES  # the duplicate search runs
     for name, data in _component_cases(g, np.random.default_rng(5)).items():
         stack = partial_stack(data, g, scheme)
         assert stack.shape == (3,) + data.shape, name
@@ -133,8 +158,8 @@ def test_partials_equal_each_component_differentiated_alone(s_scheme, leaf_schem
             got = partial(data, g, axis, scheme)
             for idx in np.ndindex(data.shape[:-3]):
                 alone = mesh._derivative(data[idx], g, axis, scheme)
-                assert np.array_equal(got[idx], alone), (name, axis, idx)
-                assert np.array_equal(stack[(axis,) + idx], alone), (name, axis, idx)
+                assert got[idx].tobytes() == alone.tobytes(), (name, axis, idx)
+                assert stack[(axis,) + idx].tobytes() == alone.tobytes(), (name, axis, idx)
 
 
 def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
@@ -142,19 +167,27 @@ def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
 
     def recording(kernel):
         def record(data, *args):
-            seen.append(np.any(data, axis=tuple(range(1, data.ndim))))
+            seen.append(data.copy())
             return kernel(data, *args)
         return record
 
     for name in ("_spectral_axis", "_fd4_interval"):
         monkeypatch.setattr(mesh, name, recording(getattr(mesh, name)))
-    g = grid3(9, 8)
+    g = grid3()
     for data in _component_cases(g, np.random.default_rng(6)).values():
         partial_stack(data, g, SCHEME)
         partial(data, g, 0, SCHEME)
     rigid_report(rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME))
     assert len(seen) > 20
-    assert all(mask.all() for mask in seen)  # one entry per component handed to a kernel
+    searched = 0
+    for batch in seen:  # one line per component handed to a kernel
+        assert np.any(batch, axis=tuple(range(1, batch.ndim))).all()
+        nodes = math.prod(batch.shape[1:])
+        if nodes >= mesh._DISTINCT_MIN_NODES:  # not the leaf grid's shorter lines
+            lines = {line.tobytes() for line in batch.reshape(len(batch), nodes)}
+            assert len(lines) == len(batch)  # no two lines equal bit for bit
+            searched += len(batch) > 1
+    assert searched > 10
 
 
 # --- pointwise contractions -------------------------------------------------------
@@ -388,6 +421,46 @@ def test_the_lowered_christoffels_carry_their_exact_mask(monkeypatch):
     recorded = mesh._live(low, 3)
     assert not recorded[0, 1, 1]  # a live triple that cancels stays dead
     assert np.array_equal(recorded, fresh_scan(low, 3))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_kernel_only_partial_stacks_are_read_only_with_their_exact_mask(monkeypatch):
+    g = grid3()
+    # g_11 depends on x1 alone, so its x2 derivative is exactly 0 though g_11 is live
+    metric = geometry.MetricField(sample(g, [
+        ["1 + 0.1*s^2", "0", "0"], ["0", "1 + 0.1*sin(2*pi*x1)", "0"],
+        ["0", "0", "1 + 0.2*cos(2*pi*x2)*(1 + 0.1*s)"]], kind="sym2"))
+    stacks = []
+
+    def capture(name, stack_arg):
+        kernel = getattr(geometry, name)
+
+        def captured(*args):
+            stacks.append((name, args[stack_arg]))
+            return kernel(*args)
+        monkeypatch.setattr(geometry, name, captured)
+
+    capture("christoffels_from", 1)
+    capture("riemann_from", 1)
+    capture("ricci_from", 2)
+    geometry.curvature(metric, SCHEME)
+    spec = ppwave(g, "1 + 0.2*sin(2*pi*x1)", SCHEME)
+    kd_roundtrip(spec, "0.05*s^2")
+    names = {name for name, _ in stacks}
+    assert names == {"christoffels_from", "riemann_from", "ricci_from"}
+    dg = dead_v_partials(metric.data, g, SCHEME)
+    for name, stack in stacks + [("dead_v_partials", dg)]:
+        rank = stack.ndim - g.ndim
+        assert not stack.flags.writeable and stack.base is None, name
+        recorded = mesh._recorded(stack)
+        assert recorded is not None and mesh._live(stack, rank) is recorded, name
+        assert np.array_equal(recorded, fresh_scan(stack, rank)), name
+    recorded = mesh._recorded(dg)
+    assert not recorded[0].any()  # nothing depends on v
+    assert recorded[2, 1, 1] and not recorded[3, 1, 1]  # d_x1 g_11 is live, d_x2 g_11 is 0
+    # the public derivatives stay writeable, for callers that subtract into them
+    for out in (partial(metric.data, g, 1, SCHEME), partial_stack(metric.data, g, SCHEME)):
+        assert out.flags.writeable and mesh._recorded(out) is None
 
 
 def recorded_owner(rng, mask=None):
