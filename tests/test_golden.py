@@ -11,7 +11,8 @@ repository root:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-which rewrites tests/golden/reports.json and tests/golden/fields.json.  A
+which rewrites tests/golden/reports.json, tests/golden/fields.json and
+tests/golden/fields3d.json.gz.  A
 residual or CSV number within the tolerance above of its stored value keeps
 the stored value, so a round-off move (another BLAS kernel, say) rewrites
 nothing; it is printed as "within tolerance, kept".  Every other key that
@@ -19,6 +20,7 @@ differs at all is rewritten and printed as "changed".
 """
 import contextlib
 import csv
+import gzip
 import io
 import json
 import sys
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 REPORTS = GOLDEN / "reports.json"
 FIELDS = GOLDEN / "fields.json"
+FIELDS_3D = GOLDEN / "fields3d.json.gz"
 
 # the benchmark's seven shipped-scene commands, then the other convergence
 # checks and the --tol run, then the scenes whose metrics are diagonal with a
@@ -63,11 +66,15 @@ CASES = [
     for command in commands]
 
 
-# the command lines whose --dump-fields CSVs are stored: the three data-set
-# commands on the 2D recipe and the pp-wave on the 2D wave
+# the command lines whose --dump-fields CSVs are stored: in fields.json the
+# three data-set commands on the 2D recipe and the pp-wave on the 2D wave; in
+# fields3d.json.gz, gzipped because their CSVs run to megabytes, the shipped 3D
+# recipe (constant along s and x2) and vacuum development (constant along both
+# leaf axes)
 FIELD_CASES = [[command, "tests/golden/recipe2d.scene"]
                for command in ("constraints", "rigidity", "killing-dev")] + [
     ["ppwave", "tests/golden/wave2d.scene"]]
+FIELD_CASES_3D = [["rigidity", "scenes/recipe.scene"], ["killing-dev", "scenes/vacuum_kd.scene"]]
 
 
 def _label(argv):
@@ -163,7 +170,14 @@ def field_differences(got, ref, close=residual_close):
 
 
 def _stored(path=None):
-    return json.loads((path or REPORTS).read_text())
+    path = path or REPORTS
+    if path.suffix == ".gz":
+        return json.loads(gzip.decompress(path.read_bytes()))
+    return json.loads(path.read_text())
+
+
+def _field_store(argv):
+    return FIELDS_3D if argv in FIELD_CASES_3D else FIELDS
 
 
 @pytest.mark.parametrize("argv", CASES, ids=_label)
@@ -176,9 +190,9 @@ def test_report_matches_golden(argv):
     assert not diffs, f"{_label(argv)} differs from its golden report in {diffs}: {detail}"
 
 
-@pytest.mark.parametrize("argv", FIELD_CASES, ids=_label)
+@pytest.mark.parametrize("argv", FIELD_CASES + FIELD_CASES_3D, ids=_label)
 def test_dumped_fields_match_golden(argv):
-    ref = _stored(FIELDS)[_label(argv)]
+    ref = _stored(_field_store(argv))[_label(argv)]
     got = run_fields(argv)
     assert got["files"], f"{_label(argv)} wrote no CSV"
     diffs = field_differences(got, ref)
@@ -188,6 +202,7 @@ def test_dumped_fields_match_golden(argv):
 def test_golden_file_covers_exactly_the_cases():
     assert sorted(_stored()) == sorted(_label(argv) for argv in CASES)
     assert sorted(_stored(FIELDS)) == sorted(_label(argv) for argv in FIELD_CASES)
+    assert sorted(_stored(FIELDS_3D)) == sorted(_label(argv) for argv in FIELD_CASES_3D)
 
 
 def test_field_comparison_is_cellwise():
@@ -279,10 +294,12 @@ def regenerate():
     REPORTS.write_text(json.dumps(new, sort_keys=True, indent=1) + "\n")
 
 
-def regenerate_fields():
-    """Rewrite tests/golden/fields.json, keeping every stored number within residual_close."""
-    old = _stored(FIELDS) if FIELDS.exists() else {}
-    new = {_label(argv): run_fields(argv) for argv in FIELD_CASES}
+def regenerate_fields(path=None, cases=None):
+    """Rewrite the CSV store `path` (fields.json) of `cases` (FIELD_CASES), keeping every
+    stored number within residual_close."""
+    path, cases = path or FIELDS, cases or FIELD_CASES
+    old = _stored(path) if path.exists() else {}
+    new = {_label(argv): run_fields(argv) for argv in cases}
     for label, case in new.items():
         if label not in old:
             print(f"{label}: new field case")
@@ -303,10 +320,15 @@ def regenerate_fields():
             print(f"{label}: {key} within tolerance, kept")
     for label in sorted(set(old) - set(new)):
         print(f"{label}: field case removed")
-    FIELDS.write_text(json.dumps(new, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(new, sort_keys=True, separators=(",", ":")) + "\n"
+    if path.suffix == ".gz":
+        path.write_bytes(gzip.compress(text.encode(), mtime=0))
+    else:
+        path.write_text(text)
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
     regenerate()
     regenerate_fields()
+    regenerate_fields(FIELDS_3D, FIELD_CASES_3D)
