@@ -21,9 +21,10 @@ factor behind sqrt(det g) and the signature count work block by block, a 1x1
 block by a division or a square root, a larger one by LAPACK on that block
 alone, once per distinct node: along every grid axis on which the block is
 constant, compared bit by bit so that -0.0 and +0.0 stay apart, LAPACK sees one
-slice and its result is broadcast back.  A development or pp-wave {v, s} block
-depends on one or two coordinates, so on a 12^4 wave 12 of its 20,736 blocks
-are factored.  LAPACK factors each matrix of a stack on its own, so this
+slice and its result is broadcast back.  The derivatives skip repeated lines
+by the same test (mesh._constant_axes, mesh._first_slices).  A development or
+pp-wave {v, s} block depends on one or two coordinates, so on a 12^4 wave 12
+of its 20,736 blocks are factored.  LAPACK factors each matrix of a stack on its own, so this
 changes no bit.  On finite data sqrt(det g) equals the whole-matrix Cholesky
 product bit for bit.  So does the inverse for diagonal and dense metrics and
 for a development metric with a diagonal leaf part ({v, s} first, then 1x1
@@ -39,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _known, _live,
-                   _recorded_stack, partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _constant_axes, _contract,
+                   _first_slices, _known, _live, _recorded_stack, partial_stack)
 
 # --- pure array core ---------------------------------------------------------
 
@@ -61,16 +62,12 @@ def metric_blocks(gdata):
 def _block_matrices(gdata, block):
     """The block's matrices [*grid, k, k] at its distinct nodes.
 
-    Along every grid axis on which all of the block's components are constant,
-    compared bit by bit (so -0.0 and +0.0 differ), the stack keeps one slice of
-    length 1; LAPACK results on it broadcast back to the grid.
+    Along every grid axis on which all of the block's components are constant
+    (mesh._constant_axes), the stack keeps one slice of length 1; LAPACK
+    results on it broadcast back to the grid.
     """
     sub = gdata[np.ix_(block, block)].astype(float, copy=False)
-    bits = sub.view(np.uint64)
-    for axis in range(2, sub.ndim):
-        first = (slice(None),) * axis + (slice(0, 1),)
-        if (bits == bits[first]).all():
-            bits, sub = bits[first], sub[first]
+    sub = _first_slices(sub, _constant_axes(sub, 2))
     return np.moveaxis(sub, (0, 1), (-2, -1))
 
 

@@ -61,6 +61,16 @@ class AmbientVector:
         object.__setattr__(self, "x", x)
 
 
+def _lapse(grid, phi):
+    """The lapse as a field; one whose square g_ss = phi^2 overflows is bad input."""
+    phi_f = phi if isinstance(phi, Field) else sample(grid, phi)
+    big = max(np.max(phi_f.data), -np.min(phi_f.data))
+    with np.errstate(over="ignore"):
+        if np.isinf(big * big):
+            raise DataError(f"lapse phi squared overflows (max |phi| {big:.3g})")
+    return phi_f
+
+
 class InitialDataSet:
     """Product initial data: g = phi^2 ds^2 + g_s with flat-torus leaves."""
 
@@ -90,7 +100,7 @@ class InitialDataSet:
         (n x n nested) may be expression strings or ASTs; leaf_metric may
         also be a constant matrix.
         """
-        phi_f = phi if isinstance(phi, Field) else sample(grid, phi)
+        phi_f = _lapse(grid, phi)
         n = grid.ndim
         g = np.zeros((n, n) + grid.shape)
         g[0, 0] = phi_f.data**2
@@ -104,7 +114,7 @@ class InitialDataSet:
     def from_normal_components(grid, phi, leaf_metric, k_nn, k_nf, k_ff,
                                scheme=DEFAULT_SCHEME):
         """Assemble k from k(nu,nu), the leaf covector k(nu, .) and k|_FF."""
-        phi_f = phi if isinstance(phi, Field) else sample(grid, phi)
+        phi_f = _lapse(grid, phi)
         n = grid.ndim
         values = lambda entry: (entry if isinstance(entry, np.ndarray)
                                 else sample(grid, entry).data)

@@ -19,15 +19,20 @@ inf count as nonzero) is never handed to a kernel.  `partial` and
 leave these exactly 0, as every scheme would; a stack is written axis by axis
 into one preallocated array.
 
-Repeated components: symmetric tensors (a metric, the Christoffels in their
-last two indices) hold components equal bit for bit.  On lines of at least
-_DISTINCT_MIN_NODES nodes only the first of each is differentiated and the
-others get a copy of its derivative.  This rests on every kernel treating
-each line on its own: the stencils are elementwise along the other axes and
-pocketfft transforms every line by itself, so the copy is the derivative
-bit for bit.  Lines are matched through .view(np.uint64), so -0.0 and +0.0
-never merge: first at a fixed spread of probe nodes, then confirmed over the
-whole line.  On shorter lines the search costs more than the kernel it saves.
+Repeated lines: symmetric tensors (a metric, the Christoffels in their last
+two indices) hold components equal bit for bit, and every shipped scene is
+constant along some grid axis (the recipe along s and x2, a vacuum
+development along both leaf axes), which pointwise algebra keeps bit for bit.
+On grids of at least _DISTINCT_MIN_NODES nodes only the first of each equal
+component is differentiated, and the others get a copy of its derivative.
+Along every grid axis on which all live components are constant, except the
+derivative axis itself, the kernel sees one slice, and its result is
+broadcast back.  Both rest on every kernel treating each line on its own: the
+stencils are elementwise along the other axes and pocketfft transforms every
+line by itself, so a copy is the derivative bit for bit.  Data is compared
+through .view(np.uint64), so -0.0 and +0.0 never match (_constant_axes;
+components first at a fixed spread of probe nodes, then over the whole line).
+On smaller grids the search costs more than the kernel work it saves.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -304,11 +309,34 @@ def _live(data, rank):
     return mask
 
 
-# Below this many nodes a repeated line is cheaper to differentiate again than
-# to search for.  Measured on whole rigidity, killing-dev and ppwave reports:
-# with the search, 2D grids of 512-2048 nodes ran 1-3% slower and 3D grids of
-# 1728-4096 nodes 2-5% faster.
+# Below this many grid nodes a repeated line is cheaper to differentiate again
+# than to search for.  Measured on whole rigidity, killing-dev and ppwave
+# reports: with the component search, 2D grids of 512-2048 nodes ran 1-3%
+# slower and 3D grids of 1728-4096 nodes 2-5% faster.  Ungated, the
+# constant-axis search alone takes 2.2 ms of a 0.054 s pass of the small2d
+# benchmark (105 searches on 16 x 32 nodes), about 4%.
 _DISTINCT_MIN_NODES = 4096
+
+
+def _constant_axes(data, lead):
+    """The axes past the `lead` leading ones along which `data` is constant bit for bit.
+
+    Compared as uint64, so -0.0 and +0.0 differ.  Each axis found is cut to
+    its first slice before the next one is tested.
+    """
+    bits = data.view(np.uint64)
+    axes = []
+    for axis in range(lead, bits.ndim):
+        first = (slice(None),) * axis + (slice(0, 1),)
+        if (bits == bits[first]).all():
+            axes.append(axis)
+            bits = bits[first]
+    return axes
+
+
+def _first_slices(data, axes):
+    """The view of `data` that keeps only the first slice, of length 1, along each of `axes`."""
+    return data[tuple(slice(0, 1) if axis in axes else slice(None) for axis in range(data.ndim))]
 
 
 @lru_cache(maxsize=64)
@@ -336,14 +364,17 @@ def _first_equal(bits, rows):
 def _partials_into(out, data, grid, axes, scheme, mask=None):
     """Fill out[k] with the derivative along axes[k]; zero components skip the kernel.
 
-    On lines of at least _DISTINCT_MIN_NODES nodes a component equal bit for
-    bit to an earlier one gets a copy of that one's derivative.  A given
-    `mask` (out's leading axes) is filled with where out is nonzero somewhere.
+    On grids of at least _DISTINCT_MIN_NODES nodes a component equal bit for
+    bit to an earlier one gets a copy of that one's derivative, and the kernel
+    sees one slice along every other grid axis on which the live components
+    are constant.  A given `mask` (out's leading axes) is filled with where out
+    is nonzero somewhere.
     """
     live = _live(data, np.ndim(data) - grid.ndim).reshape(-1)
     flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
     copies = []
-    if flat[0].size >= _DISTINCT_MIN_NODES and np.count_nonzero(live) > 1:
+    search = flat[0].size >= _DISTINCT_MIN_NODES
+    if search and np.count_nonzero(live) > 1:
         rows = np.flatnonzero(live)
         first = _first_equal(flat.view(np.uint64), rows)
         repeat = first != np.arange(len(rows))
@@ -351,10 +382,12 @@ def _partials_into(out, data, grid, axes, scheme, mask=None):
         live = live.copy()  # it may be a recorded mask
         live[rows[repeat]] = False
     nonzero = flat[live]
+    constant = _constant_axes(nonzero, 1) if search else []
     stack = out.reshape((len(axes),) + flat.shape)
     written = None if mask is None else mask.reshape(stack.shape[:2])
     for k, (axis, axis_out) in enumerate(zip(axes, stack)):
-        derivative = _derivative(nonzero, grid, axis, scheme)
+        cut = _first_slices(nonzero, [c for c in constant if c != 1 + axis])
+        derivative = _derivative(cut, grid, axis, scheme)  # the assignment broadcasts it
         axis_out[live] = derivative
         if written is not None:
             written[k, live] = np.logical_or.reduce(derivative, axis=tuple(range(1, flat.ndim)))

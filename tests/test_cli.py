@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,19 @@ def test_undefined_expression_names_its_scene_key(tmp_path, name):
     for command in commands:
         code, rep, err = run([command, path])
         assert (code, rep, err) == (2, None, f"scene error: {message}\n"), command
+
+
+def test_a_lapse_whose_square_overflows_is_a_scene_error(tmp_path):
+    # finite and positive, but g_ss = phi^2 is not representable
+    path = tmp_path / "huge_lapse.scene"
+    path.write_text(SMALL_GRID + "[data]\nphi = 1e200*(1 + 0.1*sin(2*pi*x1))\nk = recipe\n")
+    for command in ("constraints", "rigidity", "killing-dev"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep, err = run([command, path])
+        assert (code, rep) == (2, None), command
+        assert err == "scene error: lapse phi squared overflows (max |phi| 1.1e+200)\n", command
+        assert not caught, command  # no raw RuntimeWarning
 
 
 def test_undefined_expression_on_a_refined_grid_only(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import itertools
 import math
 import re
 import zlib
@@ -188,6 +189,66 @@ def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
             assert len(lines) == len(batch)  # no two lines equal bit for bit
             searched += len(batch) > 1
     assert searched > 10
+
+
+# grids of exactly _DISTINCT_MIN_NODES nodes, where the repeated-line searches run
+GATE_GRIDS = {2: Grid.product(1.0, 64, (64,), (1.0,)),
+              3: Grid.product(1.0, 16, (16, 16), (1.0, 1.0)),
+              4: Grid.product(1.0, 8, (8, 8, 8), (1.0, 1.0, 1.0))}
+
+
+def _constant_along(rng, grid, axes):
+    """Three components constant along the grid axes `axes`.  Unless that is every axis,
+    in the third one a line of +0.0 turns to -0.0 at one node of the first of `axes`,
+    equal in value, not in bits (the third component would be all zero otherwise)."""
+    small = tuple(1 if axis in axes else count for axis, count in enumerate(grid.shape))
+    values = rng.standard_normal((3,) + small)
+    values[(2,) + (0,) * grid.ndim] = 0.0 if len(axes) < grid.ndim else 1.0
+    data = np.broadcast_to(values, (3,) + grid.shape).copy()
+    if 0 < len(axes) < grid.ndim:
+        node = [0] * grid.ndim
+        node[axes[0]] = 3
+        data[(2,) + tuple(node)] = -0.0
+    return data
+
+
+@pytest.mark.parametrize("ndim", sorted(GATE_GRIDS))
+@pytest.mark.parametrize("s_scheme", ["fd2", "fd4"])
+@pytest.mark.parametrize("leaf_scheme", ["fd2", "fd4", "spectral"])
+def test_partials_of_data_constant_along_axes_equal_the_full_grid_kernel(ndim, s_scheme,
+                                                                         leaf_scheme):
+    # the kernel sees one slice along every constant axis but the derivative axis, and
+    # its result broadcast back is the derivative of the full array bit for bit
+    g, scheme = GATE_GRIDS[ndim], Scheme(s_scheme, leaf_scheme)
+    rng = np.random.default_rng(ndim)
+    for count in range(ndim + 1):
+        for axes in itertools.combinations(range(ndim), count):
+            data = _constant_along(rng, g, axes)
+            stack = partial_stack(data, g, scheme)
+            for axis in range(ndim):  # constant along the derivative axis itself included
+                full = mesh._derivative(data, g, axis, scheme).tobytes()
+                assert partial(data, g, axis, scheme).tobytes() == full, (axes, axis)
+                assert stack[axis].tobytes() == full, (axes, axis)
+
+
+def test_only_grids_at_the_gate_hand_the_kernel_length_one_axes(monkeypatch):
+    shapes = []
+    kernel = mesh._derivative
+
+    def recording(data, *args):
+        shapes.append(data.shape)
+        return kernel(data, *args)
+
+    monkeypatch.setattr(mesh, "_derivative", recording)
+    rng = np.random.default_rng(7)
+    for g, cut in ((GATE_GRIDS[3], True), (grid3(9, 8), False)):
+        assert (math.prod(g.shape) >= mesh._DISTINCT_MIN_NODES) == cut
+        data = np.broadcast_to(rng.standard_normal((2,) + g.shape[:2] + (1,)),
+                               (2,) + g.shape).copy()  # constant along x2
+        shapes.clear()
+        partial_stack(data, g, SCHEME)
+        x2 = (1,) if cut else g.shape[2:]
+        assert shapes == [(2,) + g.shape[:2] + x2] * 2 + [(2,) + g.shape], g.shape
 
 
 # --- pointwise contractions -------------------------------------------------------
