@@ -42,7 +42,9 @@ FIELDS_3D = GOLDEN / "fields3d.json.gz"
 # checks and the --tol run, then the scenes whose metrics are diagonal with a
 # null block (recipe development), dense (off-diagonal leaf metric) or
 # indefinite, then a pp-wave and a recipe on a 4D grid (8^4 nodes) and on the
-# small 2D grid (16 x 32 nodes)
+# small 2D grid (16 x 32 nodes), then the energy scan on a frame Einstein table
+# that is non-zero and constant along x2 (roundtrip) and on one that is exactly
+# 0 and constant along every axis (constant_k)
 CASES = [
     ["constraints", "scenes/constant_k.scene"],
     ["constraints", "scenes/flat.scene"],
@@ -63,18 +65,20 @@ CASES = [
     [command, f"tests/golden/{scene}{dim}.scene"]
     for dim in ("4d", "2d")
     for scene, commands in (("wave", ("ppwave",)), ("recipe", ("rigidity", "killing-dev")))
-    for command in commands]
+    for command in commands] + [
+    ["killing-dev", "scenes/roundtrip.scene"], ["killing-dev", "scenes/constant_k.scene"]]
 
 
 # the command lines whose --dump-fields CSVs are stored: in fields.json the
 # three data-set commands on the 2D recipe and the pp-wave on the 2D wave; in
 # fields3d.json.gz, gzipped because their CSVs run to megabytes, the shipped 3D
-# recipe (constant along s and x2) and vacuum development (constant along both
-# leaf axes)
+# recipe (constant along s and x2), vacuum development (constant along both
+# leaf axes), round-trip wave and constant-k data
 FIELD_CASES = [[command, "tests/golden/recipe2d.scene"]
                for command in ("constraints", "rigidity", "killing-dev")] + [
     ["ppwave", "tests/golden/wave2d.scene"]]
-FIELD_CASES_3D = [["rigidity", "scenes/recipe.scene"], ["killing-dev", "scenes/vacuum_kd.scene"]]
+FIELD_CASES_3D = [["rigidity", "scenes/recipe.scene"], ["killing-dev", "scenes/vacuum_kd.scene"],
+                  ["ppwave", "scenes/roundtrip.scene"], ["constraints", "scenes/constant_k.scene"]]
 
 
 def _label(argv):
