@@ -233,6 +233,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.directions < 1:
         parser.error(f"--directions must be a positive integer, got {args.directions}")
+    if args.directions > 4096:  # the energy scan takes count^2 ray pairs per distinct node
+        parser.error(f"--directions must be at most 4096, got {args.directions}")
     if args.check is not None and args.command != "convergence":
         parser.error(f"--check applies only to convergence, not {args.command}")
     if args.tol is not None and not is_tolerance(args.tol):

@@ -31,8 +31,9 @@ import numpy as np
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints, derived)
-from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract,
-                   _recorded_stack, dump_csv, partial, partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _constant_axes,
+                   _contract, _first_slices, _recorded_stack, dump_csv, partial,
+                   partial_stack)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
@@ -289,15 +290,25 @@ class DecReport:
 
 
 def frame_dec_minimum(ein_frame, grid, count=64):
-    """Scan Ein(e0+d, e0+d') over null directions d from the sampled set."""
+    """Scan Ein(e0+d, e0+d') over null directions d from the sampled set.
+
+    Only distinct nodes are scanned: along every grid axis on which the table
+    is constant bit for bit (mesh._constant_axes), the scan sees the first
+    slice.  Values repeat along those axes, so the first minimum there, with
+    index 0 on them, is the first minimum of the whole grid, bit for bit.  If
+    every axis is constant, the last stays whole: on a one-node grid einsum
+    sums the frame index in another order, which can move the last bit.
+    """
     n = ein_frame.shape[0] - 1
     dirs = causal_direction_set(n, count)
     rays = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
+    cut = _constant_axes(ein_frame, 2)
+    table = _first_slices(ein_frame, cut[:-1] if len(cut) == ein_frame.ndim - 2 else cut)
     best = math.inf
     best_node = None
     best_pair = None
     for p, ray in enumerate(rays):
-        contracted = np.einsum("A,AB...->B...", ray, ein_frame)
+        contracted = np.einsum("A,AB...->B...", ray, table)
         vals = np.einsum("qA,A...->q...", rays, contracted)
         q_flat = int(np.argmin(vals))
         if vals.flat[q_flat] < best:
@@ -306,7 +317,7 @@ def frame_dec_minimum(ein_frame, grid, count=64):
             best_pair = (p, int(unravel[0]))
             best_node = tuple(int(i) for i in unravel[1:])
     coords = tuple(float(grid.axis_coords(i)[best_node[i]]) for i in range(grid.ndim))
-    scale = float(np.max(np.abs(ein_frame)))
+    scale = float(np.max(np.abs(table)))
     return DecReport(best, best_node, best_pair, coords, rays.shape[0], scale)
 
 

@@ -16,8 +16,9 @@ The default pairing is fd4 along s and spectral along the leaves.
 Structural zeros: a component slice that is exactly 0.0 at every node (NaN and
 inf count as nonzero) is never handed to a kernel.  `partial` and
 `partial_stack` differentiate only the other components, in one batch, and
-leave these exactly 0, as every scheme would; a stack is written axis by axis
-into one preallocated array.
+leave these +0.0: equal in value to what every scheme gives, not always in
+bits (fd2 gives -0.0 on a component that holds -0.0 entries); a stack is
+written axis by axis into one preallocated array.
 
 Repeated lines: symmetric tensors (a metric, the Christoffels in their last
 two indices) hold components equal bit for bit, and every shipped scene is

@@ -6,7 +6,10 @@ so both axis schemes are exercised by the same expression.
 """
 import numpy as np
 
+import math
+
 from idrig import exprlang
+from idrig.killing_dev import DecReport, causal_direction_set
 from idrig.mesh import Grid, Scheme, Field, _contract, partial_stack, fit_order
 
 SCHEME = Scheme("fd4", "spectral")
@@ -68,6 +71,31 @@ def dense_riemann_from(gamma, dgamma):
     r += gg
     r -= np.swapaxes(gg, 2, 3)  # Gamma^a_de Gamma^e_cb is gg with c and d swapped
     return r
+
+
+def dense_frame_dec_minimum(ein_frame, grid, count=64):
+    """The energy scan of killing_dev.frame_dec_minimum over every grid node.
+
+    The reference for frame_dec_minimum, which scans only distinct nodes.
+    """
+    n = ein_frame.shape[0] - 1
+    dirs = causal_direction_set(n, count)
+    rays = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
+    best = math.inf
+    best_node = None
+    best_pair = None
+    for p, ray in enumerate(rays):
+        contracted = np.einsum("A,AB...->B...", ray, ein_frame)
+        vals = np.einsum("qA,A...->q...", rays, contracted)
+        q_flat = int(np.argmin(vals))
+        if vals.flat[q_flat] < best:
+            best = float(vals.flat[q_flat])
+            unravel = np.unravel_index(q_flat, vals.shape)
+            best_pair = (p, int(unravel[0]))
+            best_node = tuple(int(i) for i in unravel[1:])
+    coords = tuple(float(grid.axis_coords(i)[best_node[i]]) for i in range(grid.ndim))
+    scale = float(np.max(np.abs(ein_frame)))
+    return DecReport(best, best_node, best_pair, coords, rays.shape[0], scale)
 
 
 def grid3(n_s=17, leaf=16, ell=1.0):

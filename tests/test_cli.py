@@ -484,6 +484,18 @@ def test_argparse_rejects_bad_invocations():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("count", (4097, 10**20))
+def test_directions_above_the_cap_exit_2_before_any_scan(count, tmp_path, monkeypatch, capsys):
+    ran = counting_commands(monkeypatch)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["killing-dev", str(SCENES / "flat.scene"), "--directions", str(count),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--directions must be at most 4096, got {count}" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
 def counting_commands(monkeypatch):
     """Replace every command by a counting wrapper; returns the list of names run."""
     ran = []
