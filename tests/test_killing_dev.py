@@ -246,20 +246,15 @@ def test_causal_direction_set():
         causal_direction_set(0)
 
 
-def random_frame_table(rng, grid, kind):
-    """A symmetric frame table on `grid`: "normal" values with exact 0.0 and -0.0
-    entries, "ties" drawn from a few halves (so minima repeat) with -0.0 among
-    them, or the all-zero "zero" and all--0.0 "negzero"."""
+def random_frame_table(rng, grid, ties):
+    """A random symmetric frame table on `grid` with exact 0.0 and -0.0 entries;
+    with `ties` its values are drawn from a few halves, so minima repeat."""
     shape = (grid.ndim + 1,) * 2 + grid.shape
-    if kind == "zero":
-        return np.zeros(shape)
-    if kind == "negzero":
-        return np.full(shape, -0.0)
-    if kind == "normal":
+    if ties:
+        table = 0.5 * rng.integers(-2, 3, shape).astype(float)
+    else:
         table = rng.standard_normal(shape)
         table[rng.random(shape) < 0.1] = 0.0
-    else:
-        table = 0.5 * rng.integers(-2, 3, shape).astype(float)
     table[rng.random(shape) < 0.1] = -0.0
     upper = np.triu(np.ones(shape[:2], dtype=bool)).reshape(shape[:2] + (1,) * grid.ndim)
     return np.where(upper, table, table.swapaxes(0, 1))
@@ -269,28 +264,34 @@ def random_frame_table(rng, grid, kind):
 def test_distinct_node_dec_scan_equals_the_whole_grid_scan(ndim, monkeypatch):
     grid = pattern_grid(ndim)
     rng = np.random.default_rng(ndim)
-    scanned = []
-    cut = killing_dev._first_slices
-    monkeypatch.setattr(killing_dev, "_first_slices",
-                        lambda data, axes: scanned.append(cut(data, axes).shape) or cut(data, axes))
-    subsets = [tuple(a for a in range(ndim) if mask >> a & 1) for mask in range(2 ** ndim)]
-    for axes in subsets:
-        for kind in ("normal", "ties", "zero", "negzero"):
-            table = random_frame_table(rng, grid, kind)
-            table = constant_along(table, axes)
-            assert np.array_equal(table, table.swapaxes(0, 1))
-            got = killing_dev.frame_dec_minimum(table, grid, count=16)
-            want = dense_frame_dec_minimum(table, grid, count=16)
-            assert float.hex(got.minimum) == float.hex(want.minimum), (axes, kind)
-            assert (got.node, got.pair, got.coords) == (want.node, want.pair, want.coords)
-            assert float.hex(got.scale) == float.hex(want.scale)
-            assert got.direction_count == want.direction_count
-            # every constant axis is cut to one node, except the last one of a table
-            # constant along all of them; a zero table is constant along every axis
-            whole = range(ndim) if kind in ("zero", "negzero") else axes
-            kept = [axis for axis in range(ndim) if scanned[-1][2 + axis] > 1]
-            assert kept == ([ndim - 1] if len(whole) == ndim else
-                            [axis for axis in range(ndim) if axis not in whole]), (axes, kind)
+    scanned = []  # the shape of each table the scan ran on
+    first_slices = killing_dev._first_slices
+
+    def recording(data, axes):
+        table = first_slices(data, axes)
+        scanned.append(table.shape)
+        return table
+
+    monkeypatch.setattr(killing_dev, "_first_slices", recording)
+    every = tuple(range(ndim))
+    cases = [(constant_along(random_frame_table(rng, grid, ties), axes), axes)
+             for axes in (tuple(a for a in every if mask >> a & 1) for mask in range(2 ** ndim))
+             for ties in (False, True)]
+    # the all-zero tables of a vacuum development, in both signs
+    cases += [(np.full((ndim + 1, ndim + 1) + grid.shape, zero), every) for zero in (0.0, -0.0)]
+    for table, axes in cases:
+        assert np.array_equal(table, table.swapaxes(0, 1))
+        got = killing_dev.frame_dec_minimum(table, grid, count=16)
+        want = dense_frame_dec_minimum(table, grid, count=16)
+        assert float.hex(got.minimum) == float.hex(want.minimum), axes
+        assert (got.node, got.pair, got.coords) == (want.node, want.pair, want.coords), axes
+        assert float.hex(got.scale) == float.hex(want.scale)
+        assert got.direction_count == want.direction_count
+        # every constant axis is cut to one node, except the last axis of a table
+        # constant along all of them
+        kept = [axis for axis in every if scanned[-1][2 + axis] > 1]
+        assert kept == ([ndim - 1] if axes == every else
+                        [axis for axis in every if axis not in axes]), axes
 
 
 # --- the plane-wave family ----------------------------------------------------------
