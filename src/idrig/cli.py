@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -273,6 +274,10 @@ def main(argv=None):
     except ExprError as exc:  # a scene expression undefined at a node
         levels = _levels(scene) if args.command == "convergence" else [scene.n_s]
         print(f"scene error: {undefined_expression(scene, levels) or exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a grid too large to allocate is bad input, not a failed verdict
+        nodes = math.prod(scene.grid().counts)
+        print(f"scene error: a grid of {nodes} nodes does not fit in memory", file=sys.stderr)
         return 2
     except (MeshError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ factor behind sqrt(det g) and the signature count work block by block, a 1x1
 block by a division or a square root, a larger one by LAPACK on that block
 alone, once per distinct node: along every grid axis on which the block is
 constant, compared bit by bit so that -0.0 and +0.0 stay apart, LAPACK sees one
-slice and its result is broadcast back.  The derivatives skip repeated lines
+slice and its result is broadcast back.  The derivatives cut constant axes
 by the same test (mesh._constant_axes, mesh._first_slices).  A development or
 pp-wave {v, s} block depends on one or two coordinates, so on a 12^4 wave 12
 of its 20,736 blocks are factored.  LAPACK factors each matrix of a stack on its own, so this

@@ -23,6 +23,7 @@ with profile f - 2 w'.
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass, field
 
@@ -266,14 +267,14 @@ def causal_direction_set(m, count=64):
         r = np.sqrt(np.maximum(1.0 - z**2, 0.0))
         ang = math.pi * (1.0 + math.sqrt(5.0)) * idx
         return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
-    from scipy.special import ndtri
     root = 2.0
     for _ in range(64):
         root = (1.0 + root) ** (1.0 / (m + 1))
     alphas = root ** -np.arange(1, m + 1)
     # start at i = 1: the origin of the lattice maps to the zero vector
     lattice = (0.5 + np.outer(np.arange(1, count + 1), alphas)) % 1.0
-    pts = ndtri(lattice)
+    quantile = statistics.NormalDist().inv_cdf
+    pts = np.array([[quantile(p) for p in row] for row in lattice.tolist()])
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 

@@ -20,20 +20,16 @@ leave these +0.0: equal in value to what every scheme gives, not always in
 bits (fd2 gives -0.0 on a component that holds -0.0 entries); a stack is
 written axis by axis into one preallocated array.
 
-Repeated lines: symmetric tensors (a metric, the Christoffels in their last
-two indices) hold components equal bit for bit, and every shipped scene is
-constant along some grid axis (the recipe along s and x2, a vacuum
-development along both leaf axes), which pointwise algebra keeps bit for bit.
-On grids of at least _DISTINCT_MIN_NODES nodes only the first of each equal
-component is differentiated, and the others get a copy of its derivative.
-Along every grid axis on which all live components are constant, except the
-derivative axis itself, the kernel sees one slice, and its result is
-broadcast back.  Both rest on every kernel treating each line on its own: the
-stencils are elementwise along the other axes and pocketfft transforms every
-line by itself, so a copy is the derivative bit for bit.  Data is compared
-through .view(np.uint64), so -0.0 and +0.0 never match (_constant_axes;
-components first at a fixed spread of probe nodes, then over the whole line).
-On smaller grids the search costs more than the kernel work it saves.
+Constant axes: every shipped scene is constant along some grid axis (the
+recipe along s and x2, a vacuum development along both leaf axes), which
+pointwise algebra keeps bit for bit.  On grids of at least _DISTINCT_MIN_NODES
+nodes the kernel sees one slice along every grid axis but the derivative one
+on which all live components are constant (_constant_axes, comparing through
+.view(np.uint64), so -0.0 and +0.0 never match), and its result is broadcast
+back.  Every kernel treats each line on its own (the stencils are elementwise
+along the other axes, pocketfft transforms every line by itself), so that is
+the derivative bit for bit.  On smaller grids the comparison costs more than
+the kernel work it saves.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -57,11 +53,11 @@ their results.  The lowered Christoffels inside
 geometry.christoffels_from record the exact mask as they are written, one
 check per written component, so a component whose terms cancel to 0 stays
 dead.  A read-only owner with no record (a value initial_data stores) is
-scanned once, then recorded.  Read-only keeps a record true while its array
+read once, then recorded.  Read-only keeps a record true while its array
 lives; the record goes with the array.  A view that is an integer index
 owner[j] of a recorded read-only owner (such as the gamma[i + 1] that
 killing_dev.spacetime_curvature differentiates) is served the slice of the
-owner's record.  Writeable arrays and other views are scanned on every call.
+owner's record.  Writeable arrays and other views are read on every call.
 A recorded mask may call an exactly-0 slice live; that only adds exact-0
 products, which einsum multiplies too, so the bits stay einsum's.
 """
@@ -209,7 +205,7 @@ def _spectral_axis(data, axis, count, spacing):
     shape[axis] = count
     fk = np.fft.fft(data, axis=axis)
     fk *= _wavenumbers(count, spacing).reshape(shape)
-    return np.fft.ifft(fk, axis=axis).real  # the caller's scatter copies it
+    return np.fft.ifft(fk, axis=axis).real  # a strided view: the caller's scatter writes it out
 
 
 def _fd4_periodic(data, axis, h):
@@ -293,10 +289,10 @@ def _recorded(data):
 def _live(data, rank):
     """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere.
 
-    A read-only owner is scanned at most once; its recorded mask is served,
+    A read-only owner is read at most once; its recorded mask is served,
     reduced to `rank`.  An integer index owner[j] of a recorded read-only
     owner is served the slice mask[j] of its record.  Anything writeable, and
-    any other view, is scanned.
+    any other view, is read in full.
     """
     frozen = isinstance(data, np.ndarray) and not data.flags.writeable
     if frozen:
@@ -310,12 +306,9 @@ def _live(data, rank):
     return mask
 
 
-# Below this many grid nodes a repeated line is cheaper to differentiate again
-# than to search for.  Measured on whole rigidity, killing-dev and ppwave
-# reports: with the component search, 2D grids of 512-2048 nodes ran 1-3%
-# slower and 3D grids of 1728-4096 nodes 2-5% faster.  Ungated, the
-# constant-axis search alone takes 2.2 ms of a 0.054 s pass of the small2d
-# benchmark (105 searches on 16 x 32 nodes), about 4%.
+# Below this many grid nodes looking for a constant axis costs more than it
+# saves: ungated, the comparison takes 2.2 ms of a 0.054 s small2d benchmark
+# pass (105 comparisons on 16 x 32 nodes) and the pass runs 2.6-3.5% slower.
 _DISTINCT_MIN_NODES = 4096
 
 
@@ -340,50 +333,17 @@ def _first_slices(data, axes):
     return data[tuple(slice(0, 1) if axis in axes else slice(None) for axis in range(data.ndim))]
 
 
-@lru_cache(maxsize=64)
-def _probes(shape):
-    """A fixed spread of nodes, as an index tuple, where lines are compared first."""
-    size = math.prod(shape)
-    picks = np.random.default_rng(0).choice(size, min(16, size), replace=False)
-    return np.unravel_index(np.sort(picks), shape)
-
-
-def _first_equal(bits, rows):
-    """Per row of bits[rows], the position in `rows` of the first row equal to it bit for bit.
-
-    Rows are matched at the probe nodes, and a match is confirmed over the
-    whole line, so the answer is exact.
-    """
-    probe = bits[(rows[:, None],) + _probes(bits.shape[1:])]
-    first = (probe[:, None] == probe[None]).all(axis=2).argmax(axis=1)
-    for i in np.flatnonzero(first != np.arange(len(rows))):
-        if not np.array_equal(bits[rows[i]], bits[rows[first[i]]]):
-            first[i] = i
-    return first
-
-
 def _partials_into(out, data, grid, axes, scheme, mask=None):
     """Fill out[k] with the derivative along axes[k]; zero components skip the kernel.
 
-    On grids of at least _DISTINCT_MIN_NODES nodes a component equal bit for
-    bit to an earlier one gets a copy of that one's derivative, and the kernel
-    sees one slice along every other grid axis on which the live components
-    are constant.  A given `mask` (out's leading axes) is filled with where out
-    is nonzero somewhere.
+    On grids of at least _DISTINCT_MIN_NODES nodes the kernel sees one slice along
+    every other grid axis on which the live components are constant.  A given
+    `mask` (out's leading axes) is filled with where out is nonzero somewhere.
     """
     live = _live(data, np.ndim(data) - grid.ndim).reshape(-1)
     flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
-    copies = []
-    search = flat[0].size >= _DISTINCT_MIN_NODES
-    if search and np.count_nonzero(live) > 1:
-        rows = np.flatnonzero(live)
-        first = _first_equal(flat.view(np.uint64), rows)
-        repeat = first != np.arange(len(rows))
-        copies = list(zip(rows[repeat].tolist(), rows[first[repeat]].tolist()))
-        live = live.copy()  # it may be a recorded mask
-        live[rows[repeat]] = False
     nonzero = flat[live]
-    constant = _constant_axes(nonzero, 1) if search else []
+    constant = _constant_axes(nonzero, 1) if flat[0].size >= _DISTINCT_MIN_NODES else []
     stack = out.reshape((len(axes),) + flat.shape)
     written = None if mask is None else mask.reshape(stack.shape[:2])
     for k, (axis, axis_out) in enumerate(zip(axes, stack)):
@@ -392,10 +352,6 @@ def _partials_into(out, data, grid, axes, scheme, mask=None):
         axis_out[live] = derivative
         if written is not None:
             written[k, live] = np.logical_or.reduce(derivative, axis=tuple(range(1, flat.ndim)))
-    for row, source in copies:
-        stack[:, row] = stack[:, source]
-        if written is not None:
-            written[:, row] = written[:, source]
     return out
 
 
@@ -460,12 +416,7 @@ def _contract(subscripts, *operands):
     """
     ops = [np.asarray(op) for op in operands]
     ins = _labels(subscripts)[0]
-    masks, scanned = [], {}  # an operand passed twice is scanned once
-    for labels, op in zip(ins, ops):
-        mask = scanned.get((id(op), len(labels)))
-        if mask is None:
-            mask = scanned[id(op), len(labels)] = _live(op, len(labels))
-        masks.append(mask)
+    masks = [_live(op, len(labels)) for labels, op in zip(ins, ops)]
     key = (subscripts,) + tuple((mask.shape, mask.tobytes()) for mask in masks)
     if key not in _PLANS:
         _PLANS[key] = _plan(subscripts, masks)

@@ -527,6 +527,19 @@ def test_out_flag_and_determinism(tmp_path, monkeypatch):
     assert ran == [] and not missing.parent.exists()
 
 
+def test_a_grid_too_large_for_memory_exits_two(tmp_path):
+    # 10^12 s nodes fail at the first allocation, so no test here comes near the RAM size
+    scene = tmp_path / "huge.scene"
+    flat = (SCENES / "flat.scene").read_text()
+    scene.write_text(flat.replace("n_s = 16", "n_s = 1000000000000"))
+    report = tmp_path / "r.json"
+    for flags in ([], ["--out", report]):
+        result = run_text(["constraints", scene, *flags])
+        assert result == (2, "", "scene error: a grid of 256000000000000 nodes does not fit "
+                                 "in memory\n")
+    assert not report.exists()
+
+
 def test_dump_fields_constraints(tmp_path, monkeypatch):
     out = tmp_path / "fields"
     code, _, _ = run(["constraints", SCENES / "flat.scene",

@@ -1,5 +1,10 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +249,30 @@ def test_causal_direction_set():
         assert np.array_equal(dirs, causal_direction_set(m, 48))
     with pytest.raises(MeshError):
         causal_direction_set(0)
+
+
+def test_causal_direction_set_matches_scipy_quantile():
+    ndtri = pytest.importorskip("scipy.special").ndtri
+    for m in (4, 5):
+        for count in (16, 64, 256, 4096):
+            root = 2.0
+            for _ in range(64):
+                root = (1.0 + root) ** (1.0 / (m + 1))
+            lattice = (0.5 + np.outer(np.arange(1, count + 1), root ** -np.arange(1, m + 1))) % 1.0
+            want = ndtri(lattice)
+            want /= np.linalg.norm(want, axis=1, keepdims=True)
+            assert np.max(np.abs(causal_direction_set(m, count) - want)) < 1e-14, (m, count)
+
+
+def test_a_4d_development_runs_without_scipy():
+    # 4 spatial frame directions take the normal-quantile route of the direction set
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.modules['scipy'] = None; from idrig import cli; "
+            "sys.exit(cli.main(['killing-dev', 'tests/golden/recipe4d.scene']))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert (out.returncode, out.stderr) == (1, "")
+    assert json.loads(out.stdout)["residuals"]["dec_margin_min"] < 0.0
 
 
 def random_frame_table(rng, grid, ties):
