@@ -40,8 +40,9 @@ FIELDS_3D = GOLDEN / "fields3d.json.gz"
 
 # the benchmark's seven shipped-scene commands, then the other convergence
 # checks and the --tol run, then the scenes whose metrics are diagonal with a
-# null block (recipe development), dense (off-diagonal leaf metric) or
-# indefinite, then a pp-wave and a recipe on a 4D grid (8^4 nodes) and on the
+# null block (recipe development), dense (off-diagonal leaf metric),
+# indefinite, or diagonal with a development metric constant along no grid
+# axis (allaxes), then a pp-wave and a recipe on a 4D grid (8^4 nodes) and on the
 # small 2D grid (16 x 32 nodes), then the energy scan on a frame Einstein table
 # that is non-zero and constant along x2 (roundtrip) and on one that is exactly
 # 0 and constant along every axis (constant_k)
@@ -60,7 +61,7 @@ CASES = [
     ["convergence", "scenes/wave.scene", "--check", "ppwave_formula"],
     ["ppwave", "scenes/wave.scene", "--tol", "1e-3"],
 ] + [[command, f"tests/golden/{scene}.scene"]
-     for scene in ("offdiag", "indefinite")
+     for scene in ("offdiag", "indefinite", "allaxes")
      for command in ("constraints", "rigidity", "killing-dev")] + [
     [command, f"tests/golden/{scene}{dim}.scene"]
     for dim in ("4d", "2d")
