@@ -263,7 +263,8 @@ def main(argv=None):
             return 2
 
     try:
-        residuals, rules, fields, extra = COMMANDS[args.command](scene, args)
+        with np.errstate(over="raise"):  # an overflow is a numerical failure, not a warning
+            residuals, rules, fields, extra = COMMANDS[args.command](scene, args)
         bad = [k for k, v in residuals.items()
                if v is not None and not np.isfinite(v)]
         if bad:

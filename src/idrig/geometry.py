@@ -11,27 +11,13 @@ Lorentzian development module reuses them with its own derivative rule.
 ricci_from takes the Christoffels, their divergence d_a Gamma^a_bd and the
 partials of their trace Gamma^a_ab, so Ricci needs no Riemann tensor.
 
-Metric blocks: the metrics idrig factors are block diagonal up to a
-permutation of their indices (the recipe metric is diagonal; a development
-metric is a {v, s} block with gbar_vv = 0 beside its leaf part).
-metric_blocks finds the blocks as the connected components of the live
-component pattern (mesh._live): i and j share a block when g_ij is nonzero at
-some node, directly or through other indices.  The inverse, the Cholesky
-factor behind sqrt(det g) and the signature count work block by block, a 1x1
-block by a division or a square root, a larger one by LAPACK on that block
-alone, once per distinct node: along every grid axis on which the block is
-constant, compared bit by bit so that -0.0 and +0.0 stay apart, LAPACK sees one
-slice and its result is broadcast back.  The derivatives cut constant axes
-by the same test (mesh._constant_axes, mesh._first_slices).  A development or
-pp-wave {v, s} block depends on one or two coordinates, so on a 12^4 wave 12
-of its 20,736 blocks are factored.  LAPACK factors each matrix of a stack on its own, so this
-changes no bit.  On finite data sqrt(det g) equals the whole-matrix Cholesky
-product bit for bit.  So does the inverse for diagonal and dense metrics and
-for a development metric with a diagonal leaf part ({v, s} first, then 1x1
-blocks), on the OpenBLAS kernels tried (SkylakeX, Haswell).  Other patterns can
-differ from np.linalg.inv of the whole matrix by a few ulps of the node's
-largest entry, because OpenBLAS's triangular solve rounds a row by where it
-sits in the whole matrix.
+Metric factorizations: a diagonal metric (every off-diagonal component 0 at
+every node) takes one division and one square root per component; any other
+goes whole to LAPACK (inv, cholesky, eigvalsh) at its distinct nodes only: one
+slice along each grid axis it is constant on bit for bit (mesh._constant_axes,
+as the derivatives cut), the result broadcast back.  LAPACK factors each
+matrix of a stack on its own, so inverse equals np.linalg.inv and sqrt(det g)
+the whole-matrix Cholesky product bit for bit, up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -46,56 +32,40 @@ from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _constant_axes, 
 # --- pure array core ---------------------------------------------------------
 
 
-def metric_blocks(gdata):
-    """Index tuples of the diagonal blocks of a metric array, ascending by first index.
-
-    A block is a connected component of the graph whose edges are the
-    components g_ij that are nonzero at some node (mesh._live).
-    """
+def _is_diagonal(gdata):
+    """Whether every off-diagonal component is 0 at every node (-0.0 is, NaN is not)."""
     live = _live(gdata, 2)
-    reach = live | live.T | np.eye(len(live), dtype=bool)
-    for _ in range(len(live).bit_length()):  # paths of up to 2^k edges after k squarings
-        reach = reach @ reach
-    return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+    return not np.any(live & ~np.eye(len(live), dtype=bool))
 
 
-def _block_matrices(gdata, block):
-    """The block's matrices [*grid, k, k] at its distinct nodes.
-
-    Along every grid axis on which all of the block's components are constant
-    (mesh._constant_axes), the stack keeps one slice of length 1; LAPACK
-    results on it broadcast back to the grid.
-    """
-    sub = gdata[np.ix_(block, block)].astype(float, copy=False)
-    sub = _first_slices(sub, _constant_axes(sub, 2))
-    return np.moveaxis(sub, (0, 1), (-2, -1))
+def _node_matrices(gdata):
+    """The metric's matrices [*grid, n, n], one slice long along each axis g is constant on."""
+    g = gdata.astype(float, copy=False)
+    return np.moveaxis(_first_slices(g, _constant_axes(g, 2)), (0, 1), (-2, -1))
 
 
-def _inverse(gdata, blocks):
+def _inverse(gdata, diagonal):
     out = np.zeros(gdata.shape)
-    for block in blocks:
-        if len(block) == 1:
-            (i,) = block
+    if diagonal:
+        for i in range(len(gdata)):
             if not np.all(gdata[i, i]):  # LAPACK's zero pivot; NaN counts as nonzero
                 raise np.linalg.LinAlgError("Singular matrix")
             np.divide(1.0, gdata[i, i], out=out[i, i])
-        else:
-            inv = np.linalg.inv(_block_matrices(gdata, block))
-            out[np.ix_(block, block)] = np.moveaxis(inv, (-2, -1), (0, 1))
-    # scanned, not taken from the blocks: a block can hold exact zeros, as
-    # ginv_ss = 0 does in a development metric's {v, s} block
-    return _known(out, _live(out, 2))
+        return _known(out, _live(out, 2))
+    inv = np.moveaxis(np.linalg.inv(_node_matrices(gdata)), (-2, -1), (0, 1))
+    live = _live(inv, 2)  # only these are written, so the others stay untouched pages
+    for i, j in zip(*np.nonzero(live)):
+        out[i, j] = inv[i, j]
+    return _known(out, live)
 
 
 def inverse(gdata):
-    """Pointwise inverse of a metric component array, one metric block at a time.
+    """Pointwise inverse of a metric component array, as np.linalg.inv gives it.
 
-    Returns a fresh, read-only C-contiguous float64 array whose components
-    outside the blocks are exactly 0 (see the module docstring for how it
-    compares with np.linalg.inv of the whole matrix).  A block that is singular at some node
-    raises np.linalg.LinAlgError; a NaN leaves its node non-finite.
+    Fresh, read-only, C-contiguous float64.  A metric that is singular at
+    some node raises np.linalg.LinAlgError; a NaN leaves its node non-finite.
     """
-    return _inverse(gdata, metric_blocks(gdata))
+    return _inverse(gdata, _is_diagonal(gdata))
 
 
 def symmetrize(t):
@@ -190,27 +160,24 @@ class MetricField:
         self.field = field
         self.grid = field.grid
         g = field.data
-        blocks = metric_blocks(g)
-        # g = L L^T with L block diagonal, so sqrt(det g) is the product of the
-        # diagonal of L, taken in index order as over the Cholesky factor of all of g
+        diagonal = _is_diagonal(g)
+        # sqrt(det g) is the product of the diagonal of the Cholesky factor, in index order
         chol_diag = np.empty(g.shape[1:])
         try:
-            for block in blocks:
-                if len(block) == 1:
-                    (i,) = block
+            if diagonal:
+                for i in range(len(g)):
                     if not np.all(g[i, i] > 0.0):  # LAPACK's test, NaN fails it too
                         raise np.linalg.LinAlgError
                     np.sqrt(g[i, i], out=chol_diag[i])
-                else:
-                    chol = np.linalg.cholesky(_block_matrices(g, block))
-                    chol_diag[list(block)] = np.moveaxis(
-                        np.diagonal(chol, axis1=-2, axis2=-1), -1, 0)
+            else:
+                chol = np.linalg.cholesky(_node_matrices(g))
+                chol_diag[...] = np.moveaxis(np.diagonal(chol, axis1=-2, axis2=-1), -1, 0)
         except np.linalg.LinAlgError:
             eigs = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
             worst = float(eigs.min())
             raise DataError(f"metric is not positive definite (min eigenvalue {worst:g})")
         self.sqrt_det = np.prod(chol_diag, axis=0)
-        self.ginv = _inverse(g, blocks)
+        self.ginv = _inverse(g, diagonal)
 
     @property
     def data(self):

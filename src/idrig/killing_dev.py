@@ -51,15 +51,11 @@ def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
 def lorentz_signature_defect(gbar):
     """Number of nodes whose metric does not have exactly one negative eigenvalue.
 
-    The eigenvalues of a block-diagonal matrix are those of its blocks, so the
-    negative ones are counted block by block (geometry.metric_blocks), each
-    block at its distinct nodes only; the count is spread back over the grid
-    before the nodes are counted.
+    The eigenvalues are taken at the metric's distinct nodes only
+    (geometry._node_matrices); the count is spread back over the grid before
+    the nodes are counted.
     """
-    negatives = 0
-    for block in geometry.metric_blocks(gbar):
-        eigs = np.linalg.eigvalsh(geometry._block_matrices(gbar, block))
-        negatives = negatives + np.sum(eigs < 0.0, axis=-1)
+    negatives = np.sum(np.linalg.eigvalsh(geometry._node_matrices(gbar)) < 0.0, axis=-1)
     return int(np.count_nonzero(np.broadcast_to(negatives != 1, gbar.shape[2:])))
 
 

@@ -4,8 +4,8 @@ The s axis carries both interval endpoints (N_s nodes, spacing l/(N_s - 1));
 leaf axes are periodic with the right endpoint identified (N_i nodes, spacing
 L_i/N_i).  Field data is stored with component axes first and grid axes last,
 so contractions broadcast over the grid.  Christoffels, spectral partials and
-partial stacks come out C-contiguous, and metric inverses are written block by
-block into one fresh C-contiguous array: a contraction runs several times
+partial stacks come out C-contiguous, and metric inverses are written component
+by component into one fresh C-contiguous array: a contraction runs several times
 slower on a strided view (say a moveaxis of np.linalg.inv's output), and
 einsum's output inherits that layout, so one view slows everything downstream.
 

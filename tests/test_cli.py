@@ -417,6 +417,19 @@ def test_a_lapse_whose_square_overflows_is_a_scene_error(tmp_path):
         assert not caught, command  # no raw RuntimeWarning
 
 
+def test_an_overflow_inside_a_check_is_one_numerical_failure_line(tmp_path):
+    # phi^2 is finite, but a contraction of the recipe's k overflows
+    path = tmp_path / "huge_lapse.scene"
+    path.write_text(SMALL_GRID + "[data]\nphi = 1e150*(1 + 0.1*sin(2*pi*x1))\nk = recipe\n")
+    for command in ("constraints", "rigidity"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, rep, err = run([command, path])
+        assert (code, rep) == (3, None), command
+        assert err == "numerical failure: overflow encountered in multiply\n", command
+        assert not caught, command  # no raw RuntimeWarning
+
+
 def test_undefined_expression_on_a_refined_grid_only(tmp_path):
     # s = 1/3 is a node of the 2 n_s and 4 n_s levels but not of n_s = 8
     path = tmp_path / "refined_pole.scene"

@@ -57,32 +57,59 @@ def dense_inverse(g):
 def test_block_inverse_matches_the_dense_inverse(ndim, pattern):
     g = pattern_metric(pattern_grid(ndim), pattern)
     got, want = geometry.inverse(g), dense_inverse(g)
-    dead = ~np.logical_or.reduce(want != 0.0, axis=tuple(range(2, want.ndim)))
-    assert np.all(got[dead] == 0.0)
-    if pattern == "permuted":
-        # a block after or around another one rounds by its place in the whole matrix
-        scale = np.max(np.abs(want), axis=(0, 1))
-        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
-    else:
-        assert np.array_equal(got, want)
+    assert same_bits(got, want)
+
+
+def same_bits(got, want):
+    """Bit for bit equal but for the sign of a zero (adding +0.0 turns -0.0 into +0.0)."""
+    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_block_inverse_blocks_follow_the_zero_pattern():
+    # the division route takes exactly the metrics whose off-diagonal components are all 0
     grid = pattern_grid(4)
-    assert geometry.metric_blocks(pattern_metric(grid, "permuted")) == [(0, 3), (1,), (2,)]
-    assert geometry.metric_blocks(pattern_metric(grid, "gbar")) == [(0, 1), (2,), (3,), (4,)]
+    assert geometry._is_diagonal(pattern_metric(grid, "diagonal"))
+    for pattern in ("dense", "permuted", "gbar"):
+        assert not geometry._is_diagonal(pattern_metric(grid, pattern)), pattern
     chain = np.zeros((4, 4, 2))
     chain[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
     chain[0, 2, 0] = chain[2, 0, 0] = chain[2, 3, 1] = chain[3, 2, 1] = 0.5
-    assert geometry.metric_blocks(chain) == [(0, 2, 3), (1,)]  # joined through index 2
+    assert not geometry._is_diagonal(chain)
+
+
+def test_a_signed_zero_off_the_diagonal_is_diagonal_and_nan_is_not():
+    g = pattern_metric(pattern_grid(3), "diagonal")
+    g[0, 1] = g[1, 0] = -0.0
+    assert geometry._is_diagonal(g)
+    assert same_bits(geometry.inverse(g), dense_inverse(g))
+    g[0, 1, 2, 3, 4] = g[1, 0, 2, 3, 4] = np.nan  # LAPACK then sees the NaN node
+    assert not geometry._is_diagonal(g)
+    got = geometry.inverse(g)
+    assert not np.isfinite(got[..., 2, 3, 4]).any()
+    assert same_bits(np.delete(got, 2, axis=2), np.delete(dense_inverse(g), 2, axis=2))
+
+
+def test_a_zero_on_the_diagonal_raises_and_a_negative_one_is_named():
+    grid = pattern_grid(3)
+    g = pattern_metric(grid, "diagonal")
+    g[1, 1, 2, 3, 4] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division-by-zero warning and inf
+        with pytest.raises(np.linalg.LinAlgError):
+            geometry.inverse(g)
+        with pytest.raises(DataError, match=r"^metric is not positive definite \(min eigenvalue 0\)$"):
+            geometry.MetricField(Field(grid, "sym2", g))
+    g[1, 1, 2, 3, 4] = -1.0
+    with pytest.raises(DataError, match=r"^metric is not positive definite \(min eigenvalue -1\)$"):
+        geometry.MetricField(Field(grid, "sym2", g))
 
 
 def test_block_inverse_raises_on_a_singular_block():
     g = pattern_metric(pattern_grid(3), "permuted")
     one = g.copy()
-    one[1, 1, 2, 3, 4] = 0.0  # the 1x1 block {1} at one node
+    one[1, 1, 2, 3, 4] = 0.0  # row and column 1 all zero at one node
     two = g.copy()
-    two[np.ix_((0, 2), (0, 2), (2,), (3,), (4,))] = 1.0  # the block {0, 2} at one node
+    two[np.ix_((0, 2), (0, 2), (2,), (3,), (4,))] = 1.0  # rows 0 and 2 equal at one node
     for singular in (one, two):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division-by-zero warning and inf
@@ -91,16 +118,10 @@ def test_block_inverse_raises_on_a_singular_block():
 
 
 def per_node_inverse(g):
-    """Each node's block inverted alone: by LAPACK, or a division for a 1x1 block."""
+    """Each node's matrix inverted alone by LAPACK."""
     want = np.zeros(g.shape)
-    for block in geometry.metric_blocks(g):
-        ix = np.ix_(block, block)
-        for node in np.ndindex(*g.shape[2:]):
-            m = g[ix][(Ellipsis,) + node]
-            inv = 1.0 / m if len(block) == 1 else np.linalg.inv(m)
-            for p, i in enumerate(block):
-                for q, j in enumerate(block):
-                    want[(i, j) + node] = inv[p, q]
+    for node in np.ndindex(*g.shape[2:]):
+        want[(Ellipsis,) + node] = np.linalg.inv(g[(Ellipsis,) + node])
     return want
 
 
@@ -115,10 +136,9 @@ def test_distinct_node_inverse_equals_per_node_lapack(ndim, pattern):
     g = pattern_metric(pattern_grid(ndim), pattern)[(slice(None),) * 2 + (slice(0, 3),) * ndim]
     for axes in constancies(ndim):
         const = constant_along(g, axes)
-        big = max(geometry.metric_blocks(const), key=len)
-        cut = geometry._block_matrices(const, big).shape[:-2]
+        cut = geometry._node_matrices(const).shape[:-2]
         assert all(cut[axis] == 1 for axis in axes), axes  # LAPACK sees one slice
-        assert geometry.inverse(const).tobytes() == per_node_inverse(const).tobytes(), axes
+        assert same_bits(geometry.inverse(const), per_node_inverse(const)), axes
 
 
 @pytest.mark.parametrize("ndim", (2, 3, 4))
@@ -143,10 +163,10 @@ def test_distinct_nodes_tell_negative_from_positive_zero():
     per_node = np.moveaxis(g, (0, 1), (-2, -1))
     eigs = np.linalg.eigvalsh(per_node)
     assert eigs[0, 0, 0].tobytes() != eigs[0, 1, 0].tobytes()
-    cut = geometry._block_matrices(g, (0, 1, 2))
+    cut = geometry._node_matrices(g)
     assert cut.shape == (1, 8, 1, 3, 3)  # s and x2 are cut, x1 is not
     assert np.broadcast_to(np.linalg.eigvalsh(cut), eigs.shape).tobytes() == eigs.tobytes()
-    assert geometry.inverse(g).tobytes() == per_node_inverse(g).tobytes()
+    assert same_bits(geometry.inverse(g), per_node_inverse(g))
     chol = np.linalg.cholesky(per_node)
     want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
     got = geometry.MetricField(Field(grid, "sym2", g)).sqrt_det
@@ -155,8 +175,8 @@ def test_distinct_nodes_tell_negative_from_positive_zero():
 
 def test_a_singular_node_on_a_constant_axis_still_raises():
     g = constant_along(pattern_metric(pattern_grid(3), "permuted"), (1,))
-    g[np.ix_((0, 2), (0, 2), (4,))] = 1.0  # the block {0, 2} at the nodes s = 4, every x1
-    assert geometry._block_matrices(g, (0, 2)).shape[1] == 1
+    g[np.ix_((0, 2), (0, 2), (4,))] = 1.0  # rows 0 and 2 equal at the nodes s = 4, every x1
+    assert geometry._node_matrices(g).shape[1] == 1
     with pytest.raises(np.linalg.LinAlgError):
         geometry.inverse(g)
     with pytest.raises(DataError, match="not positive definite"):
@@ -375,10 +395,10 @@ def test_tensor_arrays_are_c_contiguous_float64():
               "partial_stack": partial_stack(ids.metric.data[1:, 1:], ids.grid, SCHEME),
               "dead_v_partials": dead_v_partials(ppwave_metric(spec), spec.grid, SCHEME),
               "_contract": _contract("ab...,b...->a...", m.ginv, m.data[0]),
-              # written block by block into one fresh array
-              "block inverse, dense": geometry.inverse(m.data),
-              "block inverse, diagonal": ids.metric.ginv,
-              "block inverse, null block": ginv_st}
+              # written component by component into one fresh array
+              "inverse, dense": geometry.inverse(m.data),
+              "inverse, diagonal": ids.metric.ginv,
+              "inverse, development metric": ginv_st}
     arrays = {"MetricField.ginv": m.ginv,
               "ids.curvature().christoffels": ids.curvature().christoffels,
               "spacetime gamma": gamma_st, **owners}

@@ -112,10 +112,10 @@ def test_lorentz_signature_defect_counts_block_by_block_as_the_dense_count():
     wave = ppwave_metric(ppwave(grid, "1 + 0.5*sin(2*pi*x1)", SCHEME))
     recipe = build_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME)).gbar
     # the wave with the leaf direction x2 turned timelike at half the nodes: a
-    # second negative eigenvalue in a 1x1 block
+    # second negative eigenvalue, on an axis uncoupled from the others
     two = wave.copy()
     two[3, 3] = np.where(np.arange(grid.shape[0])[:, None, None] % 2 == 0, -1.0, 1.0)
-    assert len(geometry.metric_blocks(wave)) == 3
+    assert geometry._node_matrices(wave).shape == (1, 8, 1, 4, 4)  # the profile varies along x1
     assert lorentz_signature_defect(wave) == dense_signature_defect(wave) == 0
     assert lorentz_signature_defect(recipe) == dense_signature_defect(recipe) == 0
     bad = lorentz_signature_defect(two)
@@ -128,19 +128,19 @@ def test_distinct_node_signature_count_equals_the_per_node_count(ndim):
     gbar[2, 2, 3::4] = -0.5  # a second negative direction on two s slices
     for axes in ((), (0,), tuple(range(1, ndim)), tuple(range(ndim))):
         const = constant_along(gbar, axes)
-        cut = geometry._block_matrices(const, (0, 1)).shape[:-2]
+        cut = geometry._node_matrices(const).shape[:-2]
         assert all(cut[axis] == 1 for axis in axes), axes
         assert lorentz_signature_defect(const) == dense_signature_defect(const), axes
     assert lorentz_signature_defect(gbar) == 2 * 8 ** (ndim - 1)
 
 
 def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
-    # a wave whose profile depends on s alone, so every block is constant along
+    # a wave whose profile depends on s alone, so the metric is constant along
     # the leaves; at one s node the leaf direction x2 turns timelike
     grid = grid3(9, 8)
     wave = ppwave_metric(ppwave(grid, "1 + 0.5*s^2", SCHEME))
     wave[3, 3, 4] = -1.0
-    assert geometry._block_matrices(wave, (3,)).shape == (9, 1, 1, 1, 1)
+    assert geometry._node_matrices(wave).shape == (9, 1, 1, 4, 4)
     assert lorentz_signature_defect(wave) == dense_signature_defect(wave) == 8 * 8
 
 
