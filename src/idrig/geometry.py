@@ -13,11 +13,11 @@ partials of their trace Gamma^a_ab, so Ricci needs no Riemann tensor.
 
 Metric factorizations: a diagonal metric (every off-diagonal component 0 at
 every node) takes one division and one square root per component; any other
-goes whole to LAPACK (inv, cholesky, eigvalsh) at its distinct nodes only: one
-slice along each grid axis it is constant on bit for bit (mesh._constant_axes,
-as the derivatives cut), the result broadcast back.  LAPACK factors each
-matrix of a stack on its own, so inverse equals np.linalg.inv and sqrt(det g)
-the whole-matrix Cholesky product bit for bit, up to the sign of a zero.
+goes whole to LAPACK (inv, cholesky, eigvalsh) at the nodes of its own grid
+shape, which is length 1 along every axis the metric does not vary on (see
+mesh).  LAPACK factors each matrix of a stack on its own, so inverse equals
+np.linalg.inv and sqrt(det g) the whole-matrix Cholesky product bit for bit,
+up to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _constant_axes, _contract,
-                   _first_slices, _known, _live, _recorded_stack, partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _known, _live,
+                   _recorded_stack, partial_stack, updated)
 
 # --- pure array core ---------------------------------------------------------
 
@@ -39,9 +39,8 @@ def _is_diagonal(gdata):
 
 
 def _node_matrices(gdata):
-    """The metric's matrices [*grid, n, n], one slice long along each axis g is constant on."""
-    g = gdata.astype(float, copy=False)
-    return np.moveaxis(_first_slices(g, _constant_axes(g, 2)), (0, 1), (-2, -1))
+    """The metric's matrices [*grid, n, n] over its own grid shape."""
+    return np.moveaxis(gdata.astype(float, copy=False), (0, 1), (-2, -1))
 
 
 def _inverse(gdata, diagonal):
@@ -131,7 +130,7 @@ def riemann_from(gamma, dgamma):
     (+-0.0 - +-0.0) + 0.0 - 0.0 is +0.0.
     """
     gg = _contract("ace...,edb...->abcd...", gamma, gamma)
-    r = np.zeros(gg.shape)
+    r = np.zeros(gg.shape[:4] + np.broadcast_shapes(gg.shape[4:], dgamma.shape[5:]))
     for a, b, c, d in _live_indices(_riemann_live, _live(dgamma, 4), _live(gg, 4)):
         component = r[a, b, c, d]
         np.subtract(dgamma[c, a, d, b], dgamma[d, a, c, b], out=component)
@@ -143,9 +142,8 @@ def riemann_from(gamma, dgamma):
 def ricci_from(gamma, div_gamma, d_trace):
     """R_bd from Gamma, div_gamma[b, d] = d_a Gamma^a_bd and d_trace[d, b] = d_d Gamma^a_ab."""
     ric = div_gamma - np.swapaxes(d_trace, 0, 1)
-    ric += _contract("aae...,ebd...->bd...", gamma, gamma)
-    ric -= _contract("ade...,eab...->bd...", gamma, gamma)
-    return ric
+    ric = updated(np.add, ric, _contract("aae...,ebd...->bd...", gamma, gamma))
+    return updated(np.subtract, ric, _contract("ade...,eab...->bd...", gamma, gamma))
 
 
 # --- Riemannian metric fields --------------------------------------------------
@@ -233,18 +231,16 @@ def cov_covector(wdata, grid, gamma, scheme=DEFAULT_SCHEME):
 def cov_rank2(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
     """nabla_c T_ab for covariant rank 2, indexed [c, a, b]."""
     dt = partial_stack(tdata, grid, scheme)
-    dt -= _contract("eca...,eb...->cab...", gamma, tdata)
-    dt -= _contract("ecb...,ae...->cab...", gamma, tdata)
-    return dt
+    dt = updated(np.subtract, dt, _contract("eca...,eb...->cab...", gamma, tdata))
+    return updated(np.subtract, dt, _contract("ecb...,ae...->cab...", gamma, tdata))
 
 
 def cov_rank3(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
     """nabla_c T_abd for covariant rank 3, indexed [c, a, b, d]."""
     dt = partial_stack(tdata, grid, scheme)
-    dt -= _contract("eca...,ebd...->cabd...", gamma, tdata)
-    dt -= _contract("ecb...,aed...->cabd...", gamma, tdata)
-    dt -= _contract("ecd...,abe...->cabd...", gamma, tdata)
-    return dt
+    dt = updated(np.subtract, dt, _contract("eca...,ebd...->cabd...", gamma, tdata))
+    dt = updated(np.subtract, dt, _contract("ecb...,aed...->cabd...", gamma, tdata))
+    return updated(np.subtract, dt, _contract("ecd...,abe...->cabd...", gamma, tdata))
 
 
 # --- first-order metric operations ----------------------------------------------

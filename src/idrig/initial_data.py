@@ -35,10 +35,14 @@ from .mesh import (
     Grid,
     MeshError,
     _contract,
+    fits,
+    full_grid,
     leaf_block,
     leaf_index,
+    leaf_values,
     partial_stack,
     sample,
+    updated,
 )
 
 
@@ -47,17 +51,18 @@ class AmbientVector:
     """Section x e0 + X of the ambient bundle: scalar part and tangent part."""
 
     grid: Grid
-    a: np.ndarray   # coefficient of e0, shape grid.shape
-    x: np.ndarray   # tangent components X^b, shape (n,) + grid.shape
+    a: np.ndarray   # coefficient of e0, broadcasting to grid.shape
+    x: np.ndarray   # tangent components X^b, broadcasting to (n,) + grid.shape
 
     def __post_init__(self):
-        a = np.broadcast_to(np.asarray(self.a, dtype=float), self.grid.shape)
+        a = np.array(self.a, dtype=float, ndmin=self.grid.ndim)
         x = np.asarray(self.x, dtype=float)
-        if x.shape != (self.grid.ndim,) + self.grid.shape:
-            raise MeshError(f"ambient tangent part has shape {x.shape}")
+        for part, want in ((a, self.grid.shape), (x, (self.grid.ndim,) + self.grid.shape)):
+            if not fits(part.shape, want):
+                raise MeshError(f"ambient vector part has shape {part.shape}, expected {want}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
             raise MeshError("ambient vector contains NaN or Inf")
-        object.__setattr__(self, "a", np.array(a))
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "x", x)
 
 
@@ -102,9 +107,10 @@ class InitialDataSet:
         """
         phi_f = _lapse(grid, phi)
         n = grid.ndim
-        g = np.zeros((n, n) + grid.shape)
-        g[0, 0] = phi_f.data**2
+        g_ss = phi_f.data**2
         lm = _leaf_metric_components(grid, leaf_metric)
+        g = np.zeros((n, n) + np.broadcast_shapes(g_ss.shape, lm.shape[2:]))
+        g[0, 0] = g_ss
         g[1:, 1:] = lm
         metric = geometry.MetricField(Field(grid, "sym2", g))
         k_f = k if isinstance(k, Field) else sample(grid, k, kind="sym2")
@@ -119,13 +125,18 @@ class InitialDataSet:
         values = lambda entry: (entry if isinstance(entry, np.ndarray)
                                 else sample(grid, entry).data)
         knn = values(k_nn)
-        kff = np.zeros((n - 1, n - 1) + grid.shape)
-        knf = np.zeros((n - 1,) + grid.shape)
+        knf_entries = [values(k_nf[i]) for i in range(n - 1)]
+        kff_entries = [[values(k_ff[i][jj]) for jj in range(n - 1)] for i in range(n - 1)]
+        shape = np.broadcast_shapes(phi_f.data.shape, knn.shape,
+                                    *(np.shape(e) for e in knf_entries),
+                                    *(np.shape(e) for row in kff_entries for e in row))
+        kff = np.zeros((n - 1, n - 1) + shape)
+        knf = np.zeros((n - 1,) + shape)
         for i in range(n - 1):
-            knf[i] = values(k_nf[i])
+            knf[i] = knf_entries[i]
             for jj in range(n - 1):
-                kff[i, jj] = values(k_ff[i][jj])
-        k = np.zeros((n, n) + grid.shape)
+                kff[i, jj] = kff_entries[i][jj]
+        k = np.zeros((n, n) + shape)
         k[0, 0] = phi_f.data**2 * knn
         k[0, 1:] = phi_f.data * knf
         k[1:, 0] = phi_f.data * knf
@@ -139,7 +150,7 @@ class InitialDataSet:
     def nu(self):
         """Unit normal of the leaves, nu = phi^{-1} d_s."""
         n = self.grid.ndim
-        out = np.zeros((n,) + self.grid.shape)
+        out = np.zeros((n,) + self.phi.data.shape)
         out[0] = 1.0 / self.phi.data
         return out
 
@@ -157,17 +168,15 @@ def _leaf_metric_components(grid, leaf_metric):
         const = np.asarray(leaf_metric, dtype=float)
     except (TypeError, ValueError):
         const = None
-    out = np.zeros((m, m) + grid.shape)
     if const is not None and const.shape == (m, m):
-        out[:] = const.reshape((m, m) + (1,) * grid.ndim)
-        return out
+        return const.reshape((m, m) + (1,) * grid.ndim).copy()
+    entries = [[float(entry) if isinstance(entry, (int, float)) else sample(grid, entry).data
+                for entry in row[:m]] for row in leaf_metric[:m]]
+    out = np.zeros((m, m) + np.broadcast_shapes((1,) * grid.ndim,
+                                                *(np.shape(e) for row in entries for e in row)))
     for i in range(m):
         for jj in range(m):
-            entry = leaf_metric[i][jj]
-            if isinstance(entry, (int, float)):
-                out[i, jj] = float(entry)
-            else:
-                out[i, jj] = sample(grid, entry).data
+            out[i, jj] = entries[i][jj]
     return out
 
 
@@ -247,10 +256,9 @@ def ambient_derivative(ids, v):
     """
     curv = ids.curvature()
     da = partial_stack(v.a, ids.grid, ids.scheme)
-    da += _contract("cb...,b...->c...", ids.k.data, v.x)
+    da = updated(np.add, da, _contract("cb...,b...->c...", ids.k.data, v.x))
     dx = geometry.cov_vector(v.x, ids.grid, curv.christoffels, ids.scheme)
-    dx += v.a * _k_mixed(ids)
-    return da, dx
+    return da, updated(np.add, dx, v.a * _k_mixed(ids))
 
 
 @derived
@@ -287,10 +295,10 @@ def ambient_curvature(ids, v):
     # second application: the d-indexed family (da[d], dx[d]) is a set of
     # ambient fields; [d_c, d_d] = 0 so the commutator is the curvature
     dda = partial_stack(da, ids.grid, ids.scheme)
-    dda += _contract("cb...,db...->cd...", k, dx)
+    dda = updated(np.add, dda, _contract("cb...,db...->cd...", k, dx))
     ddx = partial_stack(dx, ids.grid, ids.scheme)
-    ddx += _contract("bce...,de...->cdb...", curv.christoffels, dx)
-    ddx += _contract("d...,cb...->cdb...", da, k_mixed)
+    ddx = updated(np.add, ddx, _contract("bce...,de...->cdb...", curv.christoffels, dx))
+    ddx = updated(np.add, ddx, _contract("d...,cb...->cdb...", da, k_mixed))
     a_part = dda - np.einsum("cd...->dc...", dda)
     x_part = ddx - np.einsum("cdb...->dcb...", ddx)
     return AmbientCurvature(a_part, x_part)
@@ -299,8 +307,8 @@ def ambient_curvature(ids, v):
 def ambient_curvature_pairing(ids, curv_v, w):
     """gbar(Rbar(d_c, d_d)V, W), indexed [c, d]."""
     out = -curv_v.a * w.a
-    out += _contract("ab...,cda...,b...->cd...", ids.metric.data, curv_v.x, w.x)
-    return out
+    return updated(np.add, out, _contract("ab...,cda...,b...->cd...", ids.metric.data,
+                                          curv_v.x, w.x))
 
 
 # --- leaf null geometry -----------------------------------------------------------
@@ -334,13 +342,14 @@ def leaf_null_geometry(ids, tau):
     if (leaf_null_geometry, idx) not in ids._derived:
         leaf_grid = ids.grid.leaf()
         k_leaf = leaf_block(ids.k, idx)
-        a_leaf = Field(leaf_grid, "sym2",
-                       geometry.symmetrize(_shape_form(ids)[1:, 1:][:, :, idx]))
+        a_leaf = Field(leaf_grid, "sym2", geometry.symmetrize(
+            leaf_values(_shape_form(ids)[1:, 1:], ids.grid, idx)))
         g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
         chi = a_leaf + k_leaf
         theta = _contract("ab...,ab...->...", g_tau.ginv, chi.data)
         ids._derived[leaf_null_geometry, idx] = _read_only(LeafData(
-            idx, g_tau, geometry.curvature(g_tau, ids.scheme), ids.phi.data[idx],
+            idx, g_tau, geometry.curvature(g_tau, ids.scheme),
+            leaf_values(ids.phi.data, ids.grid, idx),
             k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta)))
     return ids._derived[leaf_null_geometry, idx]
 
@@ -375,7 +384,8 @@ class _StencilInterpolator:
 
     def __init__(self, arrays, grid):
         self.grid = grid
-        self.data = np.concatenate([a.reshape((-1,) + grid.shape) for a in arrays])
+        self.data = np.concatenate([full_grid(a, grid).reshape((-1,) + grid.shape)
+                                    for a in arrays])
         self.sizes = [int(np.prod(a.shape[: a.ndim - grid.ndim], dtype=int)) for a in arrays]
 
     def __call__(self, point):
@@ -418,10 +428,7 @@ def parallel_transport(ids, v0_a, v0_x, path):
         if len(idx) != n or not all(0 <= idx[i] < grid.counts[i] for i in range(n)):
             raise MeshError(f"path node {tuple(idx)} outside the grid")
     curv = ids.curvature()
-    interp = _StencilInterpolator(
-        [curv.christoffels.reshape((n**3,) + grid.shape),
-         ids.k.data.reshape((n**2,) + grid.shape),
-         _k_mixed(ids).reshape((n**2,) + grid.shape)], grid)
+    interp = _StencilInterpolator([curv.christoffels, ids.k.data, _k_mixed(ids)], grid)
 
     def rhs(point, state, direction):
         gam_f, k_f, km_f = interp(point)
@@ -471,7 +478,7 @@ def parallel_transport(ids, v0_a, v0_x, path):
             nsteps *= 2
 
     def norm_at(idx, a, x):
-        g_node = ids.metric.data[(slice(None), slice(None)) + tuple(idx)]
+        g_node = full_grid(ids.metric.data, grid)[(slice(None), slice(None)) + tuple(idx)]
         return float(-a * a + x @ g_node @ x)
 
     norm0 = norm_at(path[0], float(v0_a), np.asarray(v0_x, dtype=float))

@@ -32,9 +32,9 @@ import numpy as np
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints, derived)
-from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _constant_axes,
-                   _contract, _first_slices, _recorded_stack, dump_csv, partial,
-                   partial_stack)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract,
+                   _recorded_stack, dump_csv, full_grid, grid_values, partial, partial_stack,
+                   updated)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
@@ -48,15 +48,20 @@ def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
     return _recorded_stack(data, grid, scheme, zero_axes=1)
 
 
-def lorentz_signature_defect(gbar):
-    """Number of nodes whose metric does not have exactly one negative eigenvalue.
+def lorentz_signature_defect(gbar, grid):
+    """Number of nodes of `grid` whose metric does not have exactly one negative eigenvalue.
 
-    The eigenvalues are taken at the metric's distinct nodes only
-    (geometry._node_matrices); the count is spread back over the grid before
-    the nodes are counted.
+    The eigenvalues are taken over the metric's own grid shape, the count is
+    spread over the whole grid.  Each matrix is scaled to D g D first, with
+    D = 1/sqrt(max_j |g_ij|) on every row that is not all 0: a congruence keeps
+    the signs of the eigenvalues (Sylvester), and it keeps a metric with entries
+    near 1e300 from rounding its small eigenvalues to 0.
     """
-    negatives = np.sum(np.linalg.eigvalsh(geometry._node_matrices(gbar)) < 0.0, axis=-1)
-    return int(np.count_nonzero(np.broadcast_to(negatives != 1, gbar.shape[2:])))
+    g = geometry._node_matrices(gbar)
+    row_max = np.max(np.abs(g), axis=-1)
+    d = 1.0 / np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
+    negatives = np.sum(np.linalg.eigvalsh(d[..., :, None] * g * d[..., None, :]) < 0.0, axis=-1)
+    return int(np.count_nonzero(full_grid(negatives != 1, grid)))
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,11 @@ def build_kd(ids, section=None):
 
     n = ids.grid.ndim
     x_flat = g.flat(section.x)
-    gbar = np.zeros((n + 1, n + 1) + ids.grid.shape)
+    gbar = np.zeros((n + 1, n + 1) + np.broadcast_shapes(x_flat.shape[1:], g.data.shape[2:]))
     gbar[0, 1:] = x_flat
     gbar[1:, 0] = x_flat
     gbar[1:, 1:] = g.data
-    bad = lorentz_signature_defect(gbar)
+    bad = lorentz_signature_defect(gbar, ids.grid)
     if bad:
         raise MeshError(f"development metric is not Lorentzian at {bad} nodes")
     kd = KillingDevelopment(ids, section, gbar, ids.scheme)
@@ -161,13 +166,13 @@ class FrameEinstein:
 def _gram_schmidt_spatial(g):
     """Orthonormalize the M coordinate vectors under g, s direction first."""
     n = g.grid.ndim
-    frame = np.zeros((n, n) + g.grid.shape)
+    frame = np.zeros((n,) + g.data.shape[1:])
     for a in range(n):
-        y = np.zeros((n,) + g.grid.shape)
+        y = np.zeros((n,) + g.data.shape[2:])
         y[a] = 1.0
         for b in range(a):
             proj = _contract("cd...,c...,d...->...", g.data, frame[b], y)
-            y -= proj * frame[b]
+            y = updated(np.subtract, y, proj * frame[b])
         nrm2 = g.norm2_vector(y)
         if float(np.min(nrm2)) <= 0.0:
             raise MeshError("degenerate metric in frame construction")
@@ -193,7 +198,7 @@ def kd_einstein(kd):
     u_norm = np.sqrt(u_norm2)
 
     spatial = _gram_schmidt_spatial(g)          # rows: nu-hat, leaf legs
-    frame = np.zeros((n + 1, n + 1) + ids.grid.shape)
+    frame = np.zeros((n + 1, n + 1) + np.broadcast_shapes(u_norm.shape, spatial.shape[2:]))
     frame[0, 0] = 1.0 / u_norm                  # e0 = (d_v + U)/|U|
     frame[0, 1:] = u_vec / u_norm
     for i in range(1, n):                       # leaf legs e1..e_{n-1}
@@ -222,7 +227,7 @@ def kd_pattern_residuals(kd):
     table = kd_einstein(kd)
     rho = constraints(kd.ids)[0]
     n = kd.grid.ndim
-    sigma = -1.0 if float(np.mean(-kd.section.x[0])) > 0.0 else 1.0
+    sigma = -1.0 if float(np.mean(-full_grid(kd.section.x[0], kd.grid))) > 0.0 else 1.0
     pattern = np.zeros((n + 1, n + 1))
     pattern[0, 0] = 1.0
     pattern[n, n] = 1.0
@@ -289,18 +294,19 @@ class DecReport:
 def frame_dec_minimum(ein_frame, grid, count=64):
     """Scan Ein(e0+d, e0+d') over null directions d from the sampled set.
 
-    Only distinct nodes are scanned: along every grid axis on which the table
-    is constant bit for bit (mesh._constant_axes), the scan sees the first
-    slice.  Values repeat along those axes, so the first minimum there, with
-    index 0 on them, is the first minimum of the whole grid, bit for bit.  If
-    every axis is constant, the last stays whole: on a one-node grid einsum
-    sums the frame index in another order, which can move the last bit.
+    The scan runs over the table's own grid shape, length 1 along every axis
+    it does not vary on.  Values repeat along those axes, so the first minimum
+    there, with index 0 on them, is the first minimum of the whole grid, bit
+    for bit.  A table of length 1 along every axis is spread along the last:
+    on a one-node grid einsum sums the frame index in another order, which can
+    move the last bit.
     """
     n = ein_frame.shape[0] - 1
     dirs = causal_direction_set(n, count)
     rays = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
-    cut = _constant_axes(ein_frame, 2)
-    table = _first_slices(ein_frame, cut[:-1] if len(cut) == ein_frame.ndim - 2 else cut)
+    table = ein_frame
+    if math.prod(table.shape[2:]) == 1:
+        table = np.repeat(table, grid.counts[-1], axis=-1)
     best = math.inf
     best_node = None
     best_pair = None
@@ -358,10 +364,10 @@ def ppwave_metric(spec):
     """Coordinate components of -ds dv - dv ds + f ds^2 + delta."""
     grid = spec.grid
     n = grid.ndim
-    f_vals = exprlang.evaluate(spec.f, grid.coord_env())
-    gbar = np.zeros((n + 1, n + 1) + grid.shape)
+    f_vals = grid_values(grid, spec.f)
+    gbar = np.zeros((n + 1, n + 1) + f_vals.shape)
     gbar[0, 1] = gbar[1, 0] = -1.0
-    gbar[1, 1] = np.broadcast_to(f_vals, grid.shape)
+    gbar[1, 1] = f_vals
     for i in range(2, n + 1):
         gbar[i, i] = 1.0
     return gbar
@@ -371,10 +377,11 @@ def leaf_laplacian_exact(spec):
     """Geometric leaf Laplacian -sum_i d^2 f / dx_i^2 from symbolic derivatives."""
     grid = spec.grid
     env = grid.coord_env()
-    total = np.zeros(grid.shape)
-    for i in range(1, grid.ndim):
-        second = exprlang.diff(exprlang.diff(spec.f, f"x{i}"), f"x{i}")
-        total -= np.broadcast_to(exprlang.evaluate(second, env), grid.shape)
+    seconds = [grid_values(grid, exprlang.diff(exprlang.diff(spec.f, f"x{i}"), f"x{i}"), env)
+               for i in range(1, grid.ndim)]
+    total = np.zeros(np.broadcast_shapes(*(second.shape for second in seconds)))
+    for second in seconds:
+        total -= second
     return total
 
 
@@ -449,18 +456,17 @@ def induce_from_ppwave(spec, w="0"):
                         f"(found {sorted(extra)})")
     env = grid.coord_env()
     dw = exprlang.diff(w_ast, "s")
-    phi2 = np.broadcast_to(exprlang.evaluate(graph_profile(spec, dw), env),
-                           grid.shape).copy()
+    phi2 = grid_values(grid, graph_profile(spec, dw), env)
     if float(np.min(phi2)) <= 0.0:
         raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
     phi = Field(grid, "scalar", np.sqrt(phi2))
 
     gbar = ppwave_metric(spec)
     ginv, gamma = spacetime_christoffels(gbar, grid, spec.scheme)
-    dw_vals = np.broadcast_to(exprlang.evaluate(dw, env), grid.shape)
+    dw_vals = grid_values(grid, dw, env)
 
     # future unit normal from the conormal dv - w' ds
-    conormal = np.zeros((n + 1,) + grid.shape)
+    conormal = np.zeros((n + 1,) + dw_vals.shape)
     conormal[0] = 1.0
     conormal[1] = -dw_vals
     normal = _contract("AB...,B...->A...", ginv, conormal)
@@ -469,7 +475,7 @@ def induce_from_ppwave(spec, w="0"):
     if float(np.max(e0_v)) >= 0.0:
         raise DataError("graph normal is not future directed")
 
-    tangents = np.zeros((n, n + 1) + grid.shape)
+    tangents = np.zeros((n, n + 1) + dw_vals.shape)
     tangents[0, 0] = dw_vals
     tangents[0, 1] = 1.0
     for i in range(1, n):
@@ -495,7 +501,7 @@ def restricted_killing_section(ids):
     parallel section the induced data develops along.
     """
     inv_phi = 1.0 / ids.phi.data
-    x = np.zeros((ids.grid.ndim,) + ids.grid.shape)
+    x = np.zeros((ids.grid.ndim,) + inv_phi.shape)
     x[0] = -(inv_phi**2)
     return AmbientVector(ids.grid, inv_phi, x)
 

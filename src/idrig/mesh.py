@@ -20,16 +20,18 @@ leave these +0.0: equal in value to what every scheme gives, not always in
 bits (fd2 gives -0.0 on a component that holds -0.0 entries); a stack is
 written axis by axis into one preallocated array.
 
-Constant axes: every shipped scene is constant along some grid axis (the
-recipe along s and x2, a vacuum development along both leaf axes), which
-pointwise algebra keeps bit for bit.  On grids of at least _DISTINCT_MIN_NODES
-nodes the kernel sees one slice along every grid axis but the derivative one
-on which all live components are constant (_constant_axes, comparing through
-.view(np.uint64), so -0.0 and +0.0 never match), and its result is broadcast
-back.  Every kernel treats each line on its own (the stencils are elementwise
-along the other axes, pocketfft transforms every line by itself), so that is
-the derivative bit for bit.  On smaller grids the comparison costs more than
-the kernel work it saves.
+Grid shapes: an array's grid axes are each either the axis's full node count
+or 1, where the data does not vary along that axis, and numpy broadcasting
+carries that through every elementwise step and every `_contract`.  `sample`
+keeps the length-1 axes of a scene expression (`1 + 0.1*sin(2*pi*x1)` on an
+(s, x1, x2) grid has grid shape (1, N1, 1)); a `Field` holds any shape that
+broadcasts to its full one.  A derivative along a length-1 axis runs the kernel
+on the data spread to that axis's full count (an fd4 stencil along s leaves
+round-off there, not 0); it is stored only where it is nonzero somewhere, and
+otherwise stays +0.0 at the data's own shape.  Arrays reach the full grid only
+at the edges: a report's maxima and argmins need no expansion, `leaf_values`
+spreads each per-leaf slice over the whole leaf, and `full_grid` serves the
+CSV dump, quadrature, interpolation and the signature count.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -306,62 +308,48 @@ def _live(data, rank):
     return mask
 
 
-# Below this many grid nodes looking for a constant axis costs more than it
-# saves: ungated, the comparison takes 2.2 ms of a 0.054 s small2d benchmark
-# pass (105 comparisons on 16 x 32 nodes) and the pass runs 2.6-3.5% slower.
-_DISTINCT_MIN_NODES = 4096
+def _partials(data, grid, axes, scheme, zero_axes=0):
+    """The stack of `zero_axes` derivatives that are 0, then those along `axes`, and its mask.
 
-
-def _constant_axes(data, lead):
-    """The axes past the `lead` leading ones along which `data` is constant bit for bit.
-
-    Compared as uint64, so -0.0 and +0.0 differ.  Each axis found is cut to
-    its first slice before the next one is tested.
+    An int `axes` gives that one derivative, unstacked.
+    Zero components skip the kernel.  Along an axis the data has length 1 on,
+    the kernel sees the data spread to the axis's full count, and its result is
+    stored only if it is nonzero somewhere; the stack's grid shape is the
+    data's, widened by the axes whose derivative is stored.  The mask (the
+    stack's leading axes) is True where the stack is nonzero somewhere.
     """
-    bits = data.view(np.uint64)
-    axes = []
-    for axis in range(lead, bits.ndim):
-        first = (slice(None),) * axis + (slice(0, 1),)
-        if (bits == bits[first]).all():
-            axes.append(axis)
-            bits = bits[first]
-    return axes
-
-
-def _first_slices(data, axes):
-    """The view of `data` that keeps only the first slice, of length 1, along each of `axes`."""
-    return data[tuple(slice(0, 1) if axis in axes else slice(None) for axis in range(data.ndim))]
-
-
-def _partials_into(out, data, grid, axes, scheme, mask=None):
-    """Fill out[k] with the derivative along axes[k]; zero components skip the kernel.
-
-    On grids of at least _DISTINCT_MIN_NODES nodes the kernel sees one slice along
-    every other grid axis on which the live components are constant.  A given
-    `mask` (out's leading axes) is filled with where out is nonzero somewhere.
-    """
-    live = _live(data, np.ndim(data) - grid.ndim).reshape(-1)
-    flat = np.asarray(data, dtype=float).reshape((-1,) + grid.shape)
-    nonzero = flat[live]
-    constant = _constant_axes(nonzero, 1) if flat[0].size >= _DISTINCT_MIN_NODES else []
-    stack = out.reshape((len(axes),) + flat.shape)
-    written = None if mask is None else mask.reshape(stack.shape[:2])
-    for k, (axis, axis_out) in enumerate(zip(axes, stack)):
-        cut = _first_slices(nonzero, [c for c in constant if c != 1 + axis])
-        derivative = _derivative(cut, grid, axis, scheme)  # the assignment broadcasts it
-        axis_out[live] = derivative
-        if written is not None:
-            written[k, live] = np.logical_or.reduce(derivative, axis=tuple(range(1, flat.ndim)))
-    return out
+    stacked = not isinstance(axes, int)
+    axes = tuple(axes) if stacked else (axes,)
+    rank = np.ndim(data) - grid.ndim
+    live = _live(data, rank).reshape(-1)
+    shape = np.shape(data)[rank:]
+    nonzero = np.asarray(data, dtype=float).reshape((-1,) + shape)[live]
+    derivatives = {}
+    for k, axis in enumerate(axes):
+        if shape[axis] == 1:
+            spread = shape[:axis] + (grid.counts[axis],) + shape[axis + 1:]
+            derivative = _derivative(np.broadcast_to(nonzero, (len(nonzero),) + spread),
+                                     grid, axis, scheme)
+            derivatives[k] = derivative if derivative.any() else None
+            shape = shape if derivatives[k] is None else np.broadcast_shapes(shape, spread)
+    lead = (zero_axes + len(axes),) if stacked else ()
+    out = np.zeros(lead + np.shape(data)[:rank] + shape)
+    stack = out.reshape((zero_axes + len(axes), len(live)) + shape)[zero_axes:]
+    mask = np.zeros(out.shape[:len(lead) + rank], dtype=bool)
+    written = mask.reshape((zero_axes + len(axes), len(live)))[zero_axes:]
+    for k, axis in enumerate(axes):
+        derivative = derivatives[k] if k in derivatives else _derivative(nonzero, grid, axis,
+                                                                         scheme)
+        if derivative is not None:
+            stack[k, live] = derivative
+            written[k, live] = np.logical_or.reduce(derivative, axis=tuple(range(1, 1 + grid.ndim)))
+    return out, mask
 
 
 def _recorded_stack(data, grid, scheme, zero_axes=0):
     """partial_stack after `zero_axes` derivatives that are 0, read-only, with its exact
     (axis, component) mask recorded (see _known)."""
-    out = np.zeros((zero_axes + grid.ndim,) + np.shape(data))
-    mask = np.zeros(out.shape[:out.ndim - grid.ndim], dtype=bool)
-    _partials_into(out[zero_axes:], data, grid, range(grid.ndim), scheme, mask[zero_axes:])
-    return _known(out, mask)
+    return _known(*_partials(data, grid, range(grid.ndim), scheme, zero_axes))
 
 
 @lru_cache(maxsize=None)
@@ -444,15 +432,24 @@ def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
 
     `data` has the grid axes last; leading axes are tensor components.
     """
-    out = np.zeros(np.shape(data))
-    _partials_into(out[None], data, grid, (axis,), scheme)
-    return out
+    return _partials(data, grid, axis, scheme)[0]
 
 
 def partial_stack(data, grid, scheme=DEFAULT_SCHEME):
     """All coordinate derivatives, stacked along a new leading axis."""
-    out = np.zeros((grid.ndim,) + np.shape(data))
-    return _partials_into(out, data, grid, range(grid.ndim), scheme)
+    return _partials(data, grid, range(grid.ndim), scheme)[0]
+
+
+def full_grid(data, grid):
+    """A read-only view of `data` spread over every node of `grid` (its last axes)."""
+    return np.broadcast_to(data, np.shape(data)[:np.ndim(data) - grid.ndim] + grid.shape)
+
+
+def updated(ufunc, target, value):
+    """ufunc(target, value), in place when `target` spans value's shape; the same bits either way."""
+    if np.broadcast_shapes(target.shape, np.shape(value)) == target.shape:
+        return ufunc(target, value, out=target)
+    return ufunc(target, value)
 
 
 # --- fields --------------------------------------------------------------------
@@ -467,6 +464,11 @@ FIELD_KINDS = {
     "form2": (2, False, True),
     "cov3": (3, False, False),
 }
+
+
+def fits(shape, full):
+    """Whether `shape` has the axes of `full`, each of full's size or 1."""
+    return len(shape) == len(full) and all(size in (1, count) for size, count in zip(shape, full))
 
 
 def _ensure_finite(data, what):
@@ -489,7 +491,7 @@ class Field:
         n = self.grid.ndim
         want = (n,) * rank + self.grid.shape
         data = np.asarray(self.data, dtype=float)
-        if data.shape != want:
+        if not fits(data.shape, want):
             raise MeshError(f"{self.kind} field shape {data.shape}, expected {want}")
         _ensure_finite(data, f"{self.kind} field")
         if sym or asym:
@@ -524,24 +526,30 @@ class Field:
             raise MeshError("field mismatch in arithmetic")
 
 
+def grid_values(grid, expr, env=None):
+    """A fresh float array of an expression over `grid`, length 1 along the axes it does not read."""
+    values = exprlang.evaluate(expr, grid.coord_env() if env is None else env)
+    return np.array(values, dtype=float, ndmin=grid.ndim)
+
+
 def sample(grid, source, kind="scalar"):
     """Sample an expression (string, AST, or nested sequence of them).
 
     For tensor kinds, `source` is a nested sequence matching the component
     shape, e.g. [["phi^2", "0"], ["0", "1"]] for a sym2 field on a 2d grid.
+    The grid shape is the union of the entries' (see the module docstring).
     """
     rank = FIELD_KINDS[kind][0]
     env = grid.coord_env()
 
     def one(expr_like):
         expr = exprlang.parse(expr_like) if isinstance(expr_like, str) else expr_like
-        vals = exprlang.evaluate(expr, env)
-        return np.broadcast_to(np.asarray(vals, dtype=float), grid.shape).copy()
+        return grid_values(grid, expr, env)
 
     if rank == 0:
         return Field(grid, kind, one(source))
     n = grid.ndim
-    comp = np.empty((n,) * rank + grid.shape)
+    entries = {}
     for idx in np.ndindex(*(n,) * rank):
         entry = source
         for i in idx:
@@ -550,7 +558,10 @@ def sample(grid, source, kind="scalar"):
             except (IndexError, KeyError, TypeError):
                 raise MeshError(
                     f"{kind} source needs a full {'x'.join([str(n)] * rank)} nest")
-        comp[idx] = one(entry)
+        entries[idx] = one(entry)
+    comp = np.empty((n,) * rank + np.broadcast_shapes(*(e.shape for e in entries.values())))
+    for idx, values in entries.items():
+        comp[idx] = values
     return Field(grid, kind, comp)
 
 
@@ -563,14 +574,19 @@ def leaf_index(grid, tau):
     return idx
 
 
-def leaf_values(field, tau_idx):
-    """Slice all components of a product-grid field at one s node."""
-    return field.data[(slice(None),) * field.rank + (tau_idx,)]
+def leaf_values(data, grid, tau_idx):
+    """All components of product-grid data at s node `tau_idx`, over every leaf node.
+
+    A fresh C-contiguous array; per-leaf work runs on the whole leaf grid.
+    """
+    lead = np.ndim(data) - grid.ndim
+    at = tau_idx if np.shape(data)[lead] > 1 else 0
+    return np.ascontiguousarray(full_grid(data[(slice(None),) * lead + (at,)], grid.leaf()))
 
 
 def leaf_block(field, tau_idx):
     """Leaf-tangential component block at one s node, as a leaf-grid field."""
-    block = leaf_values(field, tau_idx)[(slice(1, None),) * field.rank]
+    block = leaf_values(field.data[(slice(1, None),) * field.rank], field.grid, tau_idx)
     return Field(field.grid.leaf(), field.kind, block)
 
 
@@ -583,7 +599,8 @@ def integrate(values, grid):
         raise MeshError("integrate expects a torus grid")
     cell = float(np.prod(grid.spacing))
     axes = tuple(range(-grid.ndim, 0))
-    return np.sum(np.asarray(values, dtype=float), axis=axes) * cell
+    values = np.ascontiguousarray(full_grid(np.asarray(values, dtype=float), grid))
+    return np.sum(values, axis=axes) * cell
 
 
 def integrate_leaf(values, leaf_grid, density=None):
@@ -639,11 +656,12 @@ def l2_norm(a, ginv, density=None):
 def dump_csv(grid, columns, path):
     """Write labelled grid arrays as CSV: one row per node and column.
 
-    `columns` is a list of (label, array of grid.shape).  Rows hold the grid
+    `columns` is a list of (label, array that broadcasts to grid.shape).  Rows hold the grid
     coordinates, the label and the value with 17 significant digits; nodes
     run row-major and the columns cycle fastest.
     """
     axes = [grid.axis_coords(i) for i in range(grid.ndim)]
+    columns = [(label, full_grid(values, grid)) for label, values in columns]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(grid.names) + ["comp", "value"])

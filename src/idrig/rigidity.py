@@ -37,9 +37,11 @@ from .mesh import (
     Field,
     MeshError,
     _contract,
+    full_grid,
     integrate,
     leaf_block,
     leaf_index,
+    leaf_values,
     partial,
     partial_stack,
 )
@@ -72,7 +74,7 @@ def rigid_recipe(grid, phi, leaf_metric=None, scheme=DEFAULT_SCHEME):
 def build_parallel_candidate(ids):
     """V = phi^{-1}(e0 + nu), the unique candidate lightlike parallel section."""
     inv_phi = 1.0 / ids.phi.data
-    x = np.zeros((ids.grid.ndim,) + ids.grid.shape)
+    x = np.zeros((ids.grid.ndim,) + inv_phi.shape)
     x[0] = inv_phi**2
     return AmbientVector(ids.grid, inv_phi, x)
 
@@ -114,8 +116,8 @@ def lambda_form(ids):
 def lambda_via_curvature(ids):
     """Independent route: contract the ambient curvature of e0 + nu with nu."""
     nu = ids.nu
-    v = AmbientVector(ids.grid, np.ones(ids.grid.shape), nu)
-    w = AmbientVector(ids.grid, np.zeros(ids.grid.shape), nu)
+    v = AmbientVector(ids.grid, 1.0, nu)
+    w = AmbientVector(ids.grid, 0.0, nu)
     rv = ambient_curvature(ids, v)
     paired = ambient_curvature_pairing(ids, rv, w)  # gbar(Rbar(d_c, d_d)V, nu)
     paired[0] = 0.0  # lambda(nu) = 0; a zero row is skipped, so lam[0] is exactly 0
@@ -187,9 +189,9 @@ def two_for_three_residual(ids, tau):
     leaf_grid = leaf.g_tau.grid
     rho, j = constraints(ids)
     lam = lambda_form(ids)
-    lhs = (j.data + lam.data)[1:, leaf.tau_idx]
-    gdot_full = _leaf_metric_rate(ids)
-    gdot = Field(leaf_grid, "sym2", geometry.symmetrize(gdot_full[:, :, leaf.tau_idx]))
+    lhs = leaf_values((j.data + lam.data)[1:], ids.grid, leaf.tau_idx)
+    gdot = Field(leaf_grid, "sym2", geometry.symmetrize(
+        leaf_values(_leaf_metric_rate(ids), ids.grid, leaf.tau_idx)))
     dd = leaf_div_minus_dtr(gdot, leaf.g_tau, leaf.curvature.christoffels, ids.scheme)
     rhs = -0.5 / leaf.phi * dd.data
     defect = gdot.data + 2.0 * leaf.phi * leaf.k_ff.data
@@ -230,17 +232,18 @@ def variation_residual(ids, tau):
     scheme = ids.scheme
 
     theta = theta_plus_field(ids)
-    rate = partial(theta.data, ids.grid, 0, scheme)[idx]
+    rate = leaf_values(partial(theta.data, ids.grid, 0, scheme), ids.grid, idx)
 
     gam_tau = leaf.curvature.christoffels
     rho, j = constraints(ids)
     jn = j_normal(ids, j)
     chi2 = _contract("ac...,bd...,ab...,cd...->...", leaf.g_tau.ginv, leaf.g_tau.ginv,
                       leaf.chi_plus.data, leaf.chi_plus.data)
-    q = 0.5 * leaf.curvature.scal - (rho.data[idx] + jn[idx]) - 0.5 * chi2
+    q = 0.5 * leaf.curvature.scal - (leaf_values(rho.data, ids.grid, idx)
+                                     + leaf_values(jn, ids.grid, idx)) - 0.5 * chi2
 
     # X = tangential part of k(nu, .)# on the leaf
-    k_nu = (ids.k.data[0, 1:] / ids.phi.data)[:, idx]
+    k_nu = leaf_values(ids.k.data[0, 1:] / ids.phi.data, ids.grid, idx)
     x_vec = leaf.g_tau.sharp(k_nu)
     dphi = partial_stack(leaf.phi, leaf_grid, scheme)
     dlogphi = dphi / leaf.phi
@@ -325,17 +328,18 @@ def hodge_decompose(omega, gmat):
     m = leaf_grid.ndim
     _, _, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
     axes = tuple(range(-m, 0))
-    what = np.fft.fftn(omega.data, axes=axes)
+    data = full_grid(omega.data, leaf_grid)
+    what = np.fft.fftn(data, axes=axes)
     fhat = -1j * _contract("a...,a...->...", xi_up, what) / safe
     fhat = np.where(zero, 0.0, fhat)
     exact_hat = 1j * xi * fhat
 
     harm = np.real(what[(slice(None),) + (0,) * m]) / np.prod(leaf_grid.counts)
-    harmonic = np.zeros_like(omega.data)
+    harmonic = np.zeros(data.shape)
     harmonic += harm.reshape((m,) + (1,) * m)
 
     exact = np.real(np.fft.ifftn(exact_hat, axes=axes))
-    coexact = omega.data - exact - harmonic
+    coexact = data - exact - harmonic
     f = np.real(np.fft.ifftn(fhat, axes=axes))
     return HodgeSplit(
         Field(leaf_grid, "covector", exact),
@@ -350,9 +354,7 @@ def div_part_identity_residual(w_covector, gmat, scheme=DEFAULT_SCHEME):
     leaf_grid = w_covector.grid
     m = leaf_grid.ndim
     gmat = _check_constant_metric(gmat, m)
-    gfield = geometry.MetricField(Field(leaf_grid, "sym2",
-                                        np.broadcast_to(gmat.reshape((m, m) + (1,) * m),
-                                                        (m, m) + leaf_grid.shape).copy()))
+    gfield = geometry.MetricField(Field(leaf_grid, "sym2", gmat.reshape((m, m) + (1,) * m)))
     gam = geometry.christoffels(gfield, scheme)
     w_vec = gfield.sharp(w_covector.data)
     lie = geometry.lie_metric(w_vec, gfield, gam, scheme)
@@ -386,10 +388,11 @@ def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
     m = leaf_grid.ndim
     gmat, ginv, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
     vol = float(np.prod(leaf_grid.lengths))
-    tr = np.einsum("ab,ab...->...", ginv, gdot.data)
+    data = full_grid(gdot.data, leaf_grid)
+    tr = np.einsum("ab,ab...->...", ginv, data)
     c = float(integrate(tr, leaf_grid)) / (m * vol)
 
-    source = gdot.data - c * gmat.reshape((m, m) + (1,) * m)
+    source = data - c * gmat.reshape((m, m) + (1,) * m)
     # div(source)_j = g^{ab} d_a source_bj for the constant metric
     dsrc = partial_stack(source, leaf_grid, scheme)
     r = np.einsum("ab,abj...->j...", ginv, dsrc)
@@ -454,7 +457,7 @@ def rigid_report(ids, taus=None):
     for tau in taus:
         idx = leaf_index(grid, tau)
         tag = f"leaf_{idx:03d}"
-        report[f"{tag}_lambda_max"] = float(np.max(np.abs(lam.data[1:, idx])))
+        report[f"{tag}_lambda_max"] = float(np.max(np.abs(leaf_values(lam.data[1:], grid, idx))))
         d_leaf, identity_leaf = closedness_residual(ids, tau)
         report[f"{tag}_d_phi_lambda_max"] = d_leaf.max_norm()
         report[f"{tag}_dlambda_identity_max"] = identity_leaf.max_norm()
@@ -468,7 +471,7 @@ def rigid_report(ids, taus=None):
         report[f"{tag}_variation_cross_check_max"] = var.cross_check.max_norm()
         report[f"{tag}_chi_plus_max"] = leaf_null_geometry(ids, tau).chi_plus.max_norm()
         report[f"{tag}_theta_plus_max"] = float(np.max(np.abs(
-            theta_plus_field(ids).data[idx])))
+            leaf_values(theta_plus_field(ids).data, grid, idx))))
     report["two_for_three_max"] = max(tft_maxima)
     report["variation_residual_max"] = max(var_maxima)
     return report

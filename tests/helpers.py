@@ -133,8 +133,13 @@ def pattern_grid(ndim):
     return Grid.product(1.0, 10, (8,) * (ndim - 1), (1.0,) * (ndim - 1))
 
 
+def reduced_along(g, axes):
+    """A copy of the metric array `g` cut to its first slice, of length 1, along each grid axis
+    in `axes`: the shape idrig gives data that does not vary along those axes."""
+    return np.ascontiguousarray(g[(slice(None),) * 2 + tuple(
+        slice(0, 1) if axis in axes else slice(None) for axis in range(g.ndim - 2))])
+
+
 def constant_along(g, axes):
-    """A copy of the metric array `g` that is constant along each grid axis in `axes`."""
-    for axis in axes:
-        g = np.broadcast_to(g[(slice(None),) * (2 + axis) + (slice(0, 1),)], g.shape)
-    return np.ascontiguousarray(g)
+    """A dense copy of the metric array `g` that is constant along each grid axis in `axes`."""
+    return np.ascontiguousarray(np.broadcast_to(reduced_along(g, axes), g.shape))

@@ -14,7 +14,7 @@ import pytest
 
 from idrig import exprlang, geometry
 from idrig import killing_dev as kdm
-from idrig.mesh import Grid, Field, Scheme, partial, l2_inner, l2_norm
+from idrig.mesh import Grid, Field, Scheme, full_grid, partial, l2_inner, l2_norm
 from idrig.initial_data import (InitialDataSet, constraints, ambient_pairing,
                                 ambient_derivative, parallel_transport)
 from idrig.mesh import partial_stack
@@ -145,7 +145,7 @@ def test_criterion_04_lambda_and_closedness():
     base = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
     env = grid.coord_env()
     p = 0.05 * np.cos(2 * np.pi * np.broadcast_to(env["x2"], grid.shape))
-    kd = base.k.data.copy()
+    kd = np.array(full_grid(base.k.data, grid))  # k of the recipe does not vary along s
     kd[0, 0] = kd[0, 0] + p * base.phi.data**2
     ids = InitialDataSet(grid, base.phi, base.metric,
                          Field(grid, "sym2", kd), scheme=SCHEME)
@@ -286,13 +286,14 @@ def test_criterion_10_roundtrip_uniqueness():
 def test_criterion_11_transport_conservation():
     ids = recipe_at("exp(0.1*sin(2*pi*x1))", 17)
     v = build_parallel_candidate(ids)
+    a, x = full_grid(v.a, ids.grid), full_grid(v.x, ids.grid)
     loop = [(3, 2, 2), (3, 10, 2), (3, 10, 10), (3, 2, 10), (3, 2, 2)]
     i0 = loop[0]
-    res = parallel_transport(ids, v.a[i0], v.x[(slice(None),) + i0], loop)
+    res = parallel_transport(ids, a[i0], x[(slice(None),) + i0], loop)
     assert res.length == pytest.approx(2.0)
     assert res.drift / res.length < 1e-8
-    assert abs(res.a_end - v.a[i0]) < 1e-8
-    assert np.max(np.abs(res.x_end - v.x[(slice(None),) + i0])) < 1e-8
+    assert abs(res.a_end - a[i0]) < 1e-8
+    assert np.max(np.abs(res.x_end - x[(slice(None),) + i0])) < 1e-8
     assert res.norm_start == pytest.approx(res.norm_end, abs=1e-8)
 
 

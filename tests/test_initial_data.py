@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idrig.mesh import Grid, Scheme, Field, MeshError, sample, partial_stack
+from idrig.mesh import Grid, Scheme, Field, MeshError, full_grid, sample, partial_stack
 from idrig import geometry
 from idrig.initial_data import (InitialDataSet, AmbientVector, constraints,
                                 dec_margin, j_normal,
@@ -362,14 +362,15 @@ def test_transport_rigid_loop_holonomy():
     grid = grid3(17, 16)
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
     v = build_parallel_candidate(ids)
+    a, x = full_grid(v.a, grid), full_grid(v.x, grid)
     loop = [(3, 2, 2), (3, 10, 2), (3, 10, 10), (3, 2, 10), (3, 2, 2)]
     i0 = loop[0]
-    res = parallel_transport(ids, v.a[i0], v.x[(slice(None),) + i0], loop)
+    res = parallel_transport(ids, a[i0], x[(slice(None),) + i0], loop)
     assert res.length == pytest.approx(2.0)
     assert res.steps > 0
     assert res.drift < 1e-12
-    assert abs(res.a_end - v.a[i0]) < 1e-12
-    assert np.max(np.abs(res.x_end - v.x[(slice(None),) + i0])) < 1e-12
+    assert abs(res.a_end - a[i0]) < 1e-12
+    assert np.max(np.abs(res.x_end - x[(slice(None),) + i0])) < 1e-12
     assert res.norm_start == pytest.approx(res.norm_end, abs=1e-12)
 
 

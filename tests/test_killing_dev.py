@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from idrig import exprlang, geometry, killing_dev
-from idrig.mesh import DataError, Grid, Field, MeshError
+from idrig.mesh import DataError, Grid, Field, MeshError, full_grid
 from idrig.initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                                 constraints)
 from idrig.rigidity import build_parallel_candidate, rigid_recipe
@@ -22,7 +22,7 @@ from idrig.killing_dev import (dead_v_partials, lorentz_signature_defect,
                                dump_frame_table_csv, ppwave_metric,
                                spacetime_christoffels, spacetime_curvature)
 from helpers import (SCHEME, constant_along, dense_frame_dec_minimum, grid3, pattern_grid,
-                     pattern_metric)
+                     pattern_metric, reduced_along)
 
 
 # --- spacetime calculus -------------------------------------------------------------
@@ -53,7 +53,7 @@ def _warped_wave_metric():
     of Ricci vanish and would go unchecked.
     """
     spec = ppwave(grid3(9, 8), "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME)
-    gbar = ppwave_metric(spec)
+    gbar = np.array(full_grid(ppwave_metric(spec), spec.grid))  # gbar_22 varies along s too
     gbar[2, 2] = np.exp(0.2 * gbar[1, 1] + 0.1 * spec.grid.coord_env()["s"])
     return gbar, spec.grid
 
@@ -95,11 +95,13 @@ def test_lorentz_signature_defect():
     mink = np.zeros((4, 4) + grid.shape)
     mink[0, 0] = -1.0
     mink[1, 1] = mink[2, 2] = mink[3, 3] = 1.0
-    assert lorentz_signature_defect(mink) == 0
+    assert lorentz_signature_defect(mink, grid) == 0
     eucl = np.zeros((4, 4) + grid.shape)
     for i in range(4):
         eucl[i, i] = 1.0
-    assert lorentz_signature_defect(eucl) == int(np.prod(grid.shape))
+    assert lorentz_signature_defect(eucl, grid) == int(np.prod(grid.shape))
+    # one node of the constant metric stands for every node of the grid
+    assert lorentz_signature_defect(eucl[..., :1, :1, :1], grid) == int(np.prod(grid.shape))
 
 
 def dense_signature_defect(gbar):
@@ -113,25 +115,30 @@ def test_lorentz_signature_defect_counts_block_by_block_as_the_dense_count():
     recipe = build_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME)).gbar
     # the wave with the leaf direction x2 turned timelike at half the nodes: a
     # second negative eigenvalue, on an axis uncoupled from the others
-    two = wave.copy()
+    two = np.array(full_grid(wave, grid))
     two[3, 3] = np.where(np.arange(grid.shape[0])[:, None, None] % 2 == 0, -1.0, 1.0)
     assert geometry._node_matrices(wave).shape == (1, 8, 1, 4, 4)  # the profile varies along x1
-    assert lorentz_signature_defect(wave) == dense_signature_defect(wave) == 0
-    assert lorentz_signature_defect(recipe) == dense_signature_defect(recipe) == 0
-    bad = lorentz_signature_defect(two)
-    assert bad == dense_signature_defect(two) == 5 * 8 * 8  # the even s nodes
+    full = lambda gbar: np.broadcast_to(gbar, gbar.shape[:2] + grid.shape)
+    assert lorentz_signature_defect(wave, grid) == dense_signature_defect(full(wave)) == 0
+    recipe_grid = grid3(17, 16)
+    assert lorentz_signature_defect(recipe, recipe_grid) == dense_signature_defect(
+        np.broadcast_to(recipe, recipe.shape[:2] + recipe_grid.shape)) == 0
+    bad = lorentz_signature_defect(two, grid)
+    assert bad == dense_signature_defect(full(two)) == 5 * 8 * 8  # the even s nodes
 
 
 @pytest.mark.parametrize("ndim", (2, 3, 4))
 def test_distinct_node_signature_count_equals_the_per_node_count(ndim):
     gbar = pattern_metric(pattern_grid(ndim), "gbar")
     gbar[2, 2, 3::4] = -0.5  # a second negative direction on two s slices
+    grid = pattern_grid(ndim)
     for axes in ((), (0,), tuple(range(1, ndim)), tuple(range(ndim))):
-        const = constant_along(gbar, axes)
-        cut = geometry._node_matrices(const).shape[:-2]
+        reduced = reduced_along(gbar, axes)
+        cut = geometry._node_matrices(reduced).shape[:-2]
         assert all(cut[axis] == 1 for axis in axes), axes
-        assert lorentz_signature_defect(const) == dense_signature_defect(const), axes
-    assert lorentz_signature_defect(gbar) == 2 * 8 ** (ndim - 1)
+        assert lorentz_signature_defect(reduced, grid) == dense_signature_defect(
+            constant_along(gbar, axes)), axes
+    assert lorentz_signature_defect(gbar, grid) == 2 * 8 ** (ndim - 1)
 
 
 def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
@@ -141,7 +148,8 @@ def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
     wave = ppwave_metric(ppwave(grid, "1 + 0.5*s^2", SCHEME))
     wave[3, 3, 4] = -1.0
     assert geometry._node_matrices(wave).shape == (9, 1, 1, 4, 4)
-    assert lorentz_signature_defect(wave) == dense_signature_defect(wave) == 8 * 8
+    dense = np.broadcast_to(wave, wave.shape[:2] + grid.shape)
+    assert lorentz_signature_defect(wave, grid) == dense_signature_defect(dense) == 8 * 8
 
 
 # --- developments of rigid data -----------------------------------------------------
@@ -290,37 +298,26 @@ def random_frame_table(rng, grid, ties):
 
 
 @pytest.mark.parametrize("ndim", (2, 3, 4))
-def test_distinct_node_dec_scan_equals_the_whole_grid_scan(ndim, monkeypatch):
+def test_distinct_node_dec_scan_equals_the_whole_grid_scan(ndim):
+    # a table of length 1 along some axes scans its own nodes and finds the whole
+    # grid's first minimum bit for bit; one of length 1 along every axis, where
+    # einsum would sum in another order, too
     grid = pattern_grid(ndim)
     rng = np.random.default_rng(ndim)
-    scanned = []  # the shape of each table the scan ran on
-    first_slices = killing_dev._first_slices
-
-    def recording(data, axes):
-        table = first_slices(data, axes)
-        scanned.append(table.shape)
-        return table
-
-    monkeypatch.setattr(killing_dev, "_first_slices", recording)
     every = tuple(range(ndim))
-    cases = [(constant_along(random_frame_table(rng, grid, ties), axes), axes)
+    cases = [(random_frame_table(rng, grid, ties), axes)
              for axes in (tuple(a for a in every if mask >> a & 1) for mask in range(2 ** ndim))
              for ties in (False, True)]
     # the all-zero tables of a vacuum development, in both signs
     cases += [(np.full((ndim + 1, ndim + 1) + grid.shape, zero), every) for zero in (0.0, -0.0)]
     for table, axes in cases:
         assert np.array_equal(table, table.swapaxes(0, 1))
-        got = killing_dev.frame_dec_minimum(table, grid, count=16)
-        want = dense_frame_dec_minimum(table, grid, count=16)
+        got = killing_dev.frame_dec_minimum(reduced_along(table, axes), grid, count=16)
+        want = dense_frame_dec_minimum(constant_along(table, axes), grid, count=16)
         assert float.hex(got.minimum) == float.hex(want.minimum), axes
         assert (got.node, got.pair, got.coords) == (want.node, want.pair, want.coords), axes
         assert float.hex(got.scale) == float.hex(want.scale)
         assert got.direction_count == want.direction_count
-        # every constant axis is cut to one node, except the last axis of a table
-        # constant along all of them
-        kept = [axis for axis in every if scanned[-1][2 + axis] > 1]
-        assert kept == ([ndim - 1] if axes == every else
-                        [axis for axis in every if axis not in axes]), axes
 
 
 # --- the plane-wave family ----------------------------------------------------------

@@ -144,7 +144,6 @@ def _component_cases(grid, rng):
 def test_partials_equal_each_component_differentiated_alone(s_scheme, leaf_scheme):
     # skipping zero components must not move a single bit: the kernel gives exactly 0 on them
     g, scheme = grid3(), Scheme(s_scheme, leaf_scheme)
-    assert math.prod(g.shape) >= mesh._DISTINCT_MIN_NODES  # the constant-axis search runs
     for name, data in _component_cases(g, np.random.default_rng(5)).items():
         stack = partial_stack(data, g, scheme)
         assert stack.shape == (3,) + data.shape, name
@@ -177,47 +176,55 @@ def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
         assert np.any(batch, axis=tuple(range(1, batch.ndim))).all()
 
 
-# grids of exactly _DISTINCT_MIN_NODES nodes, where the constant-axis search runs
-GATE_GRIDS = {2: Grid.product(1.0, 64, (64,), (1.0,)),
-              3: Grid.product(1.0, 16, (16, 16), (1.0, 1.0)),
-              4: Grid.product(1.0, 8, (8, 8, 8), (1.0, 1.0, 1.0))}
+# a small and a larger grid per dimension: one derivative path serves every size
+SHAPE_GRIDS = {2: (Grid.product(1.0, 16, (32,), (1.0,)), Grid.product(1.0, 64, (64,), (1.0,))),
+               3: (grid3(9, 8), Grid.product(1.0, 16, (16, 16), (1.0, 1.0))),
+               4: (Grid.product(1.0, 8, (8, 8, 8), (1.0, 1.0, 1.0)),)}
 
 
-def _constant_along(rng, grid, axes):
-    """Three components constant along the grid axes `axes`.  Unless that is every axis,
-    in the third one a line of +0.0 turns to -0.0 at one node of the first of `axes`,
-    equal in value, not in bits (the third component would be all zero otherwise)."""
+def _length_one_along(rng, grid, axes):
+    """Three components of length 1 along the grid axes `axes`; unless that is every axis,
+    the third one holds a line of zeros."""
     small = tuple(1 if axis in axes else count for axis, count in enumerate(grid.shape))
     values = rng.standard_normal((3,) + small)
     values[(2,) + (0,) * grid.ndim] = 0.0 if len(axes) < grid.ndim else 1.0
-    data = np.broadcast_to(values, (3,) + grid.shape).copy()
-    if 0 < len(axes) < grid.ndim:
-        node = [0] * grid.ndim
-        node[axes[0]] = 3
-        data[(2,) + tuple(node)] = -0.0
-    return data
+    return values
 
 
-@pytest.mark.parametrize("ndim", sorted(GATE_GRIDS))
+def same_bits(got, want):
+    """Bit for bit equal but for the sign of a zero (adding +0.0 turns -0.0 into +0.0)."""
+    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("ndim", sorted(SHAPE_GRIDS))
 @pytest.mark.parametrize("s_scheme", ["fd2", "fd4"])
 @pytest.mark.parametrize("leaf_scheme", ["fd2", "fd4", "spectral"])
 def test_partials_of_data_constant_along_axes_equal_the_full_grid_kernel(ndim, s_scheme,
                                                                          leaf_scheme):
-    # the kernel sees one slice along every constant axis but the derivative axis, and
-    # its result broadcast back is the derivative of the full array bit for bit
-    g, scheme = GATE_GRIDS[ndim], Scheme(s_scheme, leaf_scheme)
+    # data of length 1 along some axes has the derivatives of its dense copy, spread
+    # over the grid, bit for bit but for the sign of a zero; a derivative along such
+    # an axis keeps length 1 there exactly when it is 0 at every node
+    scheme = Scheme(s_scheme, leaf_scheme)
     rng = np.random.default_rng(ndim)
-    for count in range(ndim + 1):
-        for axes in itertools.combinations(range(ndim), count):
-            data = _constant_along(rng, g, axes)
-            stack = partial_stack(data, g, scheme)
-            for axis in range(ndim):  # constant along the derivative axis itself included
-                full = mesh._derivative(data, g, axis, scheme).tobytes()
-                assert partial(data, g, axis, scheme).tobytes() == full, (axes, axis)
-                assert stack[axis].tobytes() == full, (axes, axis)
+    for g in SHAPE_GRIDS[ndim]:
+        for count in range(ndim + 1):
+            for axes in itertools.combinations(range(ndim), count):
+                data = _length_one_along(rng, g, axes)
+                dense = np.array(mesh.full_grid(data, g))
+                stack = partial_stack(data, g, scheme)
+                for axis in range(ndim):  # the derivative axis of length 1 included
+                    full = mesh._derivative(dense, g, axis, scheme)
+                    got = partial(data, g, axis, scheme)
+                    assert got.shape[1 + axis] == (1 if not full.any() else g.shape[axis])
+                    for one in (got, stack[axis]):
+                        assert same_bits(np.broadcast_to(one, full.shape), full), (axes, axis)
+                    if axis not in axes:  # a kernel result spread along no axis: every bit
+                        assert np.broadcast_to(got, full.shape).tobytes() == full.tobytes()
 
 
-def test_only_grids_at_the_gate_hand_the_kernel_length_one_axes(monkeypatch):
+def test_the_kernel_sees_each_axis_spread_only_along_itself(monkeypatch):
+    # one path on every grid: the kernel gets the data's own shape, spread along the
+    # derivative axis alone when the data has length 1 there
     shapes = []
     kernel = mesh._derivative
 
@@ -227,14 +234,11 @@ def test_only_grids_at_the_gate_hand_the_kernel_length_one_axes(monkeypatch):
 
     monkeypatch.setattr(mesh, "_derivative", recording)
     rng = np.random.default_rng(7)
-    for g, cut in ((GATE_GRIDS[3], True), (grid3(9, 8), False)):
-        assert (math.prod(g.shape) >= mesh._DISTINCT_MIN_NODES) == cut
-        data = np.broadcast_to(rng.standard_normal((2,) + g.shape[:2] + (1,)),
-                               (2,) + g.shape).copy()  # constant along x2
+    for g in SHAPE_GRIDS[3]:
+        data = rng.standard_normal((2,) + g.shape[:2] + (1,))  # length 1 along x2
         shapes.clear()
         partial_stack(data, g, SCHEME)
-        x2 = (1,) if cut else g.shape[2:]
-        assert shapes == [(2,) + g.shape[:2] + x2] * 2 + [(2,) + g.shape], g.shape
+        assert sorted(shapes) == sorted([(2,) + g.shape] + [data.shape] * 2), g.shape
 
 
 # --- pointwise contractions -------------------------------------------------------
@@ -605,7 +609,7 @@ def test_leaf_slicing():
     with pytest.raises(MeshError):
         leaf_index(g, 2.0)
     f = sample(g, "s + x1", kind="scalar")
-    vals = leaf_values(f, 4)
+    vals = leaf_values(f.data, g, 4)
     assert vals.shape == g.leaf().shape
     t = sample(g, [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]], kind="sym2")
     blk = leaf_block(t, 4)

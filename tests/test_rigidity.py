@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idrig import exprlang, geometry
-from idrig.mesh import (Grid, Field, MeshError, sample, leaf_index, l2_inner,
+from idrig.mesh import (Grid, Field, MeshError, full_grid, sample, leaf_index, l2_inner,
                         l2_norm)
 from idrig.initial_data import (InitialDataSet, constraints, ambient_residual_norm,
                                 dec_margin)
@@ -132,7 +132,7 @@ def test_closedness_holds_with_perturbed_normal_normal_component():
     base = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
     env = grid.coord_env()
     p = 0.05 * np.cos(2 * np.pi * np.broadcast_to(env["x2"], grid.shape))
-    kd = base.k.data.copy()
+    kd = np.array(full_grid(base.k.data, grid))  # k of the recipe does not vary along s
     kd[0, 0] = kd[0, 0] + p * base.phi.data**2
     ids = InitialDataSet(grid, base.phi, base.metric,
                          Field(grid, "sym2", kd), scheme=SCHEME)
@@ -152,7 +152,7 @@ def test_closedness_detects_non_gradient_normal_coupling():
     base = rigid_recipe(grid, "exp(0.05*sin(2*pi*x1))", scheme=SCHEME)
     env = grid.coord_env()
     eta = 0.1 * np.cos(2 * np.pi * np.broadcast_to(env["x2"], grid.shape))
-    kd = base.k.data.copy()
+    kd = np.array(full_grid(base.k.data, grid))  # k of the recipe does not vary along s
     kd[0, 1] = kd[1, 0] = kd[0, 1] + np.broadcast_to(env["s"], grid.shape) * eta
     ids = InitialDataSet(grid, base.phi, base.metric,
                          Field(grid, "sym2", kd), scheme=SCHEME)
