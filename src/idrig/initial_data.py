@@ -35,6 +35,7 @@ from .mesh import (
     Grid,
     MeshError,
     _contract,
+    components,
     fits,
     full_grid,
     leaf_block,
@@ -122,25 +123,11 @@ class InitialDataSet:
         """Assemble k from k(nu,nu), the leaf covector k(nu, .) and k|_FF."""
         phi_f = _lapse(grid, phi)
         n = grid.ndim
-        values = lambda entry: (entry if isinstance(entry, np.ndarray)
-                                else sample(grid, entry).data)
-        knn = values(k_nn)
-        knf_entries = [values(k_nf[i]) for i in range(n - 1)]
-        kff_entries = [[values(k_ff[i][jj]) for jj in range(n - 1)] for i in range(n - 1)]
-        shape = np.broadcast_shapes(phi_f.data.shape, knn.shape,
-                                    *(np.shape(e) for e in knf_entries),
-                                    *(np.shape(e) for row in kff_entries for e in row))
-        kff = np.zeros((n - 1, n - 1) + shape)
-        knf = np.zeros((n - 1,) + shape)
-        for i in range(n - 1):
-            knf[i] = knf_entries[i]
-            for jj in range(n - 1):
-                kff[i, jj] = kff_entries[i][jj]
-        k = np.zeros((n, n) + shape)
-        k[0, 0] = phi_f.data**2 * knn
-        k[0, 1:] = phi_f.data * knf
-        k[1:, 0] = phi_f.data * knf
-        k[1:, 1:] = kff
+        value = lambda entry: entry if isinstance(entry, np.ndarray) else sample(grid, entry).data
+        knf = [phi_f.data * value(k_nf[i]) for i in range(n - 1)]
+        rows = [[phi_f.data**2 * value(k_nn)] + knf] + [
+            [knf[i]] + [value(k_ff[i][j]) for j in range(n - 1)] for i in range(n - 1)]
+        k = components([entry for row in rows for entry in row], (n, n))
         return InitialDataSet.product(grid, phi_f, leaf_metric,
                                       Field(grid, "sym2", k), scheme)
 
@@ -170,14 +157,9 @@ def _leaf_metric_components(grid, leaf_metric):
         const = None
     if const is not None and const.shape == (m, m):
         return const.reshape((m, m) + (1,) * grid.ndim).copy()
-    entries = [[float(entry) if isinstance(entry, (int, float)) else sample(grid, entry).data
-                for entry in row[:m]] for row in leaf_metric[:m]]
-    out = np.zeros((m, m) + np.broadcast_shapes((1,) * grid.ndim,
-                                                *(np.shape(e) for row in entries for e in row)))
-    for i in range(m):
-        for jj in range(m):
-            out[i, jj] = entries[i][jj]
-    return out
+    entries = [float(entry) if isinstance(entry, (int, float)) else sample(grid, entry).data
+               for row in leaf_metric[:m] for entry in row[:m]]
+    return components(entries, (m, m))
 
 
 def _read_only(value):

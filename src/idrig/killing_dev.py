@@ -51,11 +51,10 @@ def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
 def lorentz_signature_defect(gbar, grid):
     """Number of nodes of `grid` whose metric does not have exactly one negative eigenvalue.
 
-    The eigenvalues are taken over the metric's own grid shape, the count is
-    spread over the whole grid.  Each matrix is scaled to D g D first, with
-    D = 1/sqrt(max_j |g_ij|) on every row that is not all 0: a congruence keeps
-    the signs of the eigenvalues (Sylvester), and it keeps a metric with entries
-    near 1e300 from rounding its small eigenvalues to 0.
+    Each matrix of the metric's own grid shape is scaled to D g D, with
+    D = 1/sqrt(max_j |g_ij|) on each row that is not all 0, before eigvalsh: the
+    congruence keeps the signs of the eigenvalues (Sylvester), and entries near
+    1e300 no longer round a small eigenvalue to 0.
     """
     g = geometry._node_matrices(gbar)
     row_max = np.max(np.abs(g), axis=-1)
@@ -304,9 +303,8 @@ def frame_dec_minimum(ein_frame, grid, count=64):
     n = ein_frame.shape[0] - 1
     dirs = causal_direction_set(n, count)
     rays = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
-    table = ein_frame
-    if math.prod(table.shape[2:]) == 1:
-        table = np.repeat(table, grid.counts[-1], axis=-1)
+    table = (ein_frame if math.prod(ein_frame.shape[2:]) > 1
+             else np.repeat(ein_frame, grid.counts[-1], axis=-1))
     best = math.inf
     best_node = None
     best_pair = None

@@ -27,11 +27,12 @@ keeps the length-1 axes of a scene expression (`1 + 0.1*sin(2*pi*x1)` on an
 (s, x1, x2) grid has grid shape (1, N1, 1)); a `Field` holds any shape that
 broadcasts to its full one.  A derivative along a length-1 axis runs the kernel
 on the data spread to that axis's full count (an fd4 stencil along s leaves
-round-off there, not 0); it is stored only where it is nonzero somewhere, and
-otherwise stays +0.0 at the data's own shape.  Arrays reach the full grid only
-at the edges: a report's maxima and argmins need no expansion, `leaf_values`
-spreads each per-leaf slice over the whole leaf, and `full_grid` serves the
-CSV dump, quadrature, interpolation and the signature count.
+round-off there, not 0).  It is stored only if it is nonzero at some node;
+otherwise it stays +0.0 at the data's own shape, where the kernel may have
+given -0.0 (spectral derivatives of constant lines do).  Arrays reach the full
+grid only at the edges: a report's maxima and argmins need no expansion,
+`leaf_values` spreads each per-leaf slice over the whole leaf, and `full_grid`
+serves the CSV dump, quadrature, interpolation and the signature count.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -311,38 +312,35 @@ def _live(data, rank):
 def _partials(data, grid, axes, scheme, zero_axes=0):
     """The stack of `zero_axes` derivatives that are 0, then those along `axes`, and its mask.
 
-    An int `axes` gives that one derivative, unstacked.
-    Zero components skip the kernel.  Along an axis the data has length 1 on,
-    the kernel sees the data spread to the axis's full count, and its result is
-    stored only if it is nonzero somewhere; the stack's grid shape is the
-    data's, widened by the axes whose derivative is stored.  The mask (the
-    stack's leading axes) is True where the stack is nonzero somewhere.
+    An int `axes` gives that one derivative, unstacked.  Zero components skip
+    the kernel.  Along an axis of length 1 the kernel sees the data spread to
+    the axis's full count, and its result is stored only if it is nonzero
+    somewhere, which widens the stack's grid shape along that axis.  The mask
+    (the stack's leading axes) is True where the stack is nonzero somewhere.
     """
     stacked = not isinstance(axes, int)
     axes = tuple(axes) if stacked else (axes,)
     rank = np.ndim(data) - grid.ndim
     live = _live(data, rank).reshape(-1)
-    shape = np.shape(data)[rank:]
-    nonzero = np.asarray(data, dtype=float).reshape((-1,) + shape)[live]
-    derivatives = {}
-    for k, axis in enumerate(axes):
-        if shape[axis] == 1:
-            spread = shape[:axis] + (grid.counts[axis],) + shape[axis + 1:]
-            derivative = _derivative(np.broadcast_to(nonzero, (len(nonzero),) + spread),
-                                     grid, axis, scheme)
-            derivatives[k] = derivative if derivative.any() else None
-            shape = shape if derivatives[k] is None else np.broadcast_shapes(shape, spread)
+    own = shape = np.shape(data)[rank:]
+    nonzero = np.asarray(data, dtype=float).reshape((-1,) + own)[live]
+    spread = {}  # axis of length 1 -> the derivative along it, None where it is 0
+    for axis in (axis for axis in axes if own[axis] == 1):
+        full = (len(nonzero),) + own[:axis] + (grid.counts[axis],) + own[axis + 1:]
+        derivative = _derivative(np.broadcast_to(nonzero, full), grid, axis, scheme)
+        spread[axis] = derivative if derivative.any() else None
+        shape = shape if spread[axis] is None else np.broadcast_shapes(shape, full[1:])
     lead = (zero_axes + len(axes),) if stacked else ()
     out = np.zeros(lead + np.shape(data)[:rank] + shape)
     stack = out.reshape((zero_axes + len(axes), len(live)) + shape)[zero_axes:]
     mask = np.zeros(out.shape[:len(lead) + rank], dtype=bool)
     written = mask.reshape((zero_axes + len(axes), len(live)))[zero_axes:]
     for k, axis in enumerate(axes):
-        derivative = derivatives[k] if k in derivatives else _derivative(nonzero, grid, axis,
-                                                                         scheme)
+        derivative = spread[axis] if axis in spread else _derivative(nonzero, grid, axis, scheme)
         if derivative is not None:
             stack[k, live] = derivative
-            written[k, live] = np.logical_or.reduce(derivative, axis=tuple(range(1, 1 + grid.ndim)))
+            written[k, live] = np.logical_or.reduce(derivative,
+                                                    axis=tuple(range(1, 1 + grid.ndim)))
     return out, mask
 
 
@@ -446,10 +444,9 @@ def full_grid(data, grid):
 
 
 def updated(ufunc, target, value):
-    """ufunc(target, value), in place when `target` spans value's shape; the same bits either way."""
-    if np.broadcast_shapes(target.shape, np.shape(value)) == target.shape:
-        return ufunc(target, value, out=target)
-    return ufunc(target, value)
+    """ufunc(target, value), in place when `target` spans value's shape; the same bits."""
+    spans = np.broadcast_shapes(target.shape, np.shape(value)) == target.shape
+    return ufunc(target, value, out=target if spans else None)
 
 
 # --- fields --------------------------------------------------------------------
@@ -527,9 +524,15 @@ class Field:
 
 
 def grid_values(grid, expr, env=None):
-    """A fresh float array of an expression over `grid`, length 1 along the axes it does not read."""
+    """A fresh float array of an expression over `grid`, of length 1 along axes it does not read."""
     values = exprlang.evaluate(expr, grid.coord_env() if env is None else env)
     return np.array(values, dtype=float, ndmin=grid.ndim)
+
+
+def components(values, shape):
+    """A fresh float array [*shape, *grid] of `values` in C order, over their union grid shape."""
+    values = np.broadcast_arrays(*(np.asarray(value, dtype=float) for value in values))
+    return np.stack(values).reshape(tuple(shape) + values[0].shape)
 
 
 def sample(grid, source, kind="scalar"):
@@ -537,32 +540,20 @@ def sample(grid, source, kind="scalar"):
 
     For tensor kinds, `source` is a nested sequence matching the component
     shape, e.g. [["phi^2", "0"], ["0", "1"]] for a sym2 field on a 2d grid.
-    The grid shape is the union of the entries' (see the module docstring).
     """
-    rank = FIELD_KINDS[kind][0]
+    shape = (grid.ndim,) * FIELD_KINDS[kind][0]
     env = grid.coord_env()
 
-    def one(expr_like):
-        expr = exprlang.parse(expr_like) if isinstance(expr_like, str) else expr_like
-        return grid_values(grid, expr, env)
-
-    if rank == 0:
-        return Field(grid, kind, one(source))
-    n = grid.ndim
-    entries = {}
-    for idx in np.ndindex(*(n,) * rank):
-        entry = source
+    def entry(idx):
+        expr = source
         for i in idx:
             try:
-                entry = entry[i]
+                expr = expr[i]
             except (IndexError, KeyError, TypeError):
-                raise MeshError(
-                    f"{kind} source needs a full {'x'.join([str(n)] * rank)} nest")
-        entries[idx] = one(entry)
-    comp = np.empty((n,) * rank + np.broadcast_shapes(*(e.shape for e in entries.values())))
-    for idx, values in entries.items():
-        comp[idx] = values
-    return Field(grid, kind, comp)
+                raise MeshError(f"{kind} source needs a full {'x'.join(map(str, shape))} nest")
+        return grid_values(grid, exprlang.parse(expr) if isinstance(expr, str) else expr, env)
+
+    return Field(grid, kind, components([entry(idx) for idx in np.ndindex(*shape)], shape))
 
 
 def leaf_index(grid, tau):
@@ -575,10 +566,7 @@ def leaf_index(grid, tau):
 
 
 def leaf_values(data, grid, tau_idx):
-    """All components of product-grid data at s node `tau_idx`, over every leaf node.
-
-    A fresh C-contiguous array; per-leaf work runs on the whole leaf grid.
-    """
+    """All components of product-grid data at s node `tau_idx`, fresh, on every leaf node."""
     lead = np.ndim(data) - grid.ndim
     at = tau_idx if np.shape(data)[lead] > 1 else 0
     return np.ascontiguousarray(full_grid(data[(slice(None),) * lead + (at,)], grid.leaf()))
@@ -599,7 +587,7 @@ def integrate(values, grid):
         raise MeshError("integrate expects a torus grid")
     cell = float(np.prod(grid.spacing))
     axes = tuple(range(-grid.ndim, 0))
-    values = np.ascontiguousarray(full_grid(np.asarray(values, dtype=float), grid))
+    values = np.ascontiguousarray(full_grid(values, grid), dtype=float)
     return np.sum(values, axis=axes) * cell
 
 

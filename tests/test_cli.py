@@ -430,6 +430,20 @@ def test_an_overflow_inside_a_check_is_one_numerical_failure_line(tmp_path):
         assert not caught, command  # no raw RuntimeWarning
 
 
+def test_a_huge_lapse_development_is_lorentzian_and_fails_by_overflow(tmp_path):
+    # the development of phi = 1e150 (...) has a {v, s} block [[0, 1], [1, phi^2]]:
+    # Lorentzian at every node, though unscaled eigvalsh reads its small eigenvalue as 0
+    path = tmp_path / "huge_lapse.scene"
+    path.write_text(re.sub(r"(?m)^phi = .*$", "phi = 1e150*(1 + 0.1*sin(2*pi*x1))",
+                           (SCENES / "recipe.scene").read_text()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rep, err = run(["killing-dev", path])
+    assert (code, rep) == (3, None)
+    assert err == "numerical failure: overflow encountered in multiply\n"
+    assert not caught  # no raw RuntimeWarning
+
+
 def test_undefined_expression_on_a_refined_grid_only(tmp_path):
     # s = 1/3 is a node of the 2 n_s and 4 n_s levels but not of n_s = 8
     path = tmp_path / "refined_pole.scene"

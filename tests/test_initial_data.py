@@ -358,6 +358,21 @@ def test_transport_flat_is_exact():
     assert res.drift == 0.0
 
 
+def test_transport_on_an_open_path_lands_on_the_parallel_section():
+    # a closed loop returns to its start whatever the sign of the connection term;
+    # an open path must end on the parallel section at its last node
+    grid = grid3(17, 16)
+    ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
+    assert ids.curvature().christoffels.shape[3:] == (17, 16, 1)  # interpolated as stored
+    v = build_parallel_candidate(ids)
+    a, x = full_grid(v.a, grid), full_grid(v.x, grid)
+    path = [(3, 2, 2), (3, 10, 2), (3, 10, 10)]
+    res = parallel_transport(ids, a[path[0]], x[(slice(None),) + path[0]], path)
+    assert res.length == pytest.approx(1.0)
+    assert abs(res.a_end - a[path[-1]]) < 1e-5
+    assert np.max(np.abs(res.x_end - x[(slice(None),) + path[-1]])) < 1e-5
+
+
 def test_transport_rigid_loop_holonomy():
     grid = grid3(17, 16)
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)

@@ -141,6 +141,22 @@ def test_distinct_node_signature_count_equals_the_per_node_count(ndim):
     assert lorentz_signature_defect(gbar, grid) == 2 * 8 ** (ndim - 1)
 
 
+def test_a_scaled_lorentzian_metric_counts_no_node():
+    # a congruence keeps the signature; each matrix is scaled before eigvalsh, so
+    # entries near 1e300 do not round the small eigenvalue of the {v, s} block to 0
+    grid = grid3(9, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the section of this coarse grid is not parallel
+        gbar = build_kd(rigid_recipe(grid, "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)).gbar
+    assert dense_signature_defect(np.broadcast_to(gbar, gbar.shape[:2] + grid.shape)) == 0
+    c = 1e150
+    assert lorentz_signature_defect(c * c * gbar, grid) == 0
+    # the development of the lapse c phi: gbar_ss = c^2 phi^2, gbar_vs = 1, leaves unchanged
+    huge_lapse = gbar.copy()
+    huge_lapse[1, 1] *= c * c
+    assert lorentz_signature_defect(huge_lapse, grid) == 0
+
+
 def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
     # a wave whose profile depends on s alone, so the metric is constant along
     # the leaves; at one s node the leaf direction x2 turns timelike

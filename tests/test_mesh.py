@@ -288,6 +288,30 @@ def test_contract_equals_einsum_bit_for_bit(subscripts):
             assert np.array_equal(got + 0.0, want + 0.0), (name, n)
 
 
+@pytest.mark.parametrize("subscripts", CONTRACTED)
+def test_contract_on_length_one_grid_axes_equals_einsum_on_dense_copies(subscripts):
+    # operands of length 1 along random grid axes give a result over the union of
+    # their grid shapes that, spread over the grid, is einsum's on dense contiguous
+    # copies bit for bit (einsum itself sums in another order on stride-0 operands)
+    rng = np.random.default_rng(zlib.crc32(subscripts.encode()) + 1)
+    ranks = [len(labels) for labels in subscripts.split("->")[0].replace("...", "").split(",")]
+    for n, grid in ((3, (4, 5, 6)), (4, (3, 8))):
+        for trial in range(6):
+            ops = []
+            for rank in ranks:  # the first trial has every grid axis of length 1
+                shape = tuple(count if trial and rng.random() < 0.5 else 1 for count in grid)
+                op = rng.standard_normal((n,) * rank + shape)
+                op[rng.random((n,) * rank) < 0.5] = 0.0
+                ops.append(op)
+            dense = [np.ascontiguousarray(np.broadcast_to(op, op.shape[:rank] + grid))
+                     for op, rank in zip(ops, ranks)]
+            want = np.einsum(subscripts, *dense)
+            got = mesh._contract(subscripts, *ops)
+            union = np.broadcast_shapes(*(op.shape[rank:] for op, rank in zip(ops, ranks)))
+            assert got.shape == want.shape[:want.ndim - len(grid)] + union, trial
+            assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes(), (n, trial)
+
+
 def recorded_builds(monkeypatch):
     """Record the subscripts of every contraction plan built; returns the list."""
     builds, build = [], mesh._plan
