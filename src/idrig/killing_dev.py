@@ -375,11 +375,10 @@ def leaf_laplacian_exact(spec):
     """Geometric leaf Laplacian -sum_i d^2 f / dx_i^2 from symbolic derivatives."""
     grid = spec.grid
     env = grid.coord_env()
-    seconds = [grid_values(grid, exprlang.diff(exprlang.diff(spec.f, f"x{i}"), f"x{i}"), env)
-               for i in range(1, grid.ndim)]
-    total = np.zeros(np.broadcast_shapes(*(second.shape for second in seconds)))
-    for second in seconds:
-        total -= second
+    total = 0.0
+    for i in range(1, grid.ndim):
+        second = exprlang.diff(exprlang.diff(spec.f, f"x{i}"), f"x{i}")
+        total = total - grid_values(grid, second, env)
     return total
 
 

@@ -395,10 +395,11 @@ def _contract(subscripts, *operands):
 
     Subscripts give the component labels of each operand, then "..." for the
     grid axes.  A plan is built once per subscripts and operand zero masks, so
-    it serves every grid, layout and dtype.  The result is einsum's bit for bit
-    when each operand's component axes are C-ordered, its grid axes innermost,
-    and each summed label sits in an operand that varies along the grid.  It is
-    read-only and carries the plan's output mask (see _known).
+    it serves every grid, layout and dtype.  The result spans the union of the
+    operands' grid shapes; spread over the grid, it is einsum's on dense copies
+    bit for bit when each operand's component axes are C-ordered and its grid
+    axes innermost.  It is read-only and carries the plan's output mask (see
+    _known).
     """
     ops = [np.asarray(op) for op in operands]
     ins = _labels(subscripts)[0]

@@ -98,6 +98,11 @@ def dense_frame_dec_minimum(ein_frame, grid, count=64):
     return DecReport(best, best_node, best_pair, coords, rays.shape[0], scale)
 
 
+def same_bits(got, want):
+    """Bit for bit equal but for the sign of a zero (adding +0.0 turns -0.0 into +0.0)."""
+    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
 def grid3(n_s=17, leaf=16, ell=1.0):
     return Grid.product(ell, n_s, (leaf, leaf), (1.0, 1.0))
 

@@ -11,7 +11,7 @@ from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
                                spacetime_christoffels)
 from idrig.rigidity import rigid_recipe
 from helpers import (SCHEME, constant_along, dense_christoffels_from, dense_riemann_from,
-                     grid3, pattern_grid, pattern_metric, reduced_along)
+                     grid3, pattern_grid, pattern_metric, reduced_along, same_bits)
 
 
 CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
@@ -60,11 +60,6 @@ def test_block_inverse_matches_the_dense_inverse(ndim, pattern):
     g = pattern_metric(pattern_grid(ndim), pattern)
     got, want = geometry.inverse(g), dense_inverse(g)
     assert same_bits(got, want)
-
-
-def same_bits(got, want):
-    """Bit for bit equal but for the sign of a zero (adding +0.0 turns -0.0 into +0.0)."""
-    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_block_inverse_blocks_follow_the_zero_pattern():

@@ -17,7 +17,7 @@ from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         integrate, integrate_leaf, l2_inner, l2_norm,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
 from idrig.rigidity import hodge_decompose, rigid_recipe, rigid_report, tt_split
-from helpers import CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3
+from helpers import CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits
 
 
 # --- grid construction and validation ------------------------------------------
@@ -189,11 +189,6 @@ def _length_one_along(rng, grid, axes):
     values = rng.standard_normal((3,) + small)
     values[(2,) + (0,) * grid.ndim] = 0.0 if len(axes) < grid.ndim else 1.0
     return values
-
-
-def same_bits(got, want):
-    """Bit for bit equal but for the sign of a zero (adding +0.0 turns -0.0 into +0.0)."""
-    return (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("ndim", sorted(SHAPE_GRIDS))
@@ -604,6 +599,30 @@ def test_field_validation():
     nan[0, 0] = np.nan
     with pytest.raises(MeshError):
         Field(g, "scalar", nan)
+
+
+def test_a_field_holds_any_shape_that_broadcasts_to_its_grid():
+    g = Grid.product(1.0, 9, (8,), (1.0,))
+    for kind, shape in (("scalar", (1, 1)), ("scalar", (9, 1)), ("scalar", (1, 8)),
+                        ("gen2", (2, 2, 1, 8))):
+        assert Field(g, kind, np.ones(shape)).data.shape == shape
+    for kind, shape in (("scalar", (8,)), ("scalar", (3, 8)), ("scalar", (9, 8, 1)),
+                        ("gen2", (2, 2, 9, 2)), ("gen2", (2, 9, 8))):
+        with pytest.raises(MeshError, match="field shape"):
+            Field(g, kind, np.ones(shape))
+
+
+def test_sample_keeps_the_length_one_axes_of_an_expression_in_a_fresh_array():
+    g = grid3(9, 8)
+    env = g.coord_env()
+    x1 = mesh.grid_values(g, exprlang.parse("x1"), env)
+    assert x1.shape == (1, 8, 1) and not np.shares_memory(x1, env["x1"])
+    assert x1.flags.writeable and np.array_equal(x1, env["x1"])
+    assert sample(g, "2").data.shape == (1, 1, 1)
+    assert sample(g, "s*x1").data.shape == (9, 8, 1)
+    f = sample(g, [["s", "0", "0"], ["0", "1", "0"], ["0", "0", "x2"]], kind="sym2")
+    assert f.data.shape == (3, 3, 9, 1, 8)  # the union of the entries' shapes
+    assert np.array_equal(f.data[2, 2], np.broadcast_to(env["x2"], (9, 1, 8)))
 
 
 def test_field_arithmetic():
