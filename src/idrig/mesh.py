@@ -25,14 +25,16 @@ or 1, where the data does not vary along that axis, and numpy broadcasting
 carries that through every elementwise step and every `_contract`.  `sample`
 keeps the length-1 axes of a scene expression (`1 + 0.1*sin(2*pi*x1)` on an
 (s, x1, x2) grid has grid shape (1, N1, 1)); a `Field` holds any shape that
-broadcasts to its full one.  A derivative along a length-1 axis runs the kernel
-on the data spread to that axis's full count (an fd4 stencil along s leaves
-round-off there, not 0).  It is stored only if it is nonzero at some node;
-otherwise it stays +0.0 at the data's own shape, where the kernel may have
-given -0.0 (spectral derivatives of constant lines do).  Arrays reach the full
-grid only at the edges: a report's maxima and argmins need no expansion,
-`leaf_values` spreads each per-leaf slice over the whole leaf, and `full_grid`
-serves the CSV dump, quadrature, interpolation and the signature count.
+broadcasts to its full one.  A spectral derivative along a length-1 axis is
++0.0 at the data's own shape, with no kernel call (the FFT of a constant line
+leaves round-off when the count has a prime factor of 5 or more).  An fd2 or
+fd4 one runs the kernel on the data spread to that axis's full count (fd4
+along s leaves round-off there, not 0) and is stored only if it is nonzero at
+some node, else it is +0.0 at the data's own shape.  Per-leaf slices
+(`leaf_values`, `leaf_block`) keep their length-1 axes.  Arrays reach the full
+grid only at the edges: a report's maxima and argmins need no expansion, and
+`full_grid` serves the CSV dump, quadrature, interpolation and the signature
+count.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -313,10 +315,12 @@ def _partials(data, grid, axes, scheme, zero_axes=0):
     """The stack of `zero_axes` derivatives that are 0, then those along `axes`, and its mask.
 
     An int `axes` gives that one derivative, unstacked.  Zero components skip
-    the kernel.  Along an axis of length 1 the kernel sees the data spread to
-    the axis's full count, and its result is stored only if it is nonzero
-    somewhere, which widens the stack's grid shape along that axis.  The mask
-    (the stack's leading axes) is True where the stack is nonzero somewhere.
+    the kernel.  A spectral derivative along an axis of length 1 is +0.0
+    without a kernel call.  Along any other axis of length 1 the kernel sees
+    the data spread to the axis's full count, and its result is stored only if
+    it is nonzero somewhere, which widens the stack's grid shape along that
+    axis.  The mask (the stack's leading axes) is True where the stack is
+    nonzero somewhere.
     """
     stacked = not isinstance(axes, int)
     axes = tuple(axes) if stacked else (axes,)
@@ -324,8 +328,10 @@ def _partials(data, grid, axes, scheme, zero_axes=0):
     live = _live(data, rank).reshape(-1)
     own = shape = np.shape(data)[rank:]
     nonzero = np.asarray(data, dtype=float).reshape((-1,) + own)[live]
-    spread = {}  # axis of length 1 -> the derivative along it, None where it is 0
-    for axis in (axis for axis in axes if own[axis] == 1):
+    # axis of length 1 -> the derivative along it, None where it is 0 (always, spectrally)
+    spread = {axis: None for axis in axes
+              if own[axis] == 1 and scheme.for_axis(grid, axis) == "spectral"}
+    for axis in (axis for axis in axes if own[axis] == 1 and axis not in spread):
         full = (len(nonzero),) + own[:axis] + (grid.counts[axis],) + own[axis + 1:]
         derivative = _derivative(np.broadcast_to(nonzero, full), grid, axis, scheme)
         spread[axis] = derivative if derivative.any() else None
@@ -567,14 +573,15 @@ def leaf_index(grid, tau):
 
 
 def leaf_values(data, grid, tau_idx):
-    """All components of product-grid data at s node `tau_idx`, fresh, on every leaf node."""
+    """All components of product-grid data at s node `tau_idx`, fresh, of length 1 along
+    each leaf axis the data does not vary on."""
     lead = np.ndim(data) - grid.ndim
     at = tau_idx if np.shape(data)[lead] > 1 else 0
-    return np.ascontiguousarray(full_grid(data[(slice(None),) * lead + (at,)], grid.leaf()))
+    return np.array(data[(slice(None),) * lead + (at,)])
 
 
 def leaf_block(field, tau_idx):
-    """Leaf-tangential component block at one s node, as a leaf-grid field."""
+    """Leaf-tangential component block at one s node, as a leaf-grid field of the slice's shape."""
     block = leaf_values(field.data[(slice(1, None),) * field.rank], field.grid, tau_idx)
     return Field(field.grid.leaf(), field.kind, block)
 

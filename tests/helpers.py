@@ -10,7 +10,7 @@ import math
 
 from idrig import exprlang
 from idrig.killing_dev import DecReport, causal_direction_set
-from idrig.mesh import Grid, Scheme, Field, _contract, partial_stack, fit_order
+from idrig.mesh import Grid, Scheme, _contract, fit_order
 
 SCHEME = Scheme("fd4", "spectral")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from idrig.mesh import (DataError, Grid, Scheme, Field, MeshError, partial, partial_stack, sample,
+from idrig.mesh import (DataError, Grid, Field, MeshError, partial, partial_stack, sample,
                         integrate, _contract, _spectral_axis)
 from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,

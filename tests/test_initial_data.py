@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from idrig.mesh import Grid, Scheme, Field, MeshError, full_grid, sample, partial_stack
+from idrig.mesh import Grid, Field, MeshError, full_grid, sample, partial_stack
 from idrig import geometry
 from idrig.initial_data import (InitialDataSet, AmbientVector, constraints,
                                 dec_margin, j_normal,

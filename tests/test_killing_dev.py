@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from idrig import exprlang, geometry, killing_dev
-from idrig.mesh import DataError, Grid, Field, MeshError, full_grid
+from idrig.mesh import DataError, Grid, MeshError, full_grid
 from idrig.initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                                 constraints)
 from idrig.rigidity import build_parallel_candidate, rigid_recipe

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import itertools
 import math
@@ -14,9 +15,11 @@ from idrig.killing_dev import (build_kd, dead_v_partials, kd_dec_check, kd_round
                                ppwave_einstein_check)
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, leaf_index, leaf_values, leaf_block,
-                        integrate, integrate_leaf, l2_inner, l2_norm,
+                        integrate, l2_inner, l2_norm,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
-from idrig.rigidity import hodge_decompose, rigid_recipe, rigid_report, tt_split
+from idrig.initial_data import InitialDataSet, leaf_null_geometry
+from idrig.rigidity import (hodge_decompose, rigid_recipe, rigid_report, tt_split,
+                            two_for_three_residual, variation_residual)
 from helpers import CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits
 
 
@@ -217,23 +220,69 @@ def test_partials_of_data_constant_along_axes_equal_the_full_grid_kernel(ndim, s
                         assert np.broadcast_to(got, full.shape).tobytes() == full.tobytes()
 
 
-def test_the_kernel_sees_each_axis_spread_only_along_itself(monkeypatch):
-    # one path on every grid: the kernel gets the data's own shape, spread along the
-    # derivative axis alone when the data has length 1 there
-    shapes = []
+def _recording_kernel(monkeypatch):
+    """Replace the derivative kernel by one that records (axis, data shape) of each call."""
+    calls = []
     kernel = mesh._derivative
 
-    def recording(data, *args):
-        shapes.append(data.shape)
-        return kernel(data, *args)
+    def recording(data, grid, axis, scheme):
+        calls.append((axis, data.shape))
+        return kernel(data, grid, axis, scheme)
 
     monkeypatch.setattr(mesh, "_derivative", recording)
+    return calls
+
+
+def test_the_kernel_sees_each_axis_spread_only_along_itself(monkeypatch):
+    # one path on every grid: the kernel gets the data's own shape, spread along the
+    # derivative axis alone when the data has length 1 there; a spectral derivative
+    # along a length-1 axis is +0.0 without a kernel call, an fd2 or fd4 one is not
+    calls = _recording_kernel(monkeypatch)
     rng = np.random.default_rng(7)
-    for g in SHAPE_GRIDS[3]:
-        data = rng.standard_normal((2,) + g.shape[:2] + (1,))  # length 1 along x2
-        shapes.clear()
-        partial_stack(data, g, SCHEME)
-        assert sorted(shapes) == sorted([(2,) + g.shape] + [data.shape] * 2), g.shape
+    for ndim, grids in SHAPE_GRIDS.items():
+        for g, scheme in itertools.product(grids, (DEFAULT_SCHEME, Scheme(leaf="fd4"))):
+            for count in range(ndim + 1):
+                for axes in itertools.combinations(range(ndim), count):
+                    data = rng.standard_normal((2,) + tuple(
+                        1 if axis in axes else size for axis, size in enumerate(g.shape)))
+                    calls.clear()
+                    partial_stack(data, g, scheme)
+                    spread = lambda axis: (data.shape[:1 + axis] + (g.shape[axis],)
+                                           + data.shape[2 + axis:])
+                    want = [(axis, spread(axis) if axis in axes else data.shape)
+                            for axis in range(ndim)
+                            if axis not in axes or scheme.for_axis(g, axis) != "spectral"]
+                    assert sorted(calls) == sorted(want), (g.shape, scheme, axes)
+                    assert all(shape[1 + axis] == g.shape[axis] for axis, shape in calls)
+
+
+@pytest.mark.parametrize("count", [10, 14, 20])
+def test_a_spectral_derivative_along_a_length_one_axis_is_exact_zero(count, monkeypatch):
+    # on counts with a prime factor of 5 or more the kernel leaves round-off on a
+    # constant line; data of length 1 there gets +0.0 and never reaches the kernel
+    eps = np.finfo(float).eps
+    g = Grid.product(1.0, 9, (count, 8), (1.0, 1.0))
+    rng = np.random.default_rng(count)
+    data = rng.standard_normal((3, 9, 1, 8))
+    calls = _recording_kernel(monkeypatch)
+    stack = partial_stack(data, g)
+    assert stack[1].shape == data.shape and not stack[1].any()
+    assert not np.signbit(stack[1]).any()
+    assert 1 not in [axis for axis, _ in calls]
+    monkeypatch.undo()
+    leaf_axes = [(grid, axis) for grids in SHAPE_GRIDS.values() for grid in grids
+                 for axis in range(1, grid.ndim)]
+    for grid, axis in [(g, 1)] + leaf_axes:
+        small = tuple(1 if a == axis else size for a, size in enumerate(grid.shape))
+        for scale in (1e-8, 1.0, 1e8):
+            line = rng.standard_normal((2,) + small) * scale
+            dense = np.array(mesh.full_grid(line, grid))
+            roundoff = np.abs(mesh._derivative(dense, grid, axis, DEFAULT_SCHEME)).max()
+            if grid is g:  # the dense kernel's round-off, recorded
+                k_max = np.abs(mesh._wavenumbers(count, g.spacing[axis])).max()
+                assert roundoff <= 64 * eps * np.abs(line).max() * k_max, scale
+            else:  # every leaf count in SHAPE_GRIDS is 2^a 3^b: exactly 0
+                assert roundoff == 0.0, (grid.shape, axis, scale)
 
 
 # --- pointwise contractions -------------------------------------------------------
@@ -653,11 +702,58 @@ def test_leaf_slicing():
         leaf_index(g, 2.0)
     f = sample(g, "s + x1", kind="scalar")
     vals = leaf_values(f.data, g, 4)
-    assert vals.shape == g.leaf().shape
+    assert vals.shape == (8, 1)  # the slice keeps its length-1 axis x2
+    dense = np.array(mesh.full_grid(f.data, g))[4]
+    assert np.array(mesh.full_grid(vals, g.leaf())).tobytes() == dense.tobytes()
+    assert not np.shares_memory(vals, f.data)
     t = sample(g, [["1", "0", "0"], ["0", "2", "0"], ["0", "0", "3"]], kind="sym2")
     blk = leaf_block(t, 4)
-    assert blk.grid.ndim == 2 and blk.data.shape == (2, 2, 8, 8)
+    assert blk.grid.ndim == 2 and blk.data.shape == (2, 2, 1, 1)
     assert blk.data[0, 0].max() == 2.0 and blk.data[1, 1].max() == 3.0
+
+
+def _dense_copy(ids):
+    """The initial data set of `ids` with every array spread over the grid, contiguous."""
+    dense = lambda field: Field(field.grid, field.kind, np.ascontiguousarray(
+        mesh.full_grid(field.data, field.grid)))
+    return InitialDataSet(ids.grid, dense(ids.phi), geometry.MetricField(dense(ids.metric.field)),
+                          dense(ids.k), ids.scheme)
+
+
+def _leaf_arrays(value, path=""):
+    """Every array of a leaf result, through its fields, metrics and bundles, by attribute path."""
+    if isinstance(value, Field):
+        value = value.data
+    if isinstance(value, np.ndarray):
+        return {path: value}
+    if isinstance(value, geometry.MetricField):
+        return {path + ".ginv": value.ginv, **_leaf_arrays(value.field, path)}
+    if dataclasses.is_dataclass(value):
+        return {key: array for field in dataclasses.fields(value)
+                for key, array in _leaf_arrays(getattr(value, field.name),
+                                               f"{path}.{field.name}").items()}
+    return {}
+
+
+@pytest.mark.parametrize("grid", [Grid.product(1.0, 16, (32,), (1.0,)), grid3(9, 8),
+                                  Grid.product(1.0, 8, (8, 8, 8), (1.0, 1.0, 1.0))],
+                         ids=lambda grid: f"{grid.ndim}d")
+def test_per_leaf_results_on_reduced_data_equal_those_on_dense_copies(grid):
+    # the recipe varies along x1 alone; its leaf slices keep length 1 along the other
+    # axes, and spread over the leaf each leaf result has the dense copy's bits
+    ids = rigid_recipe(grid, "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    dense = _dense_copy(ids)
+    leaf = grid.leaf()
+    for tau in (0.0, 0.5):
+        for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
+            got, want = _leaf_arrays(check(ids, tau)), _leaf_arrays(check(dense, tau))
+            assert sorted(got) == sorted(want) and len(got) > 3, check.__name__
+            for path, array in want.items():
+                spread = np.broadcast_to(got[path], array.shape)
+                assert same_bits(spread, array), (check.__name__, tau, path)
+    # the leaf metric slice keeps length 1 along every leaf axis but x1 (none in 2D)
+    assert leaf_null_geometry(ids, 0.0).g_tau.field.data.shape[2:] == (
+        (leaf.shape[0],) + (1,) * (leaf.ndim - 1))
 
 
 # --- quadrature ------------------------------------------------------------------
