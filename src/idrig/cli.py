@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -183,7 +184,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="idrig",
         description="residual checks for product initial data and their developments")

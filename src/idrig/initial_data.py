@@ -15,8 +15,13 @@ A data set is not changed after construction, so each derived field is
 computed once: `curvature()`, every `derived` function (constraints,
 lambda, theta+, ...) and `leaf_null_geometry`, once per leaf node, store
 their first result on the data set, read-only, and return that object to
-later calls.  It lives as long as the data set.  Wave specs and Killing
-developments store their derived values the same way, through `derived`.
+later calls.  It lives as long as the data set.  Leaf values are stored per
+s node their inputs are read at (`leaf_shared`: the leaf metric and its
+curvature, the leaf-intrinsic terms of two-for-three and the MOTS
+variation), so leaves that read the same slices share one result; values
+that read s-varying fields (chi+, theta+, the rates, j + lambda) stay per
+leaf.  Wave specs and Killing developments store their derived values the
+same way, through `derived`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .mesh import (
     full_grid,
     leaf_block,
     leaf_index,
+    leaf_node,
     leaf_values,
     partial_stack,
     sample,
@@ -174,6 +180,13 @@ def _read_only(value):
     return value
 
 
+def _stored(owner, key, build):
+    """build(), run once per `key` and stored read-only in owner._derived."""
+    if key not in owner._derived:
+        owner._derived[key] = _read_only(build())
+    return owner._derived[key]
+
+
 def derived(build):
     """Run build(owner, *inputs) once per owner and store it in owner._derived.
 
@@ -182,10 +195,24 @@ def derived(build):
     """
     @functools.wraps(build)
     def cached(owner, *inputs):
-        if build not in owner._derived:
-            owner._derived[build] = _read_only(build(owner, *inputs))
-        return owner._derived[build]
+        return _stored(owner, build, lambda: build(owner, *inputs))
     return cached
+
+
+def leaf_shared(*inputs):
+    """Run build(ids, tau_idx) once per s node that `leaf_values` reads each input at.
+
+    Each input maps the data set to an array over M that build reads at the
+    leaf, directly or through another leaf_shared value; leaving one out
+    would share a result that is wrong at some leaf.
+    """
+    def wrap(build):
+        @functools.wraps(build)
+        def shared(ids, tau_idx):
+            key = (build,) + tuple(leaf_node(read(ids), ids.grid, tau_idx) for read in inputs)
+            return _stored(ids, key, lambda: build(ids, tau_idx))
+        return shared
+    return wrap
 
 
 # --- constraint quantities ---------------------------------------------------
@@ -218,8 +245,9 @@ def j_norm(ids, j):
     return np.sqrt(np.maximum(ids.metric.norm2_covector(j.data), 0.0))
 
 
+@derived
 def j_normal(ids, j):
-    """j(nu) as a scalar array."""
+    """j(nu) as a scalar array, for the data set's momentum density j."""
     return _contract("a...,a...->...", ids.nu, j.data)
 
 
@@ -318,22 +346,28 @@ def _shape_form(ids):
     return _contract("bd...,cd...->cb...", ids.metric.data, nnu)
 
 
+@leaf_shared(lambda ids: ids.metric.data)
+def leaf_curvature(ids, tau_idx):
+    """The leaf metric at s node tau_idx and its curvature."""
+    g_tau = geometry.MetricField(leaf_block(ids.metric.field, tau_idx))
+    return g_tau, geometry.curvature(g_tau, ids.scheme)
+
+
 def leaf_null_geometry(ids, tau):
     """The leaf at the node nearest tau, built once per node and stored on ids."""
     idx = leaf_index(ids.grid, tau)
-    if (leaf_null_geometry, idx) not in ids._derived:
+
+    def build():
         leaf_grid = ids.grid.leaf()
         k_leaf = leaf_block(ids.k, idx)
         a_leaf = Field(leaf_grid, "sym2", geometry.symmetrize(
             leaf_values(_shape_form(ids)[1:, 1:], ids.grid, idx)))
-        g_tau = geometry.MetricField(leaf_block(ids.metric.field, idx))
+        g_tau, curv = leaf_curvature(ids, idx)
         chi = a_leaf + k_leaf
         theta = _contract("ab...,ab...->...", g_tau.ginv, chi.data)
-        ids._derived[leaf_null_geometry, idx] = _read_only(LeafData(
-            idx, g_tau, geometry.curvature(g_tau, ids.scheme),
-            leaf_values(ids.phi.data, ids.grid, idx),
-            k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta)))
-    return ids._derived[leaf_null_geometry, idx]
+        return LeafData(idx, g_tau, curv, leaf_values(ids.phi.data, ids.grid, idx),
+                        k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta))
+    return _stored(ids, (leaf_null_geometry, idx), build)
 
 
 # --- parallel transport -------------------------------------------------------------

@@ -73,7 +73,7 @@ import csv
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -144,7 +144,7 @@ class Grid:
     def shape(self):
         return self.counts
 
-    @property
+    @cached_property
     def spacing(self):
         return tuple(
             length / (count if per else count - 1)
@@ -222,15 +222,24 @@ def _fd2_periodic(data, axis, h):
     return (np.roll(data, -1, axis=axis) - np.roll(data, 1, axis=axis)) / (2.0 * h)
 
 
+# the one-sided fd4 rows at nodes 0, 1, -2 and -1: the five nodes each reads, and their weights
+_FD4_EDGE_NODES = np.array([[0, 1, 2, 3, 4]] * 2 + [[-1, -2, -3, -4, -5]] * 2)
+_FD4_EDGE_WEIGHTS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
+                              [3.0, 10.0, -18.0, 6.0, -1.0], [25.0, -48.0, 36.0, -16.0, 3.0]])
+
+
 def _fd4_interval(data, axis, h):
-    d = np.moveaxis(data, axis, 0)
+    d = np.swapaxes(data, axis, 0)
     out = np.empty_like(d)
     out[2:-2] = (d[:-4] - 8.0 * d[1:-3] + 8.0 * d[3:-1] - d[4:]) / (12.0 * h)
-    out[0] = (-25.0 * d[0] + 48.0 * d[1] - 36.0 * d[2] + 16.0 * d[3] - 3.0 * d[4]) / (12.0 * h)
-    out[1] = (-3.0 * d[0] - 10.0 * d[1] + 18.0 * d[2] - 6.0 * d[3] + d[4]) / (12.0 * h)
-    out[-2] = (3.0 * d[-1] + 10.0 * d[-2] - 18.0 * d[-3] + 6.0 * d[-4] - d[-5]) / (12.0 * h)
-    out[-1] = (25.0 * d[-1] - 48.0 * d[-2] + 36.0 * d[-3] - 16.0 * d[-4] + 3.0 * d[-5]) / (12.0 * h)
-    return np.moveaxis(out, 0, axis)
+    # a - b*x equals a + (-b)*x and 1.0*x equals x, so the terms added left to right
+    # give each row's written-out formula bit for bit
+    terms = _FD4_EDGE_WEIGHTS.reshape((4, 5) + (1,) * (d.ndim - 1)) * d[_FD4_EDGE_NODES]
+    edges = terms[:, 0] + terms[:, 1]
+    for k in range(2, 5):
+        edges += terms[:, k]
+    out[[0, 1, -2, -1]] = edges / (12.0 * h)
+    return np.swapaxes(out, 0, axis)
 
 
 def _derivative(data, grid, axis, scheme):
@@ -572,12 +581,16 @@ def leaf_index(grid, tau):
     return idx
 
 
+def leaf_node(data, grid, tau_idx):
+    """The s node leaf_values reads `data` at: `tau_idx`, or 0 if data has length 1 along s."""
+    return tau_idx if np.shape(data)[np.ndim(data) - grid.ndim] > 1 else 0
+
+
 def leaf_values(data, grid, tau_idx):
     """All components of product-grid data at s node `tau_idx`, fresh, of length 1 along
     each leaf axis the data does not vary on."""
     lead = np.ndim(data) - grid.ndim
-    at = tau_idx if np.shape(data)[lead] > 1 else 0
-    return np.array(data[(slice(None),) * lead + (at,)])
+    return np.array(data[(slice(None),) * lead + (leaf_node(data, grid, tau_idx),)])
 
 
 def leaf_block(field, tau_idx):

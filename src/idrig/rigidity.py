@@ -30,7 +30,9 @@ from .initial_data import (
     dec_margin,
     derived,
     j_normal,
+    leaf_curvature,
     leaf_null_geometry,
+    leaf_shared,
 )
 from .mesh import (
     DEFAULT_SCHEME,
@@ -183,6 +185,15 @@ def _leaf_metric_rate(ids):
     return partial(ids.metric.data[1:, 1:], ids.grid, 0, ids.scheme)
 
 
+@leaf_shared(_leaf_metric_rate, lambda ids: ids.metric.data)
+def _leaf_rate_terms(ids, tau_idx):
+    """d_s g_F on the leaf at s node tau_idx, and its (div - d tr) there."""
+    g_tau, curv = leaf_curvature(ids, tau_idx)
+    gdot = Field(g_tau.grid, "sym2", geometry.symmetrize(
+        leaf_values(_leaf_metric_rate(ids), ids.grid, tau_idx)))
+    return gdot, leaf_div_minus_dtr(gdot, g_tau, curv.christoffels, ids.scheme)
+
+
 def two_for_three_residual(ids, tau):
     """Residual of the identity j + lambda = -(1/2phi)(div - d tr)(d_s g_F)."""
     leaf = leaf_null_geometry(ids, tau)
@@ -190,9 +201,7 @@ def two_for_three_residual(ids, tau):
     rho, j = constraints(ids)
     lam = lambda_form(ids)
     lhs = leaf_values((j.data + lam.data)[1:], ids.grid, leaf.tau_idx)
-    gdot = Field(leaf_grid, "sym2", geometry.symmetrize(
-        leaf_values(_leaf_metric_rate(ids), ids.grid, leaf.tau_idx)))
-    dd = leaf_div_minus_dtr(gdot, leaf.g_tau, leaf.curvature.christoffels, ids.scheme)
+    gdot, dd = _leaf_rate_terms(ids, leaf.tau_idx)
     rhs = -0.5 / leaf.phi * dd.data
     defect = gdot.data + 2.0 * leaf.phi * leaf.k_ff.data
     return TwoForThreeResult(
@@ -224,41 +233,53 @@ def theta_plus_field(ids):
     return Field(ids.grid, "scalar", _contract("ab...,ab...->...", ginv_leaf, chi))
 
 
+@derived
+def _theta_rate(ids, theta):
+    """d theta+ / ds over M."""
+    return partial(theta.data, ids.grid, 0, ids.scheme)
+
+
+@leaf_shared(lambda ids: ids.metric.data, lambda ids: ids.phi.data, lambda ids: ids.k.data)
+def _variation_terms(ids, tau_idx):
+    """div X - |X|^2, div Y - |Y|^2 and delta d phi + 2 d_X phi on the leaf at s node tau_idx."""
+    g_tau, curv = leaf_curvature(ids, tau_idx)
+    gam_tau = curv.christoffels
+    scheme = ids.scheme
+    phi = leaf_values(ids.phi.data, ids.grid, tau_idx)
+
+    # X = tangential part of k(nu, .)# on the leaf
+    k_nu = leaf_values(ids.k.data[0, 1:] / ids.phi.data, ids.grid, tau_idx)
+    x_vec = g_tau.sharp(k_nu)
+    dphi = partial_stack(phi, g_tau.grid, scheme)
+    dlogphi = dphi / phi
+    y_vec = x_vec - g_tau.sharp(dlogphi)
+
+    div_x = geometry.divergence_vector(x_vec, g_tau, gam_tau, scheme)
+    div_y = geometry.divergence_vector(y_vec, g_tau, gam_tau, scheme)
+    x2 = g_tau.norm2_vector(x_vec)
+    y2 = g_tau.norm2_vector(y_vec)
+    lap_phi = geometry.hodge_laplacian(Field(g_tau.grid, "scalar", phi),
+                                       g_tau, gam_tau, scheme).data
+    d_x_phi = _contract("i...,i...->...", x_vec, dphi)
+    return div_x - x2, div_y - y2, lap_phi + 2.0 * d_x_phi
+
+
 def variation_residual(ids, tau):
     """MOTS stability form of d theta+/ds at leaf tau, two algebraic routes."""
     leaf = leaf_null_geometry(ids, tau)
     idx = leaf.tau_idx
     leaf_grid = leaf.g_tau.grid
-    scheme = ids.scheme
 
-    theta = theta_plus_field(ids)
-    rate = leaf_values(partial(theta.data, ids.grid, 0, scheme), ids.grid, idx)
-
-    gam_tau = leaf.curvature.christoffels
+    rate = leaf_values(_theta_rate(ids, theta_plus_field(ids)), ids.grid, idx)
     rho, j = constraints(ids)
-    jn = j_normal(ids, j)
     chi2 = _contract("ac...,bd...,ab...,cd...->...", leaf.g_tau.ginv, leaf.g_tau.ginv,
                       leaf.chi_plus.data, leaf.chi_plus.data)
     q = 0.5 * leaf.curvature.scal - (leaf_values(rho.data, ids.grid, idx)
-                                     + leaf_values(jn, ids.grid, idx)) - 0.5 * chi2
+                                     + leaf_values(j_normal(ids, j), ids.grid, idx)) - 0.5 * chi2
 
-    # X = tangential part of k(nu, .)# on the leaf
-    k_nu = leaf_values(ids.k.data[0, 1:] / ids.phi.data, ids.grid, idx)
-    x_vec = leaf.g_tau.sharp(k_nu)
-    dphi = partial_stack(leaf.phi, leaf_grid, scheme)
-    dlogphi = dphi / leaf.phi
-    y_vec = x_vec - leaf.g_tau.sharp(dlogphi)
-
-    div_x = geometry.divergence_vector(x_vec, leaf.g_tau, gam_tau, scheme)
-    div_y = geometry.divergence_vector(y_vec, leaf.g_tau, gam_tau, scheme)
-    x2 = leaf.g_tau.norm2_vector(x_vec)
-    y2 = leaf.g_tau.norm2_vector(y_vec)
-    lap_phi = geometry.hodge_laplacian(Field(leaf_grid, "scalar", leaf.phi),
-                                       leaf.g_tau, gam_tau, scheme).data
-    d_x_phi = _contract("i...,i...->...", x_vec, dphi)
-
-    rhs_simpl = (div_y - y2 + q) * leaf.phi
-    rhs_raw = lap_phi + 2.0 * d_x_phi + (div_x - x2 + q) * leaf.phi
+    div_x_x2, div_y_y2, lap_dx_phi = _variation_terms(ids, idx)
+    rhs_simpl = (div_y_y2 + q) * leaf.phi
+    rhs_raw = lap_dx_phi + (div_x_x2 + q) * leaf.phi
 
     return VariationResult(
         Field(leaf_grid, "scalar", rate),

@@ -4,13 +4,14 @@ CORPUS is the fixed 10-expression set every derivative operator is validated
 against; each entry mixes an interval profile in s with a torus profile in x1
 so both axis schemes are exercised by the same expression.
 """
-import numpy as np
-
+import dataclasses
 import math
 
-from idrig import exprlang
+import numpy as np
+
+from idrig import exprlang, geometry
 from idrig.killing_dev import DecReport, causal_direction_set
-from idrig.mesh import Grid, Scheme, _contract, fit_order
+from idrig.mesh import Field, Grid, Scheme, _contract, fit_order
 
 SCHEME = Scheme("fd4", "spectral")
 
@@ -96,6 +97,33 @@ def dense_frame_dec_minimum(ein_frame, grid, count=64):
     coords = tuple(float(grid.axis_coords(i)[best_node[i]]) for i in range(grid.ndim))
     scale = float(np.max(np.abs(ein_frame)))
     return DecReport(best, best_node, best_pair, coords, rays.shape[0], scale)
+
+
+def fd4_interval_reference(data, axis, h):
+    """The fd4 derivative along an interval axis, one written-out formula per edge row."""
+    d = np.moveaxis(data, axis, 0)
+    out = np.empty_like(d)
+    out[2:-2] = (d[:-4] - 8.0 * d[1:-3] + 8.0 * d[3:-1] - d[4:]) / (12.0 * h)
+    out[0] = (-25.0 * d[0] + 48.0 * d[1] - 36.0 * d[2] + 16.0 * d[3] - 3.0 * d[4]) / (12.0 * h)
+    out[1] = (-3.0 * d[0] - 10.0 * d[1] + 18.0 * d[2] - 6.0 * d[3] + d[4]) / (12.0 * h)
+    out[-2] = (3.0 * d[-1] + 10.0 * d[-2] - 18.0 * d[-3] + 6.0 * d[-4] - d[-5]) / (12.0 * h)
+    out[-1] = (25.0 * d[-1] - 48.0 * d[-2] + 36.0 * d[-3] - 16.0 * d[-4] + 3.0 * d[-5]) / (12.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def leaf_arrays(value, path=""):
+    """Every array of a leaf result, through its fields, metrics and bundles, by attribute path."""
+    if isinstance(value, Field):
+        value = value.data
+    if isinstance(value, np.ndarray):
+        return {path: value}
+    if isinstance(value, geometry.MetricField):
+        return {path + ".ginv": value.ginv, **leaf_arrays(value.field, path)}
+    if dataclasses.is_dataclass(value):
+        return {key: array for field in dataclasses.fields(value)
+                for key, array in leaf_arrays(getattr(value, field.name),
+                                               f"{path}.{field.name}").items()}
+    return {}
 
 
 def same_bits(got, want):

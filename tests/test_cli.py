@@ -511,6 +511,20 @@ def test_argparse_rejects_bad_invocations():
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call_with_the_same_messages(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    bad = ["constraints", str(SCENES / "flat.scene"), "--tol", "-1"]
+    outcomes = []
+    for argv in (bad, ["constraints", str(SCENES / "flat.scene")], bad):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[2] and outcomes[1] == (0, "")
+    assert outcomes[0][0] == 2 and "--tol must be finite and >= 0, got -1.0" in outcomes[0][1]
+
+
 @pytest.mark.parametrize("count", (4097, 10**20))
 def test_directions_above_the_cap_exit_2_before_any_scan(count, tmp_path, monkeypatch, capsys):
     ran = counting_commands(monkeypatch)

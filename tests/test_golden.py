@@ -45,7 +45,9 @@ FIELDS_3D = GOLDEN / "fields3d.json.gz"
 # axis (allaxes), then a pp-wave and a recipe on a 4D grid (8^4 nodes) and on the
 # small 2D grid (16 x 32 nodes), then the energy scan on a frame Einstein table
 # that is non-zero and constant along x2 (roundtrip) and on one that is exactly
-# 0 and constant along every axis (constant_k)
+# 0 and constant along every axis (constant_k), then the rigidity report on a
+# leaf metric that varies along s (svary_metric) and on a k whose leaf and
+# normal blocks vary along s over a metric that does not (svary_k)
 CASES = [
     ["constraints", "scenes/constant_k.scene"],
     ["constraints", "scenes/flat.scene"],
@@ -67,7 +69,8 @@ CASES = [
     for dim in ("4d", "2d")
     for scene, commands in (("wave", ("ppwave",)), ("recipe", ("rigidity", "killing-dev")))
     for command in commands] + [
-    ["killing-dev", "scenes/roundtrip.scene"], ["killing-dev", "scenes/constant_k.scene"]]
+    ["killing-dev", "scenes/roundtrip.scene"], ["killing-dev", "scenes/constant_k.scene"]] + [
+    ["rigidity", f"tests/golden/{scene}.scene"] for scene in ("svary_metric", "svary_k")]
 
 
 # the command lines whose --dump-fields CSVs are stored: in fields.json the

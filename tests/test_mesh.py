@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import importlib
 import itertools
 import math
@@ -20,7 +19,8 @@ from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
 from idrig.initial_data import InitialDataSet, leaf_null_geometry
 from idrig.rigidity import (hodge_decompose, rigid_recipe, rigid_report, tt_split,
                             two_for_three_residual, variation_residual)
-from helpers import CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits
+from helpers import (CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits,
+                     fd4_interval_reference, leaf_arrays)
 
 
 # --- grid construction and validation ------------------------------------------
@@ -37,6 +37,15 @@ def test_product_grid_layout():
     assert g.axis_coords(1)[-1] == pytest.approx(1.0 - 1.0 / 8)
     leaf = g.leaf()
     assert leaf.names == ("x1", "x2") and all(leaf.periodic)
+
+
+def test_spacing_is_computed_once_and_leaves_equality_and_hashing_alone():
+    g = Grid.product(2.0, 17, (8, 12), (1.0, 3.0))
+    fresh = Grid.product(2.0, 17, (8, 12), (1.0, 3.0))
+    assert g.spacing is g.spacing
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert {g: 1}[fresh] == 1
+    assert g != Grid.product(2.0, 17, (8, 12), (1.0, 4.0))
 
 
 def test_grid_validation():
@@ -77,6 +86,25 @@ def test_interval_derivative_orders(scheme, want):
             got = partial(f, g, 0, Scheme(scheme, "spectral"))
             errs.append(float(np.max(np.abs(got - sample_expr(g, d)))))
         assert order_passes([1 / 16, 1 / 32, 1 / 64], errs, want), (src, errs)
+
+
+def test_fd4_interval_equals_the_written_out_formula_bit_for_bit():
+    # random shapes, axes and memory layouts, with signed zeros among the values
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        shape = [int(size) for size in rng.integers(1, 6, rng.integers(1, 5))]
+        axis = int(rng.integers(len(shape)))
+        shape[axis] = int(rng.integers(8, 20))
+        data = rng.standard_normal(shape) * 10.0 ** float(rng.integers(-6, 6))
+        data[rng.random(shape) < 0.1] = 0.0
+        data[rng.random(shape) < 0.1] = -0.0
+        if rng.random() < 0.5:
+            data = np.asfortranarray(data)
+        h = float(rng.uniform(0.01, 1.0))
+        got = mesh._fd4_interval(data, axis, h)
+        want = fd4_interval_reference(data, axis, h)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_spectral_derivative_is_exact_on_band_limited():
@@ -720,21 +748,6 @@ def _dense_copy(ids):
                           dense(ids.k), ids.scheme)
 
 
-def _leaf_arrays(value, path=""):
-    """Every array of a leaf result, through its fields, metrics and bundles, by attribute path."""
-    if isinstance(value, Field):
-        value = value.data
-    if isinstance(value, np.ndarray):
-        return {path: value}
-    if isinstance(value, geometry.MetricField):
-        return {path + ".ginv": value.ginv, **_leaf_arrays(value.field, path)}
-    if dataclasses.is_dataclass(value):
-        return {key: array for field in dataclasses.fields(value)
-                for key, array in _leaf_arrays(getattr(value, field.name),
-                                               f"{path}.{field.name}").items()}
-    return {}
-
-
 @pytest.mark.parametrize("grid", [Grid.product(1.0, 16, (32,), (1.0,)), grid3(9, 8),
                                   Grid.product(1.0, 8, (8, 8, 8), (1.0, 1.0, 1.0))],
                          ids=lambda grid: f"{grid.ndim}d")
@@ -746,7 +759,7 @@ def test_per_leaf_results_on_reduced_data_equal_those_on_dense_copies(grid):
     leaf = grid.leaf()
     for tau in (0.0, 0.5):
         for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
-            got, want = _leaf_arrays(check(ids, tau)), _leaf_arrays(check(dense, tau))
+            got, want = leaf_arrays(check(ids, tau)), leaf_arrays(check(dense, tau))
             assert sorted(got) == sorted(want) and len(got) > 3, check.__name__
             for path, array in want.items():
                 spread = np.broadcast_to(got[path], array.shape)

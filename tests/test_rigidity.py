@@ -1,4 +1,6 @@
+import collections
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,14 +9,17 @@ from idrig import exprlang, geometry
 from idrig.mesh import (Grid, Field, MeshError, full_grid, sample, leaf_index, l2_inner,
                         l2_norm)
 from idrig.initial_data import (InitialDataSet, constraints, ambient_residual_norm,
-                                dec_margin)
+                                dec_margin, leaf_null_geometry)
 from idrig.rigidity import (rigid_recipe, build_parallel_candidate,
                             parallel_residuals, lambda_form, lambda_via_curvature,
                             closedness_residual, two_for_three_residual,
                             variation_residual, theta_plus_field, hodge_decompose,
                             div_part_identity_residual, tt_split, spectral_gap,
                             leaf_div_minus_dtr, rigid_report)
-from helpers import SCHEME, grid3
+from idrig.scene import parse_scene, scene_initial_data
+from helpers import SCHEME, grid3, leaf_arrays, same_bits
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def leafy_recipe(n_s=17, leaf=16, amp=0.1):
@@ -420,3 +425,76 @@ def test_rigid_report_contents():
     assert rep["nabla_v_max"] < 1e-11
     assert rep["marginal_defect_max"] < 1e-8
     assert rep["two_for_three_max"] < 1e-12
+
+
+# data set -> the results a rigidity report stores per leaf_shared builder: one
+# per distinct s node its inputs are read at over the report's three leaves
+SHARED_PARTS = {
+    # nothing varies along s
+    "scenes/recipe.scene": {"leaf_curvature": 1, "_leaf_rate_terms": 1, "_variation_terms": 1},
+    # the leaf metric varies along s, so nothing is shared
+    "tests/golden/svary_metric.scene": {
+        "leaf_curvature": 3, "_leaf_rate_terms": 3, "_variation_terms": 3},
+    # k varies along s over a metric and lapse that do not
+    "tests/golden/svary_k.scene": {
+        "leaf_curvature": 1, "_leaf_rate_terms": 1, "_variation_terms": 3},
+    # the leaf metric does not vary along s, but fd4 along s leaves round-off in its rate
+    "tests/golden/offdiag.scene": {
+        "leaf_curvature": 1, "_leaf_rate_terms": 3, "_variation_terms": 1},
+    # the lapse, and with it g_ss, varies along s
+    "tests/golden/allaxes.scene": {
+        "leaf_curvature": 3, "_leaf_rate_terms": 3, "_variation_terms": 3},
+    # k(nu, .), which X is made of, varies along s
+    "svary_k_nu": {"leaf_curvature": 1, "_leaf_rate_terms": 1, "_variation_terms": 3},
+    # the lapse varies along s over a metric that does not (the constructor does not
+    # tie g_ss to phi)
+    "svary_phi": {"leaf_curvature": 1, "_leaf_rate_terms": 1, "_variation_terms": 3},
+}
+
+
+def _sharing_data(name, tmp_path):
+    """A function that builds a fresh data set of the named case."""
+    if name == "svary_phi":
+        def build():
+            base = rigid_recipe(grid3(11, 16), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+            phi = sample(base.grid, "(1 + 0.1*sin(2*pi*x1))*(1 + 0.1*s)")
+            return InitialDataSet(base.grid, phi, base.metric, base.k, base.scheme)
+        return build
+    path = ROOT / name
+    if name == "svary_k_nu":
+        path = tmp_path / "svary_k_nu.scene"
+        path.write_text((ROOT / "tests/golden/svary_k.scene").read_text().replace(
+            "k_0_1 = 0.2*pi*cos(2*pi*x1)", "k_0_1 = 0.2*pi*cos(2*pi*x1)*(1 + 0.5*s)"))
+    scene = parse_scene(path)
+    return lambda: scene_initial_data(scene)
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_PARTS))
+def test_leaves_share_only_results_whose_input_slices_match(name, tmp_path, monkeypatch):
+    build = _sharing_data(name, tmp_path)
+    ids = build()
+    built = []
+    curvature = geometry.curvature
+
+    def counted(metric, scheme):
+        built.append(metric.grid)
+        return curvature(metric, scheme)
+
+    monkeypatch.setattr(geometry, "curvature", counted)
+    rigid_report(ids)
+    monkeypatch.undo()
+    parts = collections.Counter(key[0].__name__ for key in ids._derived
+                                if isinstance(key, tuple) and key[0].__name__ in SHARED_PARTS[name])
+    assert parts == SHARED_PARTS[name]
+    assert built.count(ids.grid.leaf()) == parts["leaf_curvature"]
+    # each leaf's results equal those of a data set that computes that leaf alone, bit for bit
+    count = ids.grid.counts[0]
+    for idx in sorted({0, count // 2, count - 1}):
+        tau = idx * ids.grid.spacing[0]
+        alone = build()
+        for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
+            got, want = leaf_arrays(check(ids, tau)), leaf_arrays(check(alone, tau))
+            assert sorted(got) == sorted(want) and len(want) > 3, check.__name__
+            for path, array in want.items():
+                assert got[path].shape == array.shape, (check.__name__, idx, path)
+                assert same_bits(got[path], array), (check.__name__, idx, path)
