@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _known, _live,
-                   _recorded_stack, partial_stack, updated)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _live, partial_stack,
+                   updated)
 
 # --- pure array core ---------------------------------------------------------
 
@@ -50,12 +50,13 @@ def _inverse(gdata, diagonal):
             if not np.all(gdata[i, i]):  # LAPACK's zero pivot; NaN counts as nonzero
                 raise np.linalg.LinAlgError("Singular matrix")
             np.divide(1.0, gdata[i, i], out=out[i, i])
-        return _known(out, _live(out, 2))
-    inv = np.moveaxis(np.linalg.inv(_node_matrices(gdata)), (-2, -1), (0, 1))
-    live = _live(inv, 2)  # only these are written, so the others stay untouched pages
-    for i, j in zip(*np.nonzero(live)):
-        out[i, j] = inv[i, j]
-    return _known(out, live)
+    else:
+        inv = np.moveaxis(np.linalg.inv(_node_matrices(gdata)), (-2, -1), (0, 1))
+        # only the live components are written, so the others stay untouched pages
+        for i, j in zip(*np.nonzero(_live(inv, 2))):
+            out[i, j] = inv[i, j]
+    out.flags.writeable = False
+    return out
 
 
 def inverse(gdata):
@@ -99,23 +100,20 @@ def christoffels_from(ginv, dg):
 
     The lowered Christoffels Gamma_dbc = 0.5*((dg[b, d, c] + dg[c, d, b]) -
     dg[d, b, c]) are written only where one of those three dg slices is live
-    (mesh._live); the rest stay exactly 0.  Each written component is checked
-    once, so the lowered array carries its exact mask into the contraction: a
-    component whose terms cancel to 0 at every node stays dead.  The 0.5 is
-    applied here, before ginv raises d.  A power of two commutes with
-    rounding, so that equals halving the raised sum bit for bit unless a value
-    is subnormal.
+    (mesh._live); the rest stay exactly 0.  The contraction scans the lowered
+    array, so a component whose terms cancel to 0 at every node is dead there
+    too.  The 0.5 is applied here, before ginv raises d.  A power of two
+    commutes with rounding, so that equals halving the raised sum bit for bit
+    unless a value is subnormal.
     """
     mask = _live(dg, 3)
     low = np.zeros(dg.shape)
-    low_mask = np.zeros(mask.shape, dtype=bool)
     for d, b, c in _live_indices(_lowered_live, mask):
         component = low[d, b, c]
         np.add(dg[b, d, c], dg[c, d, b], out=component)
         component -= dg[d, b, c]
         component *= 0.5
-        low_mask[d, b, c] = component.any()
-    return _contract("ad...,dbc...->abc...", ginv, _known(low, low_mask))
+    return _contract("ad...,dbc...->abc...", ginv, low)
 
 
 def riemann_from(gamma, dgamma):
@@ -124,14 +122,18 @@ def riemann_from(gamma, dgamma):
     R^a_bcd = ((dgamma[c, a, d, b] - dgamma[d, a, c, b]) + gg[a, b, c, d])
     - gg[a, b, d, c] with gg = Gamma^a_ce Gamma^e_db, in that order, as a dense
     assembly would round it.  Only the components where one of the four terms
-    is live are assembled (mesh._live; gg's mask is the one _contract records),
-    the others stay +0.0.  That is the dense result bit for bit: there both gg
-    terms are the +0.0 _contract leaves in a component it never writes, and
+    is live are assembled (mesh._live), the others stay +0.0.  gg's mask is
+    not scanned but derived from gamma's: it marks the components where
+    _contract has a product, a superset of gg's nonzero ones.  That is the
+    dense result bit for bit: in a skipped component both gg terms are the
+    +0.0 _contract leaves where it has no product, and
     (+-0.0 - +-0.0) + 0.0 - 0.0 is +0.0.
     """
     gg = _contract("ace...,edb...->abcd...", gamma, gamma)
+    gmask = _live(gamma, 3)
+    ggmask = np.einsum("ace,edb->abcd", gmask, gmask)
     r = np.zeros(gg.shape[:4] + np.broadcast_shapes(gg.shape[4:], dgamma.shape[5:]))
-    for a, b, c, d in _live_indices(_riemann_live, _live(dgamma, 4), _live(gg, 4)):
+    for a, b, c, d in _live_indices(_riemann_live, _live(dgamma, 4), ggmask):
         component = r[a, b, c, d]
         np.subtract(dgamma[c, a, d, b], dgamma[d, a, c, b], out=component)
         component += gg[a, b, c, d]
@@ -195,7 +197,7 @@ class MetricField:
 
 
 def christoffels(metric, scheme=DEFAULT_SCHEME):
-    return christoffels_from(metric.ginv, _recorded_stack(metric.data, metric.grid, scheme))
+    return christoffels_from(metric.ginv, partial_stack(metric.data, metric.grid, scheme))
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ class CurvatureBundle:
 
 def curvature(metric, scheme=DEFAULT_SCHEME):
     gam = christoffels(metric, scheme)
-    r_up = riemann_from(gam, _recorded_stack(gam, metric.grid, scheme))
+    r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
     ric = np.einsum("abad...->bd...", r_up)
     scal = _contract("bd...,bd...->...", metric.ginv, ric)
     return CurvatureBundle(gam, ric, scal)

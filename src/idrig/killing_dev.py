@@ -32,20 +32,16 @@ import numpy as np
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
                            constraints, derived)
-from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract,
-                   _recorded_stack, dump_csv, full_grid, grid_values, partial, partial_stack,
-                   updated)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract, _partials,
+                   dump_csv, full_grid, grid_values, partial, partial_stack, updated)
 from .rigidity import build_parallel_candidate
 
 # --- v-independent spacetime calculus -------------------------------------------
 
 
 def dead_v_partials(data, grid, scheme=DEFAULT_SCHEME):
-    """Spacetime coordinate derivatives: zero along v, grid partials on M.
-
-    Read-only, with its exact mask recorded (mesh._known).
-    """
-    return _recorded_stack(data, grid, scheme, zero_axes=1)
+    """Spacetime coordinate derivatives: zero along v, grid partials on M."""
+    return _partials(data, grid, range(grid.ndim), scheme, zero_axes=1)
 
 
 def lorentz_signature_defect(gbar, grid):

@@ -45,33 +45,15 @@ that is np.einsum's order, so the result is einsum's bit for bit: a skipped
 product is exactly zero and cannot change a float sum.  (Where another factor
 is inf or NaN, einsum's product is NaN; the skipped one is not.)
 
-Which slices are zero is found by a scan (`_live`), at most once for an
-array nobody can write.  `_contract` results and metric inverses come back
-read-only with a recorded mask: the output components that have a live
-product, and one scan of the inverse.  So do the partial stacks that only
-feed a kernel (the dg of geometry.christoffels, the dgamma of
-geometry.curvature, killing_dev.dead_v_partials): their mask per axis and
-component comes from one reduce over each distinct derivative, so it is
-exact where a live component has a derivative that is 0 at every node.
-`partial` and `partial_stack` stay writeable, because callers subtract into
-their results.  The lowered Christoffels inside
-geometry.christoffels_from record the exact mask as they are written, one
-check per written component, so a component whose terms cancel to 0 stays
-dead.  A read-only owner with no record (a value initial_data stores) is
-read once, then recorded.  Read-only keeps a record true while its array
-lives; the record goes with the array.  A view that is an integer index
-owner[j] of a recorded read-only owner (such as the gamma[i + 1] that
-killing_dev.spacetime_curvature differentiates) is served the slice of the
-owner's record.  Writeable arrays and other views are read on every call.
-A recorded mask may call an exactly-0 slice live; that only adds exact-0
-products, which einsum multiplies too, so the bits stay einsum's.
+Which slices are zero is found by a scan (`_live`) of each operand where it
+is used; no mask outlives the call.  An array carries its constant axes at
+length 1, so a scan reads only the nodes the data varies on.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -260,76 +242,20 @@ def _derivative(data, grid, axis, scheme):
     return np.gradient(data, h, axis=arr_axis, edge_order=2)
 
 
-_MASKS = {}  # id of a frozen array -> (weak reference to the array, its component mask)
-
-
-def _known(arr, mask):
-    """Freeze `arr`, which owns its data, and record `mask` of its leading axes for _live.
-
-    `mask` may only err towards True.  Returns `arr`.
-    """
-    arr.flags.writeable = False
-    key = id(arr)
-
-    def forget(ref):  # a later array with the same id has a record of its own
-        if _MASKS.get(key, (None,))[0] is ref:
-            del _MASKS[key]
-
-    _MASKS[key] = (weakref.ref(arr, forget), mask)
-    return arr
-
-
-def _recorded(data):
-    """The recorded mask of read-only `data`, or mask[j] of its owner's if it is owner[j].
-
-    A view qualifies only if it is exactly owner[j] for an integer j: the
-    owner's dtype, shape and strides past the leading axis, and an offset of j
-    leading strides.  None when there is no such record.
-    """
-    owner = data.base
-    if owner is None:
-        ref, mask = _MASKS.get(id(data), (None, None))
-        return mask if ref is not None and ref() is data else None
-    if (not isinstance(owner, np.ndarray) or owner.flags.writeable or data.dtype != owner.dtype
-            or data.shape != owner.shape[1:] or data.strides != owner.strides[1:]):
-        return None
-    ref, mask = _MASKS.get(id(owner), (None, None))
-    if ref is None or ref() is not owner or mask.ndim < 1:
-        return None
-    j, rest = divmod(data.ctypes.data - owner.ctypes.data, owner.strides[0] or 1)
-    return mask[j] if rest == 0 and 0 <= j < owner.shape[0] else None
-
-
 def _live(data, rank):
-    """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere.
-
-    A read-only owner is read at most once; its recorded mask is served,
-    reduced to `rank`.  An integer index owner[j] of a recorded read-only
-    owner is served the slice mask[j] of its record.  Anything writeable, and
-    any other view, is read in full.
-    """
-    frozen = isinstance(data, np.ndarray) and not data.flags.writeable
-    if frozen:
-        mask = _recorded(data)
-        if mask is not None and mask.ndim >= rank:
-            return mask if mask.ndim == rank else np.logical_or.reduce(
-                mask, axis=tuple(range(rank, mask.ndim)))
-    mask = np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
-    if frozen and data.base is None:
-        _known(data, mask)
-    return mask
+    """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere."""
+    return np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
 
 
 def _partials(data, grid, axes, scheme, zero_axes=0):
-    """The stack of `zero_axes` derivatives that are 0, then those along `axes`, and its mask.
+    """The stack of `zero_axes` derivatives that are 0, then those along `axes`.
 
     An int `axes` gives that one derivative, unstacked.  Zero components skip
     the kernel.  A spectral derivative along an axis of length 1 is +0.0
     without a kernel call.  Along any other axis of length 1 the kernel sees
     the data spread to the axis's full count, and its result is stored only if
     it is nonzero somewhere, which widens the stack's grid shape along that
-    axis.  The mask (the stack's leading axes) is True where the stack is
-    nonzero somewhere.
+    axis.
     """
     stacked = not isinstance(axes, int)
     axes = tuple(axes) if stacked else (axes,)
@@ -348,21 +274,11 @@ def _partials(data, grid, axes, scheme, zero_axes=0):
     lead = (zero_axes + len(axes),) if stacked else ()
     out = np.zeros(lead + np.shape(data)[:rank] + shape)
     stack = out.reshape((zero_axes + len(axes), len(live)) + shape)[zero_axes:]
-    mask = np.zeros(out.shape[:len(lead) + rank], dtype=bool)
-    written = mask.reshape((zero_axes + len(axes), len(live)))[zero_axes:]
     for k, axis in enumerate(axes):
         derivative = spread[axis] if axis in spread else _derivative(nonzero, grid, axis, scheme)
         if derivative is not None:
             stack[k, live] = derivative
-            written[k, live] = np.logical_or.reduce(derivative,
-                                                    axis=tuple(range(1, 1 + grid.ndim)))
-    return out, mask
-
-
-def _recorded_stack(data, grid, scheme, zero_axes=0):
-    """partial_stack after `zero_axes` derivatives that are 0, read-only, with its exact
-    (axis, component) mask recorded (see _known)."""
-    return _known(*_partials(data, grid, range(grid.ndim), scheme, zero_axes))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +293,7 @@ _PLANS = {}  # a run meets about a hundred subscripts and zero patterns
 
 
 def _plan(subscripts, masks):
-    """Output component shape, per output component its live products, and the output mask.
+    """Output component shape and, per output component, its live products.
 
     Products run over the summed labels ascending, outermost first.  Every
     factor index ends in Ellipsis, so it selects a view.
@@ -398,11 +314,7 @@ def _plan(subscripts, masks):
     for target, *factors in zip(zip(*(index[c] for c in out), ends),
                                 *(zip(*(index[c] for c in labels), ends) for labels in ins)):
         products.setdefault(target, []).append(factors)
-    shape = tuple(size[c] for c in out)
-    live_out = np.zeros(shape, dtype=bool)  # the components with a live product
-    for target in products:
-        live_out[target] = True
-    return shape, list(products.items()), live_out
+    return tuple(size[c] for c in out), list(products.items())
 
 
 def _contract(subscripts, *operands):
@@ -413,8 +325,7 @@ def _contract(subscripts, *operands):
     it serves every grid, layout and dtype.  The result spans the union of the
     operands' grid shapes; spread over the grid, it is einsum's on dense copies
     bit for bit when each operand's component axes are C-ordered and its grid
-    axes innermost.  It is read-only and carries the plan's output mask (see
-    _known).
+    axes innermost.
     """
     ops = [np.asarray(op) for op in operands]
     ins = _labels(subscripts)[0]
@@ -422,7 +333,7 @@ def _contract(subscripts, *operands):
     key = (subscripts,) + tuple((mask.shape, mask.tobytes()) for mask in masks)
     if key not in _PLANS:
         _PLANS[key] = _plan(subscripts, masks)
-    shape, products, live = _PLANS[key]
+    shape, products = _PLANS[key]
     grid = np.broadcast_shapes(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
     dtype = np.result_type(*ops)
     result = np.zeros(shape + grid, dtype=dtype)
@@ -438,7 +349,7 @@ def _contract(subscripts, *operands):
             for op, idx in zip(tail, more):
                 multiply(term, op[idx], out=term)
             acc += term
-    return _known(result, live)
+    return result
 
 
 def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
@@ -446,12 +357,12 @@ def partial(data, grid, axis, scheme=DEFAULT_SCHEME):
 
     `data` has the grid axes last; leading axes are tensor components.
     """
-    return _partials(data, grid, axis, scheme)[0]
+    return _partials(data, grid, axis, scheme)
 
 
 def partial_stack(data, grid, scheme=DEFAULT_SCHEME):
     """All coordinate derivatives, stacked along a new leading axis."""
-    return _partials(data, grid, range(grid.ndim), scheme)[0]
+    return _partials(data, grid, range(grid.ndim), scheme)
 
 
 def full_grid(data, grid):

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from idrig.mesh import (DataError, Grid, Field, MeshError, partial, partial_stack, sample,
-                        integrate, _contract, _spectral_axis)
+                        integrate, _contract, _live, _spectral_axis)
 from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
                                spacetime_christoffels)
@@ -447,7 +447,8 @@ def test_live_lowering_equals_the_dense_lowering_bit_for_bit(ndim):
 
 def riemann_cases(ndim):
     """(gamma, dgamma) pairs: Christoffels of three metric patterns with their
-    partials, then a dgamma that is not the stack of gamma, then -0.0 entries."""
+    partials, then a dgamma that is not the stack of gamma, then -0.0 entries,
+    then a gamma whose products for gg[0, 1, 0, 0] cancel (see cancelling_gamma)."""
     grid = pattern_grid(ndim)
     cases = {}
     for pattern in ("diagonal", "gbar", "dense"):
@@ -465,7 +466,28 @@ def riemann_cases(ndim):
         arr[rng.random(arr.shape) < 0.3] = -0.0  # inside live slices
         arr[rng.random(arr.shape[:rank]) < 0.3] = -0.0  # whole slices, which count as dead
     cases["negative zeros"] = (signed_gamma, signed)
+    dead = other.copy()
+    dead[0, 0, 0, 1] = 0.0  # dgamma[c, a, d, b] of R^0_100; dgamma[d, a, c, b] is the same
+    cases["cancelling products"] = (cancelling_gamma(rng, gamma.shape), dead)
     return cases
+
+
+def cancelling_gamma(rng, shape):
+    """A sparse random gamma whose products for gg[0, 1, 0, 0] = Gamma^0_0e Gamma^e_01 cancel.
+
+    Gamma^0_00 = x, Gamma^0_01 = y and Gamma^1_01 = -x give x y + y (-x) =
+    exactly 0 at every node, from two live products.  So riemann_from's gg
+    mask, derived from gamma's, calls a component live that is 0.
+    """
+    gamma = rng.standard_normal(shape)
+    gamma[rng.random(shape[:3]) < 0.5] = 0.0
+    gamma[0, 0] = 0.0
+    gamma[0, 0, 0], gamma[0, 0, 1] = rng.standard_normal((2,) + shape[3:])
+    gamma[1, 0, 1] = -gamma[0, 0, 0]
+    live = _live(gamma, 3)
+    assert np.einsum("ace,edb->abcd", live, live)[0, 1, 0, 0]
+    assert not _contract("ace...,edb...->abcd...", gamma, gamma)[0, 1, 0, 0].any()
+    return gamma
 
 
 @pytest.mark.parametrize("ndim", (2, 3, 4))

@@ -17,10 +17,20 @@ residual or CSV number within the tolerance above of its stored value keeps
 the stored value, so a round-off move (another BLAS kernel, say) rewrites
 nothing; it is printed as "within tolerance, kept".  Every other key that
 differs at all is rewritten and printed as "changed".
+
+    PYTHONPATH=src python tests/test_golden.py --hashes
+
+prints one sha256 per line, each followed by its label: of every golden
+command line (exit code, stderr and report without `volatile`), of every
+--dump-fields golden's CSVs, and of every benchmark report at seeds 0-2, on
+scenes that bench/workloads.py writes into a temporary directory.  Reports are
+deterministic apart from `volatile`, so two runs print the same lines, and a
+change that keeps every result bit for bit leaves the output as it was.
 """
 import contextlib
 import csv
 import gzip
+import hashlib
 import io
 import json
 import sys
@@ -274,6 +284,44 @@ def test_field_regeneration_keeps_numbers_within_tolerance(tmp_path, monkeypatch
     assert json.loads(fields.read_text()) == {"a b": case([1.0, 2.0], [1.0, 2.1])}
 
 
+def test_hash_lines_digest_each_case_without_its_argv(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "CASES", [["a", "b"]])
+    monkeypatch.setattr(sys.modules[__name__], "FIELD_CASES", [["c", "d"]])
+    monkeypatch.setattr(sys.modules[__name__], "FIELD_CASES_3D", [])
+    monkeypatch.setattr(sys.modules[__name__], "run_case",
+                        lambda argv: {"argv": list(argv), "exit": 0, "report": None})
+    monkeypatch.setattr(sys.modules[__name__], "run_fields",
+                        lambda argv: {"argv": list(argv), "exit": 0, "files": {}})
+    lines = list(hash_lines(seeds=()))
+    assert [line.split("  ", 1)[1] for line in lines] == ["a b", "c d --dump-fields"]
+    assert lines[0].split()[0] == hashlib.sha256(b'{"exit": 0, "report": null}').hexdigest()
+    assert lines[1].split()[0] == hashlib.sha256(b'{"exit": 0, "files": {}}').hexdigest()
+
+
+def _digest(case):
+    """sha256 of one case without its argv, which may name a temporary directory."""
+    rest = {key: value for key, value in case.items() if key != "argv"}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()
+
+
+def hash_lines(seeds=range(3)):
+    """"<sha256>  <label>" of every golden case, every field case and every benchmark
+    report at `seeds`."""
+    for argv in CASES:
+        yield f"{_digest(run_case(argv))}  {_label(argv)}"
+    for argv in FIELD_CASES + FIELD_CASES_3D:
+        yield f"{_digest(run_fields(argv))}  {_label(argv)} --dump-fields"
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS, write_scenes
+    with tempfile.TemporaryDirectory() as directory:
+        for workload in WORKLOADS:
+            for seed in seeds:
+                scenes = Path(directory) / f"{workload}-{seed}"
+                for report in write_scenes(workload, seed, scenes, ROOT / "scenes"):
+                    yield (f"{_digest(run_case(report.argv(scenes)))}  "
+                           f"{workload} seed {seed}: {report.label}")
+
+
 def regenerate():
     """Rewrite the stored reports; a residual within residual_close of its stored value is kept.
 
@@ -335,8 +383,12 @@ def regenerate_fields(path=None, cases=None):
         path.write_text(text)
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    regenerate()
-    regenerate_fields()
-    regenerate_fields(FIELDS_3D, FIELD_CASES_3D)
+    if sys.argv[1:] == ["--hashes"]:
+        for line in hash_lines():
+            print(line, flush=True)
+    elif sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+        regenerate_fields()
+        regenerate_fields(FIELDS_3D, FIELD_CASES_3D)
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate | --hashes")

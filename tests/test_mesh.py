@@ -423,19 +423,6 @@ def test_contractions_never_read_an_all_zero_slice(monkeypatch):
             served.append(super().__getitem__(key))
             return served[-1]
 
-    def exact(live):  # every mask served or scanned is the operand's own
-        def checked_live(data, rank):
-            mask = live(data, rank)
-            fresh = np.logical_or.reduce(np.asarray(data), axis=tuple(range(rank, np.ndim(data))))
-            assert np.shape(mask) == fresh.shape and np.array_equal(mask, fresh)
-            masks.append(mask)
-            return mask
-        return checked_live
-
-    masks = []
-    monkeypatch.setattr(mesh, "_live", exact(mesh._live))
-    monkeypatch.setattr(geometry, "_live", exact(geometry._live))
-
     def checked(subscripts, *ops):
         calls.append(subscripts)
         got = contract(subscripts, *ops)
@@ -479,18 +466,17 @@ def test_contractions_never_read_an_all_zero_slice(monkeypatch):
     calls.clear()
     one_pass()  # the same zero masks again: every plan is reused
     assert len(calls) > 20 and builds == []
-    assert len(masks) > len(calls)
 
 
-# --- recorded component masks ------------------------------------------------------
+# --- structural zeros found by a scan ------------------------------------------------
 
 
-def test_contraction_and_inverse_outputs_are_read_only():
+def test_the_inverse_is_read_only():
     rng = np.random.default_rng(5)
     metric = np.eye(3)[..., None, None] + 0.1 * rng.random((3, 3, 4, 5))
     metric = metric + np.swapaxes(metric, 0, 1)
-    for out in (mesh._contract("ab...,b...->a...", metric, rng.random((3, 4, 5))),
-                geometry.inverse(metric)):
+    diagonal = np.eye(3)[..., None, None] * (1.0 + rng.random((4, 5)))
+    for out in (geometry.inverse(metric), geometry.inverse(diagonal)):
         assert not out.flags.writeable and out.base is None
         with pytest.raises(ValueError, match="read-only"):
             out[0] = 0.0
@@ -510,44 +496,6 @@ def test_a_writeable_operand_is_scanned_on_every_call():
                           np.einsum(subscripts, metric, vec))
 
 
-def test_a_record_is_never_served_to_a_later_array_with_the_same_id():
-    rng = np.random.default_rng(9)
-    vec = rng.standard_normal((3, 4, 5))
-    vec[1] = 0.0
-    out = mesh._contract("ab...,b...->a...", np.eye(3)[..., None, None] * np.ones((4, 5)), vec)
-    assert np.array_equal(mesh._live(out, 1), [True, False, True])  # served from the record
-    freed = id(out)
-    del out
-    assert freed not in mesh._MASKS  # the record went with its array
-    later = []
-    while len(later) < 1000 and (not later or id(later[-1]) != freed):
-        later.append(np.ones((3, 4, 5)))
-    assert id(later[-1]) == freed  # the address was handed out again
-    later[-1].flags.writeable = False
-    assert np.array_equal(mesh._live(later[-1], 1), [True, True, True])
-
-
-def test_a_superset_mask_keeps_einsums_bits():
-    rng = np.random.default_rng(10)
-    subscripts = "ac...,bd...,cd...->ab..."
-    ginv = rng.standard_normal((3, 3, 4, 5))
-    ginv[0, 2] = ginv[2, 0] = 0.0
-    form = rng.standard_normal((3, 3, 4, 5))
-    form[1] = 0.0
-    want = np.einsum(subscripts, ginv, ginv, form)
-    # records that call every component live, so every product is multiplied
-    ginv_all = mesh._known(ginv.copy(), np.ones((3, 3), dtype=bool))
-    form_all = mesh._known(form.copy(), np.ones((3, 3), dtype=bool))
-    assert mesh._live(form_all, 1).all()
-    got = mesh._contract(subscripts, ginv_all, ginv_all, form_all)
-    assert got.tobytes() == mesh._contract(subscripts, ginv, ginv, form).tobytes()
-    assert np.array_equal(got, want)
-
-
-def fresh_scan(data, rank):
-    return np.logical_or.reduce(np.asarray(data), axis=tuple(range(rank, np.ndim(data))))
-
-
 def test_the_lowered_christoffels_carry_their_exact_mask(monkeypatch):
     rng = np.random.default_rng(12)
     n, shape = 3, (5, 4)
@@ -565,96 +513,25 @@ def test_the_lowered_christoffels_carry_their_exact_mask(monkeypatch):
     monkeypatch.setattr(geometry, "_contract", capture)
     geometry.christoffels_from(ginv, dg)
     (low,) = lowered
-    assert not low.flags.writeable and low.base is None
     assert not np.any(low[0, 1, 1])
-    recorded = mesh._live(low, 3)
-    assert not recorded[0, 1, 1]  # a live triple that cancels stays dead
-    assert np.array_equal(recorded, fresh_scan(low, 3))
+    assert not mesh._live(low, 3)[0, 1, 1]  # a live triple that cancels is dead to the scan
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_kernel_only_partial_stacks_are_read_only_with_their_exact_mask(monkeypatch):
+def test_kernel_only_partial_stacks_leave_dead_derivatives_exactly_zero():
     g = grid3()
     # g_11 depends on x1 alone, so its x2 derivative is exactly 0 though g_11 is live
     metric = geometry.MetricField(sample(g, [
         ["1 + 0.1*s^2", "0", "0"], ["0", "1 + 0.1*sin(2*pi*x1)", "0"],
         ["0", "0", "1 + 0.2*cos(2*pi*x2)*(1 + 0.1*s)"]], kind="sym2"))
-    stacks = []
-
-    def capture(name, stack_arg):
-        kernel = getattr(geometry, name)
-
-        def captured(*args):
-            stacks.append((name, args[stack_arg]))
-            return kernel(*args)
-        monkeypatch.setattr(geometry, name, captured)
-
-    capture("christoffels_from", 1)
-    capture("riemann_from", 1)
-    capture("ricci_from", 2)
-    geometry.curvature(metric, SCHEME)
-    spec = ppwave(g, "1 + 0.2*sin(2*pi*x1)", SCHEME)
-    kd_roundtrip(spec, "0.05*s^2")
-    names = {name for name, _ in stacks}
-    assert names == {"christoffels_from", "riemann_from", "ricci_from"}
     dg = dead_v_partials(metric.data, g, SCHEME)
-    for name, stack in stacks + [("dead_v_partials", dg)]:
-        rank = stack.ndim - g.ndim
-        assert not stack.flags.writeable and stack.base is None, name
-        recorded = mesh._recorded(stack)
-        assert recorded is not None and mesh._live(stack, rank) is recorded, name
-        assert np.array_equal(recorded, fresh_scan(stack, rank)), name
-    recorded = mesh._recorded(dg)
-    assert not recorded[0].any()  # nothing depends on v
-    assert recorded[2, 1, 1] and not recorded[3, 1, 1]  # d_x1 g_11 is live, d_x2 g_11 is 0
+    assert dg.base is None and dg.flags.c_contiguous
+    live = mesh._live(dg, 3)
+    assert not np.any(dg[0]) and not live[0].any()  # nothing depends on v
+    assert live[2, 1, 1] and not np.any(dg[3, 1, 1])  # d_x1 g_11 is live, d_x2 g_11 is 0
+    assert np.array_equal(dg[1:], partial_stack(metric.data, g, SCHEME))
     # the public derivatives stay writeable, for callers that subtract into them
     for out in (partial(metric.data, g, 1, SCHEME), partial_stack(metric.data, g, SCHEME)):
-        assert out.flags.writeable and mesh._recorded(out) is None
-
-
-def recorded_owner(rng, mask=None):
-    """A read-only array with dead component slices, recorded with `mask` (default: a scan)."""
-    data = rng.standard_normal((3, 3, 4, 5))
-    data[0, 1] = data[2] = 0.0
-    data[1, 2] = -0.0
-    return mesh._known(data, fresh_scan(data, 2) if mask is None else mask)
-
-
-def test_an_integer_index_of_a_recorded_owner_is_served_its_slice_of_the_record():
-    rng = np.random.default_rng(13)
-    owner = recorded_owner(rng)
-    for i in range(3):
-        for rank in (0, 1):
-            assert np.array_equal(mesh._live(owner[i], rank), fresh_scan(owner[i], rank))
-    # served, not scanned: a record that calls every component live reaches the view
-    loose = recorded_owner(rng, np.ones((3, 3), dtype=bool))
-    assert mesh._live(loose[2], 1).all()
-    assert loose[2].base is loose and id(loose[2]) not in mesh._MASKS  # no record for views
-
-
-def test_other_views_and_writeable_arrays_are_scanned():
-    rng = np.random.default_rng(14)
-    loose = recorded_owner(rng, np.ones((3, 3), dtype=bool))
-    for view in (loose[::2], loose[:, 1], loose[0, 1:], loose[1, :, ::2],
-                 np.swapaxes(loose[1], 0, 1), loose[1, 2], loose[1][None]):
-        rank = min(view.ndim - 2, 1)
-        assert np.array_equal(mesh._live(view, rank), fresh_scan(view, rank))
-    thawed = recorded_owner(rng)
-    thawed.flags.writeable = True  # its record no longer holds
-    thawed[2, 1] = 1.0
-    frozen_view = thawed[2]
-    frozen_view.flags.writeable = False
-    assert np.array_equal(mesh._live(frozen_view, 1), [False, True, False])
-    writeable = np.array(loose)
-    view = writeable[2]
-    assert not mesh._live(view, 1).any()
-    view[1] = 1.0  # written through the view between two calls
-    assert np.array_equal(mesh._live(view, 1), [False, True, False])
-    frozen_view = writeable[0]
-    frozen_view.flags.writeable = False  # read-only, but its owner is not
-    assert np.array_equal(mesh._live(frozen_view, 1), [True, False, True])
-    writeable[0, 1] = 1.0
-    assert mesh._live(frozen_view, 1).all()
+        assert out.flags.writeable
 
 
 # --- fields --------------------------------------------------------------------

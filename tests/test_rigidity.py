@@ -130,6 +130,19 @@ def test_lambda_matches_symbolic_oracle():
     assert np.max(np.abs(lam.data - other.data)) < 1e-12
 
 
+def test_the_two_lambda_routes_agree_where_lambda_is_not_zero():
+    # on every shipped scene lambda is 0, where a report of |lam + lam2| reads
+    # the same as |lam - lam2|; here lambda reaches pi/5 and the sum would read twice that
+    grid = Grid.product(1.0, 21, (16, 16), (1.0, 1.0))
+    ids = InitialDataSet.product(
+        grid, "exp(s/10)", np.eye(2),
+        [["exp(s/10)/10 + 0.05*sin(2*pi*x1)*(1+s)*exp(s/5)", "0", "0"],
+         ["0", "0", "0"], ["0", "0", "0"]], scheme=SCHEME)
+    report = rigid_report(ids)
+    assert report["lambda_max"] > 0.5
+    assert report["lambda_route_gap_max"] < 1e-12
+
+
 def test_closedness_holds_with_perturbed_normal_normal_component():
     # k(nu,nu) is unconstrained by the closedness statement: with leafy phi and
     # p = p(x2) the form lambda is order 0.1 yet d(phi lambda) vanishes leafwise
