@@ -25,16 +25,14 @@ or 1, where the data does not vary along that axis, and numpy broadcasting
 carries that through every elementwise step and every `_contract`.  `sample`
 keeps the length-1 axes of a scene expression (`1 + 0.1*sin(2*pi*x1)` on an
 (s, x1, x2) grid has grid shape (1, N1, 1)); a `Field` holds any shape that
-broadcasts to its full one.  A spectral derivative along a length-1 axis is
-+0.0 at the data's own shape, with no kernel call (the FFT of a constant line
-leaves round-off when the count has a prime factor of 5 or more).  An fd2 or
-fd4 one runs the kernel on the data spread to that axis's full count (fd4
-along s leaves round-off there, not 0) and is stored only if it is nonzero at
-some node, else it is +0.0 at the data's own shape.  Per-leaf slices
-(`leaf_values`, `leaf_block`) keep their length-1 axes.  Arrays reach the full
-grid only at the edges: a report's maxima and argmins need no expansion, and
-`full_grid` serves the CSV dump, quadrature, interpolation and the signature
-count.
+broadcasts to its full one.  A derivative along a length-1 axis, s or a leaf
+axis, is +0.0 at the data's own shape under every scheme, with no kernel call:
+every stencil's weights sum to 0 and a constant trigonometric polynomial has
+derivative 0, so +0.0 is the exact value; the kernels would leave round-off.
+Derived results keep the reduced shape, and per-leaf slices (`leaf_values`,
+`leaf_block`) keep their length-1 axes.  Arrays reach the full grid only at
+the edges: a report's maxima and argmins need no expansion, and `full_grid`
+serves the CSV dump, quadrature, interpolation and the signature count.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -250,34 +248,21 @@ def _live(data, rank):
 def _partials(data, grid, axes, scheme, zero_axes=0):
     """The stack of `zero_axes` derivatives that are 0, then those along `axes`.
 
-    An int `axes` gives that one derivative, unstacked.  Zero components skip
-    the kernel.  A spectral derivative along an axis of length 1 is +0.0
-    without a kernel call.  Along any other axis of length 1 the kernel sees
-    the data spread to the axis's full count, and its result is stored only if
-    it is nonzero somewhere, which widens the stack's grid shape along that
-    axis.
+    An int `axes` gives that one derivative, unstacked, at the data's shape.
+    Zero components and axes of length 1 skip the kernel and stay +0.0.
     """
     stacked = not isinstance(axes, int)
     axes = tuple(axes) if stacked else (axes,)
     rank = np.ndim(data) - grid.ndim
     live = _live(data, rank).reshape(-1)
-    own = shape = np.shape(data)[rank:]
-    nonzero = np.asarray(data, dtype=float).reshape((-1,) + own)[live]
-    # axis of length 1 -> the derivative along it, None where it is 0 (always, spectrally)
-    spread = {axis: None for axis in axes
-              if own[axis] == 1 and scheme.for_axis(grid, axis) == "spectral"}
-    for axis in (axis for axis in axes if own[axis] == 1 and axis not in spread):
-        full = (len(nonzero),) + own[:axis] + (grid.counts[axis],) + own[axis + 1:]
-        derivative = _derivative(np.broadcast_to(nonzero, full), grid, axis, scheme)
-        spread[axis] = derivative if derivative.any() else None
-        shape = shape if spread[axis] is None else np.broadcast_shapes(shape, full[1:])
+    shape = np.shape(data)[rank:]
+    nonzero = np.asarray(data, dtype=float).reshape((-1,) + shape)[live]
     lead = (zero_axes + len(axes),) if stacked else ()
-    out = np.zeros(lead + np.shape(data)[:rank] + shape)
+    out = np.zeros(lead + np.shape(data))
     stack = out.reshape((zero_axes + len(axes), len(live)) + shape)[zero_axes:]
     for k, axis in enumerate(axes):
-        derivative = spread[axis] if axis in spread else _derivative(nonzero, grid, axis, scheme)
-        if derivative is not None:
-            stack[k, live] = derivative
+        if shape[axis] > 1:
+            stack[k, live] = _derivative(nonzero, grid, axis, scheme)
     return out
 
 

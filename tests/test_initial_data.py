@@ -363,7 +363,7 @@ def test_transport_on_an_open_path_lands_on_the_parallel_section():
     # an open path must end on the parallel section at its last node
     grid = grid3(17, 16)
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
-    assert ids.curvature().christoffels.shape[3:] == (17, 16, 1)  # interpolated as stored
+    assert ids.curvature().christoffels.shape[3:] == (1, 16, 1)  # interpolated as stored
     v = build_parallel_candidate(ids)
     a, x = full_grid(v.a, grid), full_grid(v.x, grid)
     path = [(3, 2, 2), (3, 10, 2), (3, 10, 10)]

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from idrig import exprlang, geometry, mesh
-from idrig.killing_dev import (build_kd, dead_v_partials, kd_dec_check, kd_roundtrip, ppwave,
-                               ppwave_einstein_check)
+from idrig.killing_dev import (build_kd, dead_v_partials, kd_dec_check, kd_einstein,
+                               kd_pattern_residuals, kd_roundtrip, ppwave, ppwave_einstein_check)
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, leaf_index, leaf_values, leaf_block,
                         integrate, l2_inner, l2_norm,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
-from idrig.initial_data import InitialDataSet, leaf_null_geometry
+from idrig.initial_data import InitialDataSet, constraints, leaf_null_geometry
 from idrig.rigidity import (hodge_decompose, rigid_recipe, rigid_report, tt_split,
                             two_for_three_residual, variation_residual)
+from idrig.scene import parse_scene, scene_initial_data
 from helpers import (CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits,
                      fd4_interval_reference, leaf_arrays)
 
@@ -222,14 +223,27 @@ def _length_one_along(rng, grid, axes):
     return values
 
 
+def _roundoff_bound(data, grid, axis):
+    """The recorded bound on a dense kernel's value along an axis `data` is constant on:
+    4 eps max|data| / h.  On the SHAPE_GRIDS cases the value reached 1.9 eps max|data| / h
+    under fd4, 1.5 under fd2, and 0 spectrally (every count there is 2^a 3^b)."""
+    return 4 * np.finfo(float).eps * np.abs(data).max() / grid.spacing[axis]
+
+
+def _exact_zero(derivative, data):
+    """+0.0 at every node, no sign bit, at the data's own shape."""
+    return (derivative.shape == data.shape and not derivative.any()
+            and not np.signbit(derivative).any())
+
+
 @pytest.mark.parametrize("ndim", sorted(SHAPE_GRIDS))
 @pytest.mark.parametrize("s_scheme", ["fd2", "fd4"])
 @pytest.mark.parametrize("leaf_scheme", ["fd2", "fd4", "spectral"])
 def test_partials_of_data_constant_along_axes_equal_the_full_grid_kernel(ndim, s_scheme,
                                                                          leaf_scheme):
-    # data of length 1 along some axes has the derivatives of its dense copy, spread
-    # over the grid, bit for bit but for the sign of a zero; a derivative along such
-    # an axis keeps length 1 there exactly when it is 0 at every node
+    # data of length 1 along some axes has the derivatives of its dense copy: along an
+    # axis it varies on, the kernel's bit for bit spread over the grid; along a length-1
+    # axis, +0.0 at the data's shape, where the dense kernel leaves only round-off
     scheme = Scheme(s_scheme, leaf_scheme)
     rng = np.random.default_rng(ndim)
     for g in SHAPE_GRIDS[ndim]:
@@ -241,11 +255,14 @@ def test_partials_of_data_constant_along_axes_equal_the_full_grid_kernel(ndim, s
                 for axis in range(ndim):  # the derivative axis of length 1 included
                     full = mesh._derivative(dense, g, axis, scheme)
                     got = partial(data, g, axis, scheme)
-                    assert got.shape[1 + axis] == (1 if not full.any() else g.shape[axis])
                     for one in (got, stack[axis]):
-                        assert same_bits(np.broadcast_to(one, full.shape), full), (axes, axis)
-                    if axis not in axes:  # a kernel result spread along no axis: every bit
-                        assert np.broadcast_to(got, full.shape).tobytes() == full.tobytes()
+                        if axis in axes:
+                            assert _exact_zero(one, data), (axes, axis)
+                        else:
+                            spread = np.broadcast_to(one, full.shape)
+                            assert spread.tobytes() == full.tobytes(), (axes, axis)
+                    if axis in axes:
+                        assert np.abs(full).max() <= _roundoff_bound(data, g, axis), (axes, axis)
 
 
 def _recording_kernel(monkeypatch):
@@ -261,52 +278,54 @@ def _recording_kernel(monkeypatch):
     return calls
 
 
-def test_the_kernel_sees_each_axis_spread_only_along_itself(monkeypatch):
-    # one path on every grid: the kernel gets the data's own shape, spread along the
-    # derivative axis alone when the data has length 1 there; a spectral derivative
-    # along a length-1 axis is +0.0 without a kernel call, an fd2 or fd4 one is not
+def test_the_kernel_sees_the_data_at_its_own_shape_and_no_length_one_axis(monkeypatch):
+    # one path on every grid and scheme: the kernel is never called along an axis the
+    # data has length 1 on, and otherwise gets the data's own shape, spread nowhere
     calls = _recording_kernel(monkeypatch)
     rng = np.random.default_rng(7)
     for ndim, grids in SHAPE_GRIDS.items():
-        for g, scheme in itertools.product(grids, (DEFAULT_SCHEME, Scheme(leaf="fd4"))):
+        schemes = (DEFAULT_SCHEME, Scheme(leaf="fd4"), Scheme("fd2", "fd2"))
+        for g, scheme in itertools.product(grids, schemes):
             for count in range(ndim + 1):
                 for axes in itertools.combinations(range(ndim), count):
                     data = rng.standard_normal((2,) + tuple(
                         1 if axis in axes else size for axis, size in enumerate(g.shape)))
                     calls.clear()
                     partial_stack(data, g, scheme)
-                    spread = lambda axis: (data.shape[:1 + axis] + (g.shape[axis],)
-                                           + data.shape[2 + axis:])
-                    want = [(axis, spread(axis) if axis in axes else data.shape)
-                            for axis in range(ndim)
-                            if axis not in axes or scheme.for_axis(g, axis) != "spectral"]
-                    assert sorted(calls) == sorted(want), (g.shape, scheme, axes)
-                    assert all(shape[1 + axis] == g.shape[axis] for axis, shape in calls)
+                    want = [(axis, data.shape) for axis in range(ndim) if axis not in axes]
+                    assert calls == want, (g.shape, scheme, axes)
 
 
 @pytest.mark.parametrize("count", [10, 14, 20])
 def test_a_spectral_derivative_along_a_length_one_axis_is_exact_zero(count, monkeypatch):
-    # on counts with a prime factor of 5 or more the kernel leaves round-off on a
-    # constant line; data of length 1 there gets +0.0 and never reaches the kernel
+    # on counts with a prime factor of 5 or more the spectral kernel leaves round-off
+    # on a constant line, and fd2 or fd4 leave round-off on any count; under every
+    # scheme, data of length 1 along s or a leaf axis gets +0.0 and never reaches the
+    # kernel, and the dense kernel stays within its recorded round-off bound
     eps = np.finfo(float).eps
     g = Grid.product(1.0, 9, (count, 8), (1.0, 1.0))
     rng = np.random.default_rng(count)
-    data = rng.standard_normal((3, 9, 1, 8))
+    schemes = (DEFAULT_SCHEME, Scheme("fd2", "fd2"), Scheme("fd4", "fd4"))
     calls = _recording_kernel(monkeypatch)
-    stack = partial_stack(data, g)
-    assert stack[1].shape == data.shape and not stack[1].any()
-    assert not np.signbit(stack[1]).any()
-    assert 1 not in [axis for axis, _ in calls]
+    for scheme, axis in itertools.product(schemes, range(g.ndim)):
+        data = rng.standard_normal((3,) + tuple(
+            1 if a == axis else size for a, size in enumerate(g.shape)))
+        calls.clear()
+        stack = partial_stack(data, g, scheme)
+        assert _exact_zero(stack[axis], data) and _exact_zero(partial(data, g, axis, scheme), data)
+        assert axis not in [a for a, _ in calls], (scheme, axis)
     monkeypatch.undo()
     leaf_axes = [(grid, axis) for grids in SHAPE_GRIDS.values() for grid in grids
-                 for axis in range(1, grid.ndim)]
-    for grid, axis in [(g, 1)] + leaf_axes:
+                 for axis in range(grid.ndim)]
+    for (grid, axis), scheme in itertools.product([(g, 0), (g, 1)] + leaf_axes, schemes):
         small = tuple(1 if a == axis else size for a, size in enumerate(grid.shape))
         for scale in (1e-8, 1.0, 1e8):
             line = rng.standard_normal((2,) + small) * scale
             dense = np.array(mesh.full_grid(line, grid))
-            roundoff = np.abs(mesh._derivative(dense, grid, axis, DEFAULT_SCHEME)).max()
-            if grid is g:  # the dense kernel's round-off, recorded
+            roundoff = np.abs(mesh._derivative(dense, grid, axis, scheme)).max()
+            if scheme.for_axis(grid, axis) != "spectral":
+                assert roundoff <= _roundoff_bound(line, grid, axis), (grid.shape, axis, scale)
+            elif grid is g:  # the dense spectral kernel's round-off, recorded
                 k_max = np.abs(mesh._wavenumbers(count, g.spacing[axis])).max()
                 assert roundoff <= 64 * eps * np.abs(line).max() * k_max, scale
             else:  # every leaf count in SHAPE_GRIDS is 2^a 3^b: exactly 0
@@ -629,21 +648,59 @@ def _dense_copy(ids):
                                   Grid.product(1.0, 8, (8, 8, 8), (1.0, 1.0, 1.0))],
                          ids=lambda grid: f"{grid.ndim}d")
 def test_per_leaf_results_on_reduced_data_equal_those_on_dense_copies(grid):
-    # the recipe varies along x1 alone; its leaf slices keep length 1 along the other
-    # axes, and spread over the leaf each leaf result has the dense copy's bits
-    ids = rigid_recipe(grid, "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
-    dense = _dense_copy(ids)
+    # the recipes vary along x1, and the second along s too; their leaf slices keep
+    # length 1 along the other axes.  Where the lapse varies along s, each leaf result
+    # spread over the leaf has the dense copy's bits.  Where it does not, a derivative
+    # along s is exactly 0 on the reduced data and the dense kernel's round-off on the
+    # dense copy, and the results differ by no more than that round-off
     leaf = grid.leaf()
-    for tau in (0.0, 0.5):
-        for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
-            got, want = leaf_arrays(check(ids, tau)), leaf_arrays(check(dense, tau))
-            assert sorted(got) == sorted(want) and len(got) > 3, check.__name__
-            for path, array in want.items():
-                spread = np.broadcast_to(got[path], array.shape)
-                assert same_bits(spread, array), (check.__name__, tau, path)
-    # the leaf metric slice keeps length 1 along every leaf axis but x1 (none in 2D)
-    assert leaf_null_geometry(ids, 0.0).g_tau.field.data.shape[2:] == (
-        (leaf.shape[0],) + (1,) * (leaf.ndim - 1))
+    for phi in ("1 + 0.1*sin(2*pi*x1)", "(1 + 0.1*s^2)*(1 + 0.1*sin(2*pi*x1))"):
+        ids = rigid_recipe(grid, phi, scheme=SCHEME)
+        dense = _dense_copy(ids)
+        constant = [field.data for field in (ids.phi, ids.metric.field, ids.k)
+                    if field.data.shape[-grid.ndim] == 1]  # inputs that are constant along s
+        roundoff = max((np.abs(partial(mesh.full_grid(data, grid), grid, 0, SCHEME)).max()
+                        for data in constant), default=0.0)
+        assert (roundoff > 0) == (ids.phi.data.shape[0] == 1), phi
+        for tau in (0.0, 0.5):
+            for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
+                got, want = leaf_arrays(check(ids, tau)), leaf_arrays(check(dense, tau))
+                assert sorted(got) == sorted(want) and len(got) > 3, check.__name__
+                for path, array in want.items():
+                    spread = np.broadcast_to(got[path], array.shape)
+                    assert (same_bits(spread, array) if roundoff == 0
+                            else np.abs(spread - array).max() <= roundoff), (phi, tau, path)
+        # the leaf metric slice keeps length 1 along every leaf axis but x1 (none in 2D)
+        assert leaf_null_geometry(ids, 0.0).g_tau.field.data.shape[2:] == (
+            (leaf.shape[0],) + (1,) * (leaf.ndim - 1))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_data_constant_along_s_keeps_length_one_along_s_through_every_stage(monkeypatch):
+    # the shipped recipe does not vary along s: the stored Christoffels and Ricci, rho
+    # and j, and the development's Einstein table keep length 1 along s, and no
+    # derivative kernel runs along s in its rigidity and development reports
+    names = []  # the coordinate name of each kernel call's axis, on the grid or a leaf
+    kernel = mesh._derivative
+
+    def recording(data, grid, axis, scheme):
+        names.append(grid.names[axis])
+        return kernel(data, grid, axis, scheme)
+
+    monkeypatch.setattr(mesh, "_derivative", recording)
+    ids = scene_initial_data(parse_scene(Path(__file__).resolve().parent.parent
+                                         / "scenes" / "recipe.scene"))
+    rigid_report(ids)
+    curv = ids.curvature()
+    rho, j = constraints(ids)
+    kd = build_kd(ids)
+    kd_pattern_residuals(kd)
+    kd_dec_check(kd)
+    stored = {"christoffels": (curv.christoffels, 3), "ricci": (curv.ricci, 2),
+              "rho": (rho.data, 0), "j": (j.data, 1), "einstein table": (kd_einstein(kd).ein, 2)}
+    for name, (array, rank) in stored.items():
+        assert array.shape[rank] == 1, name
+    assert "x1" in names and "s" not in names
 
 
 # --- quadrature ------------------------------------------------------------------
