@@ -1,4 +1,4 @@
-"""Tensor calculus over a grid metric: curvature, Lie derivatives, d and delta.
+"""Tensor calculus over a grid metric: curvature, covariant derivatives, d and delta.
 
 Index conventions: Riemann R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
 + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, Ricci R_bd = R^a_bad,
@@ -73,46 +73,21 @@ def symmetrize(t):
     return 0.5 * (t + np.swapaxes(t, 0, 1))
 
 
-_INDICES = {}  # (union, its zero masks) -> the components a kernel assembles
-
-
-def _live_indices(union, *masks):
-    """Indices, as lists, of the True entries of union(*masks), cached per union and masks."""
-    key = (union,) + tuple((mask.shape, mask.tobytes()) for mask in masks)
-    if key not in _INDICES:
-        _INDICES[key] = np.argwhere(union(*masks)).tolist()
-    return _INDICES[key]
-
-
-def _lowered_live(mask):
-    """Where Gamma_dbc has a live term, from the zero mask of dg."""
-    return np.einsum("bdc->dbc", mask) | np.einsum("cdb->dbc", mask) | mask
-
-
-def _riemann_live(dmask, gmask):
-    """Where R^a_bcd has a live term, from the zero masks of dgamma and gg."""
-    return (np.einsum("cadb->abcd", dmask) | np.einsum("dacb->abcd", dmask)
-            | gmask | np.swapaxes(gmask, 2, 3))
-
-
 def christoffels_from(ginv, dg):
     """Gamma^a_bc from the inverse metric and dg[c, a, b] = d_c g_ab.
 
     The lowered Christoffels Gamma_dbc = 0.5*((dg[b, d, c] + dg[c, d, b]) -
-    dg[d, b, c]) are written only where one of those three dg slices is live
-    (mesh._live); the rest stay exactly 0.  The contraction scans the lowered
-    array, so a component whose terms cancel to 0 at every node is dead there
-    too.  The 0.5 is applied here, before ginv raises d.  A power of two
-    commutes with rounding, so that equals halving the raised sum bit for bit
-    unless a value is subnormal.
+    dg[d, b, c]) are built as one C-contiguous array, the terms taken in that
+    order at every component.  The contraction scans it (mesh._live) and
+    skips each component that is 0 at every node, whether its three terms are
+    dead or cancel, and whatever the sign of its zeros.  The 0.5 is applied here, before ginv
+    raises d.  A power of two commutes with rounding, so that equals halving
+    the raised sum bit for bit unless a value is subnormal.
     """
-    mask = _live(dg, 3)
-    low = np.zeros(dg.shape)
-    for d, b, c in _live_indices(_lowered_live, mask):
-        component = low[d, b, c]
-        np.add(dg[b, d, c], dg[c, d, b], out=component)
-        component -= dg[d, b, c]
-        component *= 0.5
+    low = np.einsum("bdc...->dbc...", dg).copy()
+    low += np.einsum("cdb...->dbc...", dg)
+    low -= dg
+    low *= 0.5
     return _contract("ad...,dbc...->abc...", ginv, low)
 
 
@@ -132,8 +107,11 @@ def riemann_from(gamma, dgamma):
     gg = _contract("ace...,edb...->abcd...", gamma, gamma)
     gmask = _live(gamma, 3)
     ggmask = np.einsum("ace,edb->abcd", gmask, gmask)
+    dmask = _live(dgamma, 4)
+    live = (np.einsum("cadb->abcd", dmask) | np.einsum("dacb->abcd", dmask)
+            | ggmask | np.swapaxes(ggmask, 2, 3))
     r = np.zeros(gg.shape[:4] + np.broadcast_shapes(gg.shape[4:], dgamma.shape[5:]))
-    for a, b, c, d in _live_indices(_riemann_live, _live(dgamma, 4), ggmask):
+    for a, b, c, d in np.argwhere(live).tolist():  # python ints index faster than numpy ints
         component = r[a, b, c, d]
         np.subtract(dgamma[c, a, d, b], dgamma[d, a, c, b], out=component)
         component += gg[a, b, c, d]
@@ -250,13 +228,6 @@ def cov_rank3(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
 
 def divergence_vector(xdata, metric, gamma, scheme=DEFAULT_SCHEME):
     return np.einsum("cc...->...", cov_vector(xdata, metric.grid, gamma, scheme))
-
-
-def lie_metric(xdata, metric, gamma, scheme=DEFAULT_SCHEME):
-    """(L_X g)_ab = nabla_a X_b + nabla_b X_a."""
-    w = metric.flat(xdata)
-    nw = cov_covector(w, metric.grid, gamma, scheme)
-    return nw + np.einsum("ab...->ba...", nw)
 
 
 def div_sym2(tdata, metric, gamma, scheme=DEFAULT_SCHEME):

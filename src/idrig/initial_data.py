@@ -42,7 +42,6 @@ from .mesh import (
     _contract,
     components,
     fits,
-    full_grid,
     leaf_block,
     leaf_index,
     leaf_node,
@@ -122,20 +121,6 @@ class InitialDataSet:
         metric = geometry.MetricField(Field(grid, "sym2", g))
         k_f = k if isinstance(k, Field) else sample(grid, k, kind="sym2")
         return InitialDataSet(grid, phi_f, metric, k_f, scheme)
-
-    @staticmethod
-    def from_normal_components(grid, phi, leaf_metric, k_nn, k_nf, k_ff,
-                               scheme=DEFAULT_SCHEME):
-        """Assemble k from k(nu,nu), the leaf covector k(nu, .) and k|_FF."""
-        phi_f = _lapse(grid, phi)
-        n = grid.ndim
-        value = lambda entry: entry if isinstance(entry, np.ndarray) else sample(grid, entry).data
-        knf = [phi_f.data * value(k_nf[i]) for i in range(n - 1)]
-        rows = [[phi_f.data**2 * value(k_nn)] + knf] + [
-            [knf[i]] + [value(k_ff[i][j]) for j in range(n - 1)] for i in range(n - 1)]
-        k = components([entry for row in rows for entry in row], (n, n))
-        return InitialDataSet.product(grid, phi_f, leaf_metric,
-                                      Field(grid, "sym2", k), scheme)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -254,10 +239,6 @@ def j_normal(ids, j):
 # --- ambient connection and curvature ------------------------------------------
 
 
-def ambient_pairing(ids, v, w):
-    return -v.a * w.a + _contract("ab...,a...,b...->...", ids.metric.data, v.x, w.x)
-
-
 def ambient_derivative(ids, v):
     """Coordinate-direction ambient derivatives D_c V.
 
@@ -369,136 +350,3 @@ def leaf_null_geometry(ids, tau):
                         k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta))
     return _stored(ids, (leaf_null_geometry, idx), build)
 
-
-# --- parallel transport -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    a_end: float                # e0 coefficient of the transported vector
-    x_end: np.ndarray           # tangent components at the final node
-    norm_start: float           # gbar(V, V) at the first node
-    norm_end: float
-    drift: float                # |gbar(V,V) end - start|
-    length: float               # coordinate length of the polyline
-    steps: int
-
-
-def _lagrange_weights(offsets, t):
-    w = np.ones(len(offsets))
-    for i, oi in enumerate(offsets):
-        for oj in offsets:
-            if oj != oi:
-                w[i] *= (t - oj) / (oi - oj)
-    return w
-
-
-class _StencilInterpolator:
-    """Tensor-product Lagrange interpolation of stacked component arrays."""
-
-    degree = 6
-
-    def __init__(self, arrays, grid):
-        self.grid = grid
-        self.data = np.concatenate([full_grid(a, grid).reshape((-1,) + grid.shape)
-                                    for a in arrays])
-        self.sizes = [int(np.prod(a.shape[: a.ndim - grid.ndim], dtype=int)) for a in arrays]
-
-    def __call__(self, point):
-        grid = self.grid
-        npts = self.degree + 1
-        idx_lists, weight_lists = [], []
-        for axis in range(grid.ndim):
-            u = point[axis] / grid.spacing[axis]
-            base = int(np.floor(u)) - self.degree // 2
-            if not grid.periodic[axis]:  # the stencil stays inside the interval
-                base = min(max(base, 0), grid.counts[axis] - npts)
-            offs = np.arange(base, base + npts)
-            weight_lists.append(_lagrange_weights(offs, u))
-            idx_lists.append(offs % grid.counts[axis])
-        block = self.data
-        for axis in range(grid.ndim):
-            block = np.take(block, idx_lists[axis], axis=1 + axis)
-        w = weight_lists[0]
-        for wl in weight_lists[1:]:
-            w = np.multiply.outer(w, wl)
-        flat = np.tensordot(block, w, axes=(tuple(range(1, grid.ndim + 1)),
-                                            tuple(range(grid.ndim))))
-        return np.split(flat, np.cumsum(self.sizes)[:-1])
-
-
-def parallel_transport(ids, v0_a, v0_x, path):
-    """Transport (v0_a, v0_x) along a polyline of grid node indices.
-
-    path is a sequence of node index tuples; consecutive nodes are joined by
-    straight coordinate segments.  Integration is RK4 with step halving until
-    the endpoint state changes by less than 1e-10, in at most 65536 steps a
-    segment; connection coefficients are interpolated with tensor-product
-    Lagrange polynomials of degree 6.
-    """
-    grid = ids.grid
-    n = grid.ndim
-    if len(path) == 0:
-        raise MeshError("transport path is empty")
-    for idx in path:
-        if len(idx) != n or not all(0 <= idx[i] < grid.counts[i] for i in range(n)):
-            raise MeshError(f"path node {tuple(idx)} outside the grid")
-    curv = ids.curvature()
-    interp = _StencilInterpolator([curv.christoffels, ids.k.data, _k_mixed(ids)], grid)
-
-    def rhs(point, state, direction):
-        gam_f, k_f, km_f = interp(point)
-        gam = gam_f.reshape(n, n, n)
-        kk = k_f.reshape(n, n)
-        km = km_f.reshape(n, n)
-        a, x = state[0], state[1:]
-        ky_x = direction @ kk @ x
-        da = -ky_x
-        dx = -(a * (direction @ km) + np.einsum("bce,c,e->b", gam, direction, x))
-        return np.concatenate(([da], dx))
-
-    def run_segment(p0, p1, state, nsteps):
-        direction = p1 - p0
-        dt = 1.0 / nsteps
-        y = state.copy()
-        for istep in range(nsteps):
-            t = istep * dt
-            pt = lambda tt: p0 + (t + tt) * direction
-            k1 = rhs(pt(0.0), y, direction)
-            k2 = rhs(pt(0.5 * dt), y + 0.5 * dt * k1, direction)
-            k3 = rhs(pt(0.5 * dt), y + 0.5 * dt * k2, direction)
-            k4 = rhs(pt(dt), y + dt * k3, direction)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y
-
-    nodes = [np.array([grid.spacing[i] * idx[i] for i in range(n)]) for idx in path]
-    state = np.concatenate(([float(v0_a)], np.asarray(v0_x, dtype=float)))
-    total_len = 0.0
-    total_steps = 0
-    for p0, p1 in zip(nodes[:-1], nodes[1:]):
-        seg_len = float(np.linalg.norm(p1 - p0))
-        if seg_len == 0.0:
-            continue
-        total_len += seg_len
-        nsteps = 8
-        coarse = run_segment(p0, p1, state, nsteps)
-        while True:
-            fine = run_segment(p0, p1, state, 2 * nsteps)
-            if np.max(np.abs(fine - coarse)) < 1e-10:
-                state = fine
-                total_steps += 2 * nsteps
-                break
-            if 2 * nsteps > 65536:
-                raise MeshError("parallel transport step size underflow")
-            coarse = fine
-            nsteps *= 2
-
-    def norm_at(idx, a, x):
-        g_node = full_grid(ids.metric.data, grid)[(slice(None), slice(None)) + tuple(idx)]
-        return float(-a * a + x @ g_node @ x)
-
-    norm0 = norm_at(path[0], float(v0_a), np.asarray(v0_x, dtype=float))
-    norm1 = norm_at(path[-1], state[0], state[1:])
-    return TransportResult(
-        float(state[0]), state[1:].copy(), norm0, norm1,
-        abs(norm1 - norm0), total_len, total_steps)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exprlang, geometry
-from .initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
+from .initial_data import (AmbientVector, InitialDataSet, _stored, ambient_residual_norm,
                            constraints, derived)
 from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract, _partials,
                    dump_csv, full_grid, grid_values, partial, partial_stack, updated)
@@ -322,9 +322,12 @@ def kd_dec_check(kd, count=64):
     """Dominant-energy scan of the development's Einstein tensor.
 
     Ein is bilinear, and every future-causal vector is a nonnegative
-    combination of the sampled null rays up to sampling density, so the
-    minimum over ray pairs certifies (or localizes a violation of) the
-    condition Ein(X, Y) >= 0 on the causal cone.
+    combination of future null rays, so Ein(X, Y) >= 0 on the causal cone
+    holds iff it holds on pairs of null rays.  The minimum over the sampled
+    pairs is an estimate of that minimum, not a certificate: it never lies
+    below it and can overstate it (4D margins at 64 directions read 5-7%
+    shallower than the exact inner minimum over 4096 directions).  A
+    negative value is a violation, witnessed at the reported node and pair.
     """
     return frame_dec_minimum(kd_einstein(kd).ein, kd.grid, count)
 
@@ -439,51 +442,50 @@ def induce_from_ppwave(spec, w="0"):
     built on the first call for a graph and returned again by later calls.
     """
     w_ast = exprlang.parse(w) if isinstance(w, str) else w
-    if (induce_from_ppwave, w_ast) in spec._derived:
-        return spec._derived[induce_from_ppwave, w_ast]
-    grid = spec.grid
-    n = grid.ndim
-    extra = exprlang.variables_of(w_ast) - {"s"}
-    if extra:
-        raise DataError("graph must depend on s only to induce product data "
-                        f"(found {sorted(extra)})")
-    env = grid.coord_env()
-    dw = exprlang.diff(w_ast, "s")
-    phi2 = grid_values(grid, graph_profile(spec, dw), env)
-    if float(np.min(phi2)) <= 0.0:
-        raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
-    phi = Field(grid, "scalar", np.sqrt(phi2))
 
-    gbar = ppwave_metric(spec)
-    ginv, gamma = spacetime_christoffels(gbar, grid, spec.scheme)
-    dw_vals = grid_values(grid, dw, env)
+    def build():
+        grid = spec.grid
+        n = grid.ndim
+        extra = exprlang.variables_of(w_ast) - {"s"}
+        if extra:
+            raise DataError("graph must depend on s only to induce product data "
+                            f"(found {sorted(extra)})")
+        env = grid.coord_env()
+        dw = exprlang.diff(w_ast, "s")
+        phi2 = grid_values(grid, graph_profile(spec, dw), env)
+        if float(np.min(phi2)) <= 0.0:
+            raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
+        phi = Field(grid, "scalar", np.sqrt(phi2))
 
-    # future unit normal from the conormal dv - w' ds
-    conormal = np.zeros((n + 1,) + dw_vals.shape)
-    conormal[0] = 1.0
-    conormal[1] = -dw_vals
-    normal = _contract("AB...,B...->A...", ginv, conormal)
-    e0 = -normal / phi.data
-    e0_v = _contract("A...,A...->...", gbar[0], e0)
-    if float(np.max(e0_v)) >= 0.0:
-        raise DataError("graph normal is not future directed")
+        gbar = ppwave_metric(spec)
+        ginv, gamma = spacetime_christoffels(gbar, grid, spec.scheme)
+        dw_vals = grid_values(grid, dw, env)
 
-    tangents = np.zeros((n, n + 1) + dw_vals.shape)
-    tangents[0, 0] = dw_vals
-    tangents[0, 1] = 1.0
-    for i in range(1, n):
-        tangents[i, i + 1] = 1.0
+        # future unit normal from the conormal dv - w' ds
+        conormal = np.zeros((n + 1,) + dw_vals.shape)
+        conormal[0] = 1.0
+        conormal[1] = -dw_vals
+        normal = _contract("AB...,B...->A...", ginv, conormal)
+        e0 = -normal / phi.data
+        e0_v = _contract("A...,A...->...", gbar[0], e0)
+        if float(np.max(e0_v)) >= 0.0:
+            raise DataError("graph normal is not future directed")
 
-    de0 = partial_stack(e0, grid, spec.scheme)
-    cov = de0 + _contract("BCD...,aC...,D...->aB...", gamma, tangents, e0)
-    k = _contract("BD...,bD...,aB...->ab...", gbar, tangents, cov)
-    asym = float(np.max(np.abs(k - np.einsum("ab...->ba...", k))))
-    if asym > 1e-6 * (1.0 + float(np.max(np.abs(k)))):
-        warnings.warn(f"induced second fundamental form asymmetry {asym:.3e}")
-    ids = InitialDataSet.product(grid, phi, np.eye(n - 1),
-                                 Field(grid, "sym2", geometry.symmetrize(k)), spec.scheme)
-    spec._derived[induce_from_ppwave, w_ast] = ids
-    return ids
+        tangents = np.zeros((n, n + 1) + dw_vals.shape)
+        tangents[0, 0] = dw_vals
+        tangents[0, 1] = 1.0
+        for i in range(1, n):
+            tangents[i, i + 1] = 1.0
+
+        de0 = partial_stack(e0, grid, spec.scheme)
+        cov = de0 + _contract("BCD...,aC...,D...->aB...", gamma, tangents, e0)
+        k = _contract("BD...,bD...,aB...->ab...", gbar, tangents, cov)
+        asym = float(np.max(np.abs(k - np.einsum("ab...->ba...", k))))
+        if asym > 1e-6 * (1.0 + float(np.max(np.abs(k)))):
+            warnings.warn(f"induced second fundamental form asymmetry {asym:.3e}")
+        return InitialDataSet.product(grid, phi, np.eye(n - 1),
+                                      Field(grid, "sym2", geometry.symmetrize(k)), spec.scheme)
+    return _stored(spec, (induce_from_ppwave, w_ast), build)
 
 
 def restricted_killing_section(ids):

@@ -1,4 +1,4 @@
-"""Uniform grids on [0, l] x T^(n-1), fields, derivatives, quadrature.
+"""Uniform grids on [0, l] x T^(n-1), fields, derivatives, contractions, CSV dumps.
 
 The s axis carries both interval endpoints (N_s nodes, spacing l/(N_s - 1));
 leaf axes are periodic with the right endpoint identified (N_i nodes, spacing
@@ -32,7 +32,7 @@ derivative 0, so +0.0 is the exact value; the kernels would leave round-off.
 Derived results keep the reduced shape, and per-leaf slices (`leaf_values`,
 `leaf_block`) keep their length-1 axes.  Arrays reach the full grid only at
 the edges: a report's maxima and argmins need no expansion, and `full_grid`
-serves the CSV dump, quadrature, interpolation and the signature count.
+serves the CSV dump, the signature count and the section's mean orientation.
 
 `_contract`, which every multi-operand pointwise contraction goes through,
 multiplies only the products with no all-zero factor slice.  It sums each
@@ -107,14 +107,6 @@ class Grid:
         names = ("s",) + tuple(f"x{i}" for i in range(1, n))
         return Grid(names, (int(n_s),) + leaf_counts, (float(ell),) + leaf_lengths,
                     (False,) + (True,) * (n - 1))
-
-    @staticmethod
-    def torus(counts, lengths):
-        """Periodic grid with axes x1, x2, ..."""
-        counts = tuple(int(c) for c in counts)
-        lengths = tuple(float(length) for length in lengths)
-        names = tuple(f"x{i}" for i in range(1, len(counts) + 1))
-        return Grid(names, counts, lengths, (True,) * len(counts))
 
     @property
     def ndim(self):
@@ -493,66 +485,6 @@ def leaf_block(field, tau_idx):
     """Leaf-tangential component block at one s node, as a leaf-grid field of the slice's shape."""
     block = leaf_values(field.data[(slice(1, None),) * field.rank], field.grid, tau_idx)
     return Field(field.grid.leaf(), field.kind, block)
-
-
-# --- quadrature and inner products ----------------------------------------------
-
-
-def integrate(values, grid):
-    """Rectangle rule integral over a fully periodic grid (exact for trig polys)."""
-    if not all(grid.periodic):
-        raise MeshError("integrate expects a torus grid")
-    cell = float(np.prod(grid.spacing))
-    axes = tuple(range(-grid.ndim, 0))
-    values = np.ascontiguousarray(full_grid(values, grid), dtype=float)
-    return np.sum(values, axis=axes) * cell
-
-
-def integrate_leaf(values, leaf_grid, density=None):
-    """Integral of scalar leaf values against an optional volume density."""
-    vals = np.asarray(values, dtype=float)
-    if density is not None:
-        vals = vals * np.asarray(density, dtype=float)
-    return float(integrate(vals, leaf_grid))
-
-
-_FORM_WEIGHT = {"scalar": 1.0, "covector": 1.0, "form2": 0.5}
-
-
-def pointwise_inner(a, b, ginv):
-    """Pointwise metric inner product of two same-kind covariant fields.
-
-    p-forms carry the 1/p! weight so that the codifferential is the exact
-    L2 adjoint of the exterior derivative.
-    """
-    if a.kind != b.kind:
-        raise MeshError("inner product needs matching kinds")
-    rank = a.rank
-    if rank == 0:
-        return a.data * b.data
-    ginv = np.asarray(ginv, dtype=float)
-    if rank == 1:
-        raised = _contract("ab...,b...->a...", ginv, b.data)
-        out = _contract("a...,a...->...", a.data, raised)
-    elif rank == 2:
-        raised = _contract("ac...,bd...,cd...->ab...", ginv, ginv, b.data)
-        out = _contract("ab...,ab...->...", a.data, raised)
-    else:
-        raise MeshError(f"no inner product for rank {rank}")
-    return out * _FORM_WEIGHT.get(a.kind, 1.0)
-
-
-def l2_inner(a, b, ginv, density=None):
-    """L2 inner product of two leaf fields; ginv constant matrix or field data."""
-    grid = a.grid
-    vals = pointwise_inner(a, b, ginv)
-    if density is None:
-        return float(integrate(vals, grid))
-    return integrate_leaf(vals, grid, density)
-
-
-def l2_norm(a, ginv, density=None):
-    return float(np.sqrt(max(l2_inner(a, a, ginv, density), 0.0)))
 
 
 # --- CSV dump --------------------------------------------------------------------

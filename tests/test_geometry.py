@@ -5,13 +5,14 @@ import pytest
 import sympy as sp
 
 from idrig.mesh import (DataError, Grid, Field, MeshError, partial, partial_stack, sample,
-                        integrate, _contract, _live, _spectral_axis)
+                        _contract, _live, _spectral_axis)
 from idrig import geometry
 from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
                                spacetime_christoffels)
 from idrig.rigidity import rigid_recipe
 from helpers import (SCHEME, constant_along, dense_christoffels_from, dense_riemann_from,
-                     grid3, pattern_grid, pattern_metric, reduced_along, same_bits)
+                     grid3, pattern_grid, pattern_metric, reduced_along, same_bits, torus)
+from references import integrate, lie_metric
 
 
 CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
@@ -19,7 +20,7 @@ CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
 
 
 def torus_metric(n=24):
-    grid = Grid.torus((n, n), (1.0, 1.0))
+    grid = torus((n, n), (1.0, 1.0))
     return grid, geometry.MetricField(sample(grid, CURVED_TORUS, kind="sym2"))
 
 
@@ -30,7 +31,7 @@ def riemann_up(m):
 
 
 def test_metric_field_rejects_indefinite():
-    grid = Grid.torus((8, 8), (1.0, 1.0))
+    grid = torus((8, 8), (1.0, 1.0))
     with pytest.raises(DataError, match=r"^metric is not positive definite \(min eigenvalue -1\)$"):
         geometry.MetricField(sample(grid, [["1", "0"], ["0", "-1"]], kind="sym2"))
     with pytest.raises(DataError, match=r"^metric is not positive definite \(min eigenvalue 0\)$"):
@@ -326,7 +327,7 @@ def test_codifferential_is_adjoint_on_torus():
 
 
 def test_laplace_beltrami_flat_and_div_grad():
-    grid = Grid.torus((32, 32), (1.0, 1.0))
+    grid = torus((32, 32), (1.0, 1.0))
     flat = geometry.MetricField(sample(grid, [["1", "0"], ["0", "1"]], kind="sym2"))
     gam0 = geometry.christoffels(flat, SCHEME)
     f = sample(grid, "sin(2*pi*x1)", kind="scalar").data
@@ -347,15 +348,15 @@ def test_laplace_beltrami_flat_and_div_grad():
 
 def test_lie_metric_of_killing_rotation():
     # translations are Killing fields of the flat torus
-    grid = Grid.torus((16, 16), (1.0, 1.0))
+    grid = torus((16, 16), (1.0, 1.0))
     flat = geometry.MetricField(sample(grid, [["1", "0"], ["0", "1"]], kind="sym2"))
     gam = geometry.christoffels(flat, SCHEME)
     w = sample(grid, ["1", "2"], kind="vector")
-    lie = geometry.lie_metric(w.data, flat, gam, SCHEME)
+    lie = lie_metric(w.data, flat, gam, SCHEME)
     assert np.max(np.abs(lie)) == 0.0
     # a non-Killing field has nonzero deformation matching 2 sym(nabla W)
     w2 = sample(grid, ["sin(2*pi*x1)", "0"], kind="vector")
-    lie2 = geometry.lie_metric(w2.data, flat, gam, SCHEME)
+    lie2 = lie_metric(w2.data, flat, gam, SCHEME)
     env = grid.coord_env()
     want = 4 * np.pi * np.broadcast_to(np.cos(2 * np.pi * env["x1"]), grid.shape)
     assert np.max(np.abs(lie2[0, 0] - want)) < 1e-11

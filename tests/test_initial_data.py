@@ -5,13 +5,14 @@ from idrig.mesh import Grid, Field, MeshError, full_grid, sample, partial_stack
 from idrig import geometry
 from idrig.initial_data import (InitialDataSet, AmbientVector, constraints,
                                 dec_margin, j_normal,
-                                ambient_pairing, ambient_derivative,
+                                ambient_derivative,
                                 ambient_residual_norm,
                                 ambient_curvature, ambient_curvature_pairing,
-                                leaf_null_geometry, parallel_transport)
+                                leaf_null_geometry)
 from idrig.rigidity import (rigid_recipe, build_parallel_candidate, lambda_form,
                             theta_plus_field)
 from helpers import SCHEME, grid3
+from references import ambient_pairing, from_normal_components, parallel_transport
 
 
 def flat_data(grid):
@@ -83,7 +84,7 @@ def test_validation_errors():
 
 def test_from_normal_components():
     grid = grid3(9, 8)
-    ids = InitialDataSet.from_normal_components(
+    ids = from_normal_components(
         grid, "1 + 0.2*s", np.eye(2), "0.3*s", ["sin(2*pi*x1)", "0"],
         [["s", "0"], ["0", "0.1"]], scheme=SCHEME)
     env = grid.coord_env()

@@ -14,14 +14,14 @@ from idrig.killing_dev import (build_kd, dead_v_partials, kd_dec_check, kd_einst
                                kd_pattern_residuals, kd_roundtrip, ppwave, ppwave_einstein_check)
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, leaf_index, leaf_values, leaf_block,
-                        integrate, l2_inner, l2_norm,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
 from idrig.initial_data import InitialDataSet, constraints, leaf_null_geometry
-from idrig.rigidity import (hodge_decompose, rigid_recipe, rigid_report, tt_split,
-                            two_for_three_residual, variation_residual)
+from idrig.rigidity import (rigid_recipe, rigid_report, two_for_three_residual,
+                            variation_residual)
 from idrig.scene import parse_scene, scene_initial_data
 from helpers import (CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits,
                      fd4_interval_reference, leaf_arrays)
+from references import hodge_decompose, integrate, l2_inner, l2_norm, lie_metric, tt_split
 
 
 # --- grid construction and validation ------------------------------------------
@@ -334,12 +334,14 @@ def test_a_spectral_derivative_along_a_length_one_axis_is_exact_zero(count, monk
 
 # --- pointwise contractions -------------------------------------------------------
 
-# every subscripts string and module that calls the contraction kernel, so that a new
-# call site is covered without editing these tests
-SOURCES = {path.stem: path.read_text() for path in Path(mesh.__file__).parent.glob("*.py")}
+# every subscripts string and module that calls the contraction kernel, in src/ and in the
+# test-side references, so that a new call site is covered without editing these tests
+SOURCES = {f"idrig.{path.stem}": path.read_text()
+           for path in Path(mesh.__file__).parent.glob("*.py")}
+SOURCES["references"] = (Path(__file__).parent / "references.py").read_text()
 CONTRACTED = sorted({subscripts for text in SOURCES.values()
                      for subscripts in re.findall(r'_contract\(\s*"([^"]+)"', text)})
-KERNEL_USERS = [importlib.import_module(f"idrig.{name}") for name, text in SOURCES.items()
+KERNEL_USERS = [importlib.import_module(name) for name, text in SOURCES.items()
                 if "_contract(" in text]
 
 
@@ -474,7 +476,7 @@ def test_contractions_never_read_an_all_zero_slice(monkeypatch):
         hodge_decompose(one_form, np.eye(2))
         flat = geometry.MetricField(Field(leaf, "sym2", np.eye(2)[..., None, None]
                                           * np.ones(leaf.shape)))
-        lie = geometry.lie_metric(flat.sharp(one_form.data), flat,
+        lie = lie_metric(flat.sharp(one_form.data), flat,
                                   geometry.christoffels(flat, SCHEME), SCHEME)
         tt_split(Field(leaf, "sym2", geometry.symmetrize(lie)), np.eye(2), SCHEME)
 

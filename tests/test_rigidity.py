@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from idrig import exprlang, geometry
-from idrig.mesh import (Grid, Field, MeshError, full_grid, sample, leaf_index, l2_inner,
-                        l2_norm)
+from idrig.mesh import Grid, Field, MeshError, full_grid, sample, leaf_index
 from idrig.initial_data import (InitialDataSet, constraints, ambient_residual_norm,
                                 dec_margin, leaf_null_geometry)
 from idrig.rigidity import (rigid_recipe, build_parallel_candidate,
                             parallel_residuals, lambda_form, lambda_via_curvature,
                             closedness_residual, two_for_three_residual,
-                            variation_residual, theta_plus_field, hodge_decompose,
-                            div_part_identity_residual, tt_split, spectral_gap,
-                            leaf_div_minus_dtr, rigid_report)
+                            variation_residual, theta_plus_field, leaf_div_minus_dtr,
+                            rigid_report)
 from idrig.scene import parse_scene, scene_initial_data
-from helpers import SCHEME, grid3, leaf_arrays, same_bits
+from helpers import SCHEME, grid3, leaf_arrays, same_bits, torus
+from references import (div_part_identity_residual, hodge_decompose, l2_inner, l2_norm,
+                        lie_metric, spectral_gap, tt_split)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -278,7 +278,7 @@ def random_band_limited_covector(leaf, rng, amp=0.3, modes=2):
 
 
 def test_hodge_decompose_pure_cases():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     f = sample(leaf, "sin(2*pi*x1)*cos(2*pi*x2)", kind="scalar")
     df = geometry.exterior_d(f, SCHEME)
     split = hodge_decompose(df, np.eye(2))
@@ -297,7 +297,7 @@ def test_hodge_decompose_pure_cases():
 
 
 def test_hodge_decompose_random():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     rng = np.random.default_rng(5)
     omega = random_band_limited_covector(leaf, rng)
     split = hodge_decompose(omega, np.eye(2))
@@ -315,7 +315,7 @@ def test_hodge_decompose_random():
 
 
 def test_div_part_identity():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     const = Field(leaf, "covector", np.stack([0.4 * np.ones(leaf.shape),
                                               1.1 * np.ones(leaf.shape)]))
     assert div_part_identity_residual(const, np.eye(2), SCHEME).max_norm() == 0.0
@@ -328,7 +328,7 @@ def test_div_part_identity():
 
 
 def test_tt_split_pure_cases():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     g = flat_torus_metric(leaf)
     gam = geometry.christoffels(g, SCHEME)
 
@@ -341,7 +341,7 @@ def test_tt_split_pure_cases():
 
     rng = np.random.default_rng(13)
     omega = random_band_limited_covector(leaf, rng)
-    lie = geometry.lie_metric(g.sharp(omega.data), g, gam, SCHEME)
+    lie = lie_metric(g.sharp(omega.data), g, gam, SCHEME)
     lie_f = Field(leaf, "sym2", 0.5 * (lie + np.swapaxes(lie, 0, 1)))
     s2 = tt_split(lie_f, np.eye(2), SCHEME)
     assert abs(s2.c) < 1e-14
@@ -366,7 +366,7 @@ def test_tt_split_tangent_inputs():
         const = rng.uniform(-1, 1, (2, 2))
         const = const + const.T
         w = random_band_limited_covector(leaf, rng)
-        lie = geometry.lie_metric(g.sharp(w.data), g, gam, SCHEME)
+        lie = lie_metric(g.sharp(w.data), g, gam, SCHEME)
         gdot = Field(leaf, "sym2", 0.5 * (lie + np.swapaxes(lie, 0, 1))
                      + np.broadcast_to(const.reshape(2, 2, 1, 1),
                                        (2, 2) + leaf.shape))
@@ -378,7 +378,7 @@ def test_tt_split_tangent_inputs():
 
 
 def test_j_equation_kernel_and_spectral_gap():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     g = flat_torus_metric(leaf)
     # constant trace-free tensors and multiples of g solve the leaf j-equation
     tf = np.zeros((2, 2) + leaf.shape)
@@ -390,7 +390,7 @@ def test_j_equation_kernel_and_spectral_gap():
     assert leaf_div_minus_dtr(cg, g, gam, SCHEME).max_norm() == 0.0
 
     assert spectral_gap(leaf, np.eye(2)) == pytest.approx(4 * np.pi**2, rel=1e-13)
-    wide = Grid.torus((16, 16), (1.0, 2.0))
+    wide = torus((16, 16), (1.0, 2.0))
     assert spectral_gap(wide, np.eye(2)) == pytest.approx(np.pi**2, rel=1e-13)
 
     # Rayleigh bound: ||delta d beta|| >= gap ||beta|| for mean-free co-exact beta
@@ -404,7 +404,7 @@ def test_j_equation_kernel_and_spectral_gap():
 
 
 def test_decomposition_input_validation():
-    leaf = Grid.torus((16, 16), (1.0, 1.0))
+    leaf = torus((16, 16), (1.0, 1.0))
     omega = Field(leaf, "covector", np.zeros((2,) + leaf.shape))
     with pytest.raises(MeshError):
         hodge_decompose(omega, np.array([[1.0, 0.0], [0.0, -1.0]]))
