@@ -23,11 +23,12 @@ up to the sign of a zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .mesh import (DEFAULT_SCHEME, DataError, Field, MeshError, _contract, _live, partial_stack,
-                   updated)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, Scheme, _contract, _live,
+                   partial_stack, updated)
 
 # --- pure array core ---------------------------------------------------------
 
@@ -180,17 +181,38 @@ def christoffels(metric, scheme=DEFAULT_SCHEME):
 
 @dataclass(frozen=True)
 class CurvatureBundle:
+    """A metric's Christoffels, and its Ricci and scalar curvature on first read.
+
+    The Riemann tensor, Ricci and scal are built together on the first read
+    of `ricci` or `scal`, marked read-only and kept; a reader of the
+    connection alone never builds them.
+    """
+
     christoffels: np.ndarray  # Gamma^a_bc
-    ricci: np.ndarray         # R_bd
-    scal: np.ndarray          # scalar curvature
+    ginv: np.ndarray          # the metric's inverse, which raises Ricci's index for scal
+    grid: Grid
+    scheme: Scheme
+
+    @cached_property
+    def ricci(self):
+        """R_bd, read-only."""
+        gam = self.christoffels
+        r_up = riemann_from(gam, partial_stack(gam, self.grid, self.scheme))
+        ric = np.einsum("abad...->bd...", r_up)
+        ric.flags.writeable = False
+        return ric
+
+    @cached_property
+    def scal(self):
+        """The scalar curvature, read-only."""
+        scal = _contract("bd...,bd...->...", self.ginv, self.ricci)
+        scal.flags.writeable = False
+        return scal
 
 
 def curvature(metric, scheme=DEFAULT_SCHEME):
-    gam = christoffels(metric, scheme)
-    r_up = riemann_from(gam, partial_stack(gam, metric.grid, scheme))
-    ric = np.einsum("abad...->bd...", r_up)
-    scal = _contract("bd...,bd...->...", metric.ginv, ric)
-    return CurvatureBundle(gam, ric, scal)
+    """The metric's curvature bundle: Christoffels now, Ricci and scal when first read."""
+    return CurvatureBundle(christoffels(metric, scheme), metric.ginv, metric.grid, scheme)
 
 
 # --- covariant derivatives ------------------------------------------------------

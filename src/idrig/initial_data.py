@@ -15,8 +15,11 @@ A data set is not changed after construction, so each derived field is
 computed once: `curvature()`, every `derived` function (constraints,
 lambda, theta+, ...) and `leaf_null_geometry`, once per leaf node, store
 their first result on the data set, read-only, and return that object to
-later calls.  It lives as long as the data set.  Leaf values are stored per
-s node their inputs are read at (`leaf_shared`: the leaf metric and its
+later calls.  It lives as long as the data set.  A curvature bundle is
+lazy: it holds the Christoffels and builds Ricci and scal, read-only, on
+their first read, so the readers of the connection alone (nablabar, lambda,
+the shape form) never build them.  Leaf values are stored per s node their
+inputs are read at (`leaf_shared`: the leaf metric and its
 curvature, the leaf-intrinsic terms of two-for-three and the MOTS
 variation), so leaves that read the same slices share one result; values
 that read s-varying fields (chi+, theta+, the rates, j + lambda) stay per
@@ -39,6 +42,7 @@ from .mesh import (
     Field,
     Grid,
     MeshError,
+    Scheme,
     _contract,
     components,
     fits,
@@ -154,9 +158,14 @@ def _leaf_metric_components(grid, leaf_metric):
 
 
 def _read_only(value):
-    """Mark every array inside a stored value read-only; returns the value."""
+    """Mark every array inside a stored value read-only; returns the value.
+
+    Grids, schemes, strings and numbers hold no arrays, so the walk stops there.
+    """
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
+    elif isinstance(value, (Grid, Scheme, str, int, float)):
+        pass
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)

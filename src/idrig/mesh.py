@@ -241,7 +241,8 @@ def _partials(data, grid, axes, scheme, zero_axes=0):
     """The stack of `zero_axes` derivatives that are 0, then those along `axes`.
 
     An int `axes` gives that one derivative, unstacked, at the data's shape.
-    Zero components and axes of length 1 skip the kernel and stay +0.0.
+    Zero components and axes of length 1 skip the kernel and stay +0.0; data
+    with no live component makes no kernel call.
     """
     stacked = not isinstance(axes, int)
     axes = tuple(axes) if stacked else (axes,)
@@ -253,7 +254,7 @@ def _partials(data, grid, axes, scheme, zero_axes=0):
     out = np.zeros(lead + np.shape(data))
     stack = out.reshape((zero_axes + len(axes), len(live)) + shape)[zero_axes:]
     for k, axis in enumerate(axes):
-        if shape[axis] > 1:
+        if shape[axis] > 1 and len(nonzero):
             stack[k, live] = _derivative(nonzero, grid, axis, scheme)
     return out
 

@@ -28,7 +28,11 @@ The alternative data source is a wave profile::
     hypersurface = 0                  # graph v = w(s); enables induction
 
 Exactly one of `phi` and `ppwave_f` must be present.  Every expression is
-parsed at load time so malformed scenes fail before any computation.
+parsed at load time, and a wave profile linted for periodicity, so malformed
+scenes fail before any computation.  The scene keeps the ASTs, and every
+command and s level reuses them: no report parses a scene's text twice.  The
+text of a leaf-metric entry is kept too, for the messages of
+`undefined_expression`.
 """
 
 from __future__ import annotations
@@ -59,12 +63,13 @@ class Scene:
     leaf_lengths: tuple
     scheme: Scheme
     source: str                 # "recipe" | "explicit" | "ppwave"
-    phi: str = None
-    leaf_metric: tuple = None   # rows of entry strings, or None for identity
-    k_entries: tuple = None     # n x n strings when source == "explicit"
-    k_keys: tuple = ()          # (key, string) pairs as the scene gives them
-    f: str = None
-    hypersurface: str = None    # graph expression, or None when absent
+    phi: object = None          # lapse AST
+    leaf_metric: tuple = None   # rows of entry ASTs, or None for identity
+    leaf_metric_text: tuple = None  # its rows as the scene writes them, for messages
+    k_entries: tuple = None     # n x n ASTs when source == "explicit"
+    k_keys: tuple = ()          # (key, AST) pairs as the scene gives them
+    f: object = None            # wave profile AST
+    hypersurface: object = None  # graph AST, or None when absent
     tolerances: tuple = ()      # sorted (key, value) pairs
 
     @property
@@ -92,10 +97,9 @@ def is_tolerance(value):
 
 def _parse_expr(text, where):
     try:
-        exprlang.parse(text)
+        return exprlang.parse(text)
     except exprlang.ExprError as exc:
         raise SceneError(f"{where}: {exc}") from exc
-    return text.strip()
 
 
 def _split_list(text):
@@ -167,23 +171,26 @@ def parse_scene(path):
         hyper = data.get("hypersurface")
         if hyper is not None:
             hyper = _parse_expr(hyper, "[data] hypersurface")
-        return Scene(source="ppwave", f=f, hypersurface=hyper, **common)
+        scene = Scene(source="ppwave", f=f, hypersurface=hyper, **common)
+        killing_dev.ppwave(scene.grid(), f, scheme)  # lints the profile, once per scene
+        return scene
 
     phi = _parse_expr(data["phi"], "[data] phi")
-    leaf_metric = None
+    leaf_metric = text = None
     if data.get("leaf_metric") is not None:
         rows = [r for r in data["leaf_metric"].split(";") if r.strip()]
-        leaf_metric = tuple(
-            tuple(_parse_expr(e, "[data] leaf_metric") for e in _split_list(row))
-            for row in rows)
+        text = tuple(tuple(_split_list(row)) for row in rows)
+        leaf_metric = tuple(tuple(_parse_expr(e, "[data] leaf_metric") for e in row)
+                            for row in text)
         if len(leaf_metric) != n - 1 or any(len(r) != n - 1 for r in leaf_metric):
             raise SceneError(f"[data] leaf_metric must be {n-1} x {n-1}")
+    common.update(phi=phi, leaf_metric=leaf_metric, leaf_metric_text=text)
     kind = data.get("k", "recipe").strip()
     if kind == "recipe":
-        return Scene(source="recipe", phi=phi, leaf_metric=leaf_metric, **common)
+        return Scene(source="recipe", **common)
     if kind != "explicit":
         raise SceneError(f"[data] k must be 'recipe' or 'explicit', got {kind!r}")
-    entries = [["0"] * n for _ in range(n)]
+    entries = [[exprlang.Num(0.0)] * n for _ in range(n)]
     seen = set()
     for key in data:
         if not key.startswith("k_") or key == "k":
@@ -201,8 +208,7 @@ def parse_scene(path):
         for b in range(n):
             if (a, b) not in seen and (b, a) in seen:
                 entries[a][b] = entries[b][a]
-    return Scene(source="explicit", phi=phi, leaf_metric=leaf_metric,
-                 k_entries=tuple(tuple(r) for r in entries),
+    return Scene(source="explicit", k_entries=tuple(tuple(r) for r in entries),
                  k_keys=tuple((f"k_{a}_{b}", entries[a][b]) for a, b in sorted(seen)),
                  **common)
 
@@ -220,34 +226,39 @@ def scene_initial_data(scene, n_s=None):
             a, b = np.unravel_index(np.argmax(asym), asym.shape)
             raise DataError(f"k is not symmetric: k_{a}_{b} and k_{b}_{a} differ")
         return InitialDataSet.product(grid, scene.phi, lm, Field(grid, "sym2", k), scene.scheme)
-    return killing_dev.induce_from_ppwave(scene_ppwave(scene, n_s), scene.hypersurface or "0")
+    graph = exprlang.Num(0.0) if scene.hypersurface is None else scene.hypersurface
+    return killing_dev.induce_from_ppwave(scene_ppwave(scene, n_s), graph)
 
 
 def scene_ppwave(scene, n_s=None):
+    """The scene's wave on its grid at `n_s` s nodes; `parse_scene` linted its profile."""
     if scene.source != "ppwave":
         raise SceneError("scene has no wave profile")
-    return killing_dev.ppwave(scene.grid(n_s), scene.f, scene.scheme)
+    return killing_dev.PpWaveSpec(scene.grid(n_s), scene.f, scene.scheme)
 
 
 def _evaluated_expressions(scene):
-    """(key, expression, derivative axes) for each expression a command evaluates.
+    """(key, text, AST, derivative axes) for each expression a command evaluates.
 
     Besides the expressions themselves, the recipe's k takes the first
     derivatives of phi, the wave check the second leaf derivatives of the
-    profile and the induction the s derivative of the graph.
+    profile and the induction the s derivative of the graph.  The text is
+    given for a leaf-metric entry, whose message quotes it, and None for the others.
     """
     axes = ("s",) + tuple(f"x{i}" for i in range(1, scene.n))
     if scene.source == "ppwave":
-        out = [("ppwave_f", scene.f, ())]
-        out += [("ppwave_f", scene.f, (x, x)) for x in axes[1:]]
+        out = [("ppwave_f", None, scene.f, ())]
+        out += [("ppwave_f", None, scene.f, (x, x)) for x in axes[1:]]
         if scene.hypersurface is not None:
-            out.append(("hypersurface", scene.hypersurface, ("s",)))
+            out.append(("hypersurface", None, scene.hypersurface, ("s",)))
         return out
-    out = [("phi", scene.phi, ())]
-    out += [("leaf_metric", entry, ()) for row in scene.leaf_metric or () for entry in row]
+    out = [("phi", None, scene.phi, ())]
+    out += [("leaf_metric", text, entry, ())
+            for texts, row in zip(scene.leaf_metric_text or (), scene.leaf_metric or ())
+            for text, entry in zip(texts, row)]
     if scene.source == "recipe":
-        out += [("phi", scene.phi, (x,)) for x in axes]
-    return out + [(key, text, ()) for key, text in scene.k_keys]
+        out += [("phi", None, scene.phi, (x,)) for x in axes]
+    return out + [(key, None, expr, ()) for key, expr in scene.k_keys]
 
 
 def undefined_expression(scene, n_s_values):
@@ -260,8 +271,7 @@ def undefined_expression(scene, n_s_values):
     """
     for n_s in n_s_values:
         env = scene.grid(n_s).coord_env()
-        for key, text, axes in _evaluated_expressions(scene):
-            expr = exprlang.parse(text)
+        for key, text, expr, axes in _evaluated_expressions(scene):
             for axis in axes:
                 expr = exprlang.diff(expr, axis)
             try:

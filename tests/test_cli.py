@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from idrig import cli
+from idrig import cli, exprlang, geometry
 from idrig import killing_dev as kdm
 from idrig import rigidity
 from idrig.cli import CONVERGENCE_CHECKS, main
@@ -297,6 +297,39 @@ def test_every_convergence_check_reports_the_library_residual(check):
         expected = LIBRARY_RESIDUALS[check](build(scene, n_s), 0.5 * scene.ell)
         assert rep["residuals"][f"err_n{n_s}"] == float(expected), n_s
     assert set(rep["verdicts"]) == set(rep["tolerances"]) == {"order"}
+
+
+@pytest.mark.parametrize("check", ["parallel_s", "lambda", "d_phi_lambda"])
+def test_connection_checks_build_no_riemann_tensor(monkeypatch, check):
+    argv = ["convergence", SCENES / "convergence.scene", "--check", check]
+    code, rep, _ = run(argv)
+
+    def forbidden(*args):
+        raise AssertionError("a connection-only check built the Riemann tensor")
+
+    monkeypatch.setattr(geometry, "riemann_from", forbidden)
+    again = run(argv)
+    assert again[0] == code
+    rep.pop("volatile")
+    again[1].pop("volatile")
+    assert again[1] == rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["rigidity", SCENES / "recipe.scene"],
+    ["convergence", SCENES / "convergence.scene", "--check", "two_for_three"],
+    ["ppwave", SCENES / "roundtrip.scene"],
+    ["killing-dev", SCENES / "roundtrip.scene"],
+    ["convergence", SCENES / "wave.scene", "--check", "ppwave_formula"],
+])
+def test_a_report_parses_each_scene_expression_once(monkeypatch, argv):
+    texts = []
+    parse = exprlang.parse
+    monkeypatch.setattr(exprlang, "parse", lambda text: texts.append(text) or parse(text))
+    assert run(argv)[0] in (0, 1)
+    raw = Path(argv[1]).read_text()
+    given = [text for text in texts if text in raw]
+    assert given and len(given) == len(set(given)), texts
 
 
 def test_convergence_floor_on_flat_data():

@@ -50,6 +50,24 @@ def test_derived_fields_are_stored_read_only():
     assert np.array_equal(constraints(other)[0].data, rho.data)
 
 
+def test_a_stored_bundle_builds_curvature_on_its_first_read(monkeypatch):
+    calls = []
+    riemann_from = geometry.riemann_from
+    monkeypatch.setattr(geometry, "riemann_from",
+                        lambda *args: calls.append(1) or riemann_from(*args))
+    ids = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
+    bundle = ids.curvature()
+    ambient_derivative(ids, build_parallel_candidate(ids))
+    lambda_form(ids)
+    assert calls == []  # the connection's readers build no Riemann tensor
+    scal = bundle.scal
+    with pytest.raises(ValueError, match="read-only"):
+        scal[(0,) * scal.ndim] = 1.0
+    assert not bundle.ricci.flags.writeable
+    assert bundle.scal is scal and ids.curvature() is bundle
+    assert calls == [1]
+
+
 # --- assembly and validation ---------------------------------------------------
 
 

@@ -204,8 +204,8 @@ def test_derivative_kernels_never_see_a_zero_component(monkeypatch):
         partial(data, g, 0, SCHEME)
     rigid_report(rigid_recipe(g, "1 + 0.1*sin(2*pi*x1)*cos(2*pi*x2)", scheme=SCHEME))
     assert len(seen) > 20
-    for batch in seen:  # one line per component handed to a kernel
-        assert np.any(batch, axis=tuple(range(1, batch.ndim))).all()
+    for batch in seen:  # one line per component handed to a kernel, and at least one
+        assert len(batch) and np.any(batch, axis=tuple(range(1, batch.ndim))).all()
 
 
 # a small and a larger grid per dimension: one derivative path serves every size
