@@ -19,13 +19,15 @@ Grammar (EBNF, whitespace between tokens is insignificant):
 exp, log, tanh, sqrt.  Literal subexpressions are folded at parse time; no
 further simplification is performed.
 
-Errors carry the character offset into the source string (the source is
+Digits and letters are ASCII; any other character is a syntax error.  Errors
+carry the character offset into the source string (an accepted source is
 ASCII, so character and byte offsets coincide).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,51 +105,26 @@ Expr = Num | Var | Neg | BinOp | Call
 
 # --- tokenizer -------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+# one token after optional whitespace: a number, a name, an operator, any other
+# character (an error), or the end of the source; every class is ASCII
+_TOKEN = re.compile(r"[ \t\r\n]*(?:"
+                    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/^()])"
+                    r"|(?P<other>.)"
+                    r"|(?P<end>\Z))", re.DOTALL)
 
 
 def _tokenize(src):
-    """Yield (kind, text, offset) triples; kind is 'num', 'name' or 'op'."""
+    """(kind, text, offset) triples; kind is 'num', 'name', 'op' or, last, 'end'."""
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
+    for match in _TOKEN.finditer(src):
+        kind = match.lastgroup
+        if kind == "other":
+            raise ExprSyntaxError(f"unexpected character {match[kind]!r}", match.start(kind))
+        tokens.append((kind, match[kind], match.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 # --- smart constructors (literal folding only) -----------------------------
@@ -243,7 +220,6 @@ def _call(fn, a, offset=0):
 
 class _Parser:
     def __init__(self, src):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -448,21 +424,6 @@ def variables_of(expr):
         return variables_of(expr.left) | variables_of(expr.right)
     if isinstance(expr, Call):
         return variables_of(expr.arg)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def unparse(expr):
-    """Render an AST back to parseable source (fully parenthesized)."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"(-{unparse(expr.arg)})"
-    if isinstance(expr, BinOp):
-        return f"({unparse(expr.left)} {expr.op} {unparse(expr.right)})"
-    if isinstance(expr, Call):
-        return f"{expr.fn}({unparse(expr.arg)})"
     raise TypeError(f"not an expression node: {expr!r}")
 
 

@@ -1,10 +1,8 @@
-"""Tensor calculus over a grid metric: curvature, covariant derivatives, d and delta.
+"""Tensor calculus over a grid metric: curvature, covariant derivatives and d.
 
 Index conventions: Riemann R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb
 + Gamma^a_ce Gamma^e_db - Gamma^a_de Gamma^e_cb, Ricci R_bd = R^a_bad,
-covariant derivatives carry the direction index first.  The codifferential
-is the L2 adjoint of d (p-form inner products weighted by 1/p!), so the
-Hodge Laplacian d delta + delta d is positive on functions.
+covariant derivatives carry the direction index first.
 
 The *_from helpers are plain array algebra over precomputed partials; the
 Lorentzian development module reuses them with its own derivative rule.
@@ -12,12 +10,12 @@ ricci_from takes the Christoffels, their divergence d_a Gamma^a_bd and the
 partials of their trace Gamma^a_ab, so Ricci needs no Riemann tensor.
 
 Metric factorizations: a diagonal metric (every off-diagonal component 0 at
-every node) takes one division and one square root per component; any other
+every node) takes one sign test and one division per component; any other
 goes whole to LAPACK (inv, cholesky, eigvalsh) at the nodes of its own grid
 shape, which is length 1 along every axis the metric does not vary on (see
 mesh).  LAPACK factors each matrix of a stack on its own, so inverse equals
-np.linalg.inv and sqrt(det g) the whole-matrix Cholesky product bit for bit,
-up to the sign of a zero.
+np.linalg.inv bit for bit, up to the sign of a zero.  The Cholesky factor
+only tests positive definiteness and is not kept.
 """
 
 from __future__ import annotations
@@ -131,7 +129,7 @@ def ricci_from(gamma, div_gamma, d_trace):
 
 
 class MetricField:
-    """Positive-definite sym2 field with cached inverse and volume density."""
+    """Positive-definite sym2 field and its inverse; the constructor rejects any other field."""
 
     def __init__(self, field):
         if field.kind != "sym2":
@@ -140,22 +138,17 @@ class MetricField:
         self.grid = field.grid
         g = field.data
         diagonal = _is_diagonal(g)
-        # sqrt(det g) is the product of the diagonal of the Cholesky factor, in index order
-        chol_diag = np.empty(g.shape[1:])
         try:
             if diagonal:
                 for i in range(len(g)):
                     if not np.all(g[i, i] > 0.0):  # LAPACK's test, NaN fails it too
                         raise np.linalg.LinAlgError
-                    np.sqrt(g[i, i], out=chol_diag[i])
             else:
-                chol = np.linalg.cholesky(_node_matrices(g))
-                chol_diag[...] = np.moveaxis(np.diagonal(chol, axis1=-2, axis2=-1), -1, 0)
+                np.linalg.cholesky(_node_matrices(g))
         except np.linalg.LinAlgError:
             eigs = np.linalg.eigvalsh(np.moveaxis(g, (0, 1), (-2, -1)))
             worst = float(eigs.min())
             raise DataError(f"metric is not positive definite (min eigenvalue {worst:g})")
-        self.sqrt_det = np.prod(chol_diag, axis=0)
         self.ginv = _inverse(g, diagonal)
 
     @property
@@ -237,14 +230,6 @@ def cov_rank2(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
     return updated(np.subtract, dt, _contract("ecb...,ae...->cab...", gamma, tdata))
 
 
-def cov_rank3(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
-    """nabla_c T_abd for covariant rank 3, indexed [c, a, b, d]."""
-    dt = partial_stack(tdata, grid, scheme)
-    dt = updated(np.subtract, dt, _contract("eca...,ebd...->cabd...", gamma, tdata))
-    dt = updated(np.subtract, dt, _contract("ecb...,aed...->cabd...", gamma, tdata))
-    return updated(np.subtract, dt, _contract("ecd...,abe...->cabd...", gamma, tdata))
-
-
 # --- first-order metric operations ----------------------------------------------
 
 
@@ -277,30 +262,3 @@ def exterior_d(field, scheme=DEFAULT_SCHEME):
         out = d - np.einsum("bac...->abc...", d) + np.einsum("cab...->abc...", d)
         return Field(grid, "cov3", out)
     raise MeshError(f"exterior derivative undefined for kind {field.kind!r}")
-
-
-def codifferential(field, metric, gamma, scheme=DEFAULT_SCHEME):
-    """L2 adjoint of the exterior derivative (positive convention)."""
-    grid = field.grid
-    if field.kind == "covector":
-        nw = cov_covector(field.data, grid, gamma, scheme)
-        out = -_contract("ab...,ab...->...", metric.ginv, nw)
-        return Field(grid, "scalar", out)
-    if field.kind == "form2":
-        nb = cov_rank2(field.data, grid, gamma, scheme)
-        out = -_contract("ac...,acb...->b...", metric.ginv, nb)
-        return Field(grid, "covector", out)
-    if field.kind == "cov3":
-        ng = cov_rank3(field.data, grid, gamma, scheme)
-        out = -_contract("ad...,adbc...->bc...", metric.ginv, ng)
-        return Field(grid, "form2", out)
-    raise MeshError(f"codifferential undefined for kind {field.kind!r}")
-
-
-def hodge_laplacian(field, metric, gamma, scheme=DEFAULT_SCHEME):
-    """(d delta + delta d) on forms of rank 0..2."""
-    if field.kind == "scalar":
-        return codifferential(exterior_d(field, scheme), metric, gamma, scheme)
-    up = codifferential(exterior_d(field, scheme), metric, gamma, scheme)
-    down = exterior_d(codifferential(field, metric, gamma, scheme), scheme)
-    return up + down

@@ -12,19 +12,18 @@ which is metric for gbar.  Constraint quantities:
     rho = (scal + tr(k)^2 - |k|^2) / 2,     j = div k - d tr k.
 
 A data set is not changed after construction, so each derived field is
-computed once: `curvature()`, every `derived` function (constraints,
-lambda, theta+, ...) and `leaf_null_geometry`, once per leaf node, store
-their first result on the data set, read-only, and return that object to
-later calls.  It lives as long as the data set.  A curvature bundle is
-lazy: it holds the Christoffels and builds Ricci and scal, read-only, on
-their first read, so the readers of the connection alone (nablabar, lambda,
-the shape form) never build them.  Leaf values are stored per s node their
-inputs are read at (`leaf_shared`: the leaf metric and its
-curvature, the leaf-intrinsic terms of two-for-three and the MOTS
-variation), so leaves that read the same slices share one result; values
-that read s-varying fields (chi+, theta+, the rates, j + lambda) stay per
-leaf.  Wave specs and Killing developments store their derived values the
-same way, through `derived`.
+computed once: `curvature()` and every `derived` function (constraints,
+lambda, chi+, theta+, ...) store their first result on the data set,
+read-only, and return that object to later calls.  It lives as long as the
+data set.  A curvature bundle is lazy: it holds the Christoffels and builds
+Ricci and scal, read-only, on their first read, so the readers of the
+connection alone (nablabar, lambda, the shape form) never build them.  A
+leaf reads its slice of these fields over M (`leaf_values`); the values
+that only exist on a leaf are stored per s node their inputs are read at
+(`leaf_shared`: the leaf metric and its curvature, the leaf-intrinsic terms
+of two-for-three and the MOTS variation), so leaves that read the same
+slices share one result.  Wave specs and Killing developments store their
+derived values the same way, through `derived`.
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ from .mesh import (
     components,
     fits,
     leaf_block,
-    leaf_index,
     leaf_node,
-    leaf_values,
     partial_stack,
     sample,
     updated,
@@ -311,21 +308,7 @@ def ambient_curvature_pairing(ids, curv_v, w):
                                           curv_v.x, w.x))
 
 
-# --- leaf null geometry -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeafData:
-    """One leaf: its metric and curvature, the data on it, and its null expansion."""
-
-    tau_idx: int
-    g_tau: geometry.MetricField   # its grid is the leaf grid
-    curvature: geometry.CurvatureBundle   # of g_tau
-    phi: np.ndarray          # lapse on the leaf
-    k_ff: Field              # k restricted to the leaf
-    shape_operator: Field    # A(X, Y) = g(nabla_X nu, Y)
-    chi_plus: Field          # A + k restricted to the leaf
-    theta_plus: Field        # tr_{g_tau} chi_plus
+# --- shape form and leaf curvature ----------------------------------------------
 
 
 @derived
@@ -341,21 +324,4 @@ def leaf_curvature(ids, tau_idx):
     """The leaf metric at s node tau_idx and its curvature."""
     g_tau = geometry.MetricField(leaf_block(ids.metric.field, tau_idx))
     return g_tau, geometry.curvature(g_tau, ids.scheme)
-
-
-def leaf_null_geometry(ids, tau):
-    """The leaf at the node nearest tau, built once per node and stored on ids."""
-    idx = leaf_index(ids.grid, tau)
-
-    def build():
-        leaf_grid = ids.grid.leaf()
-        k_leaf = leaf_block(ids.k, idx)
-        a_leaf = Field(leaf_grid, "sym2", geometry.symmetrize(
-            leaf_values(_shape_form(ids)[1:, 1:], ids.grid, idx)))
-        g_tau, curv = leaf_curvature(ids, idx)
-        chi = a_leaf + k_leaf
-        theta = _contract("ab...,ab...->...", g_tau.ginv, chi.data)
-        return LeafData(idx, g_tau, curv, leaf_values(ids.phi.data, ids.grid, idx),
-                        k_leaf, a_leaf, chi, Field(leaf_grid, "scalar", theta))
-    return _stored(ids, (leaf_null_geometry, idx), build)
 

@@ -428,7 +428,7 @@ def ppwave_einstein_check(spec):
 
 def graph_profile(spec, dw):
     """Profile f - 2 w' of the wave that the graph v = w(s) develops into."""
-    return exprlang.parse(f"({exprlang.unparse(spec.f)}) - 2*({exprlang.unparse(dw)})")
+    return exprlang._sub(spec.f, exprlang._mul(exprlang._num(2.0), dw))
 
 
 def induce_from_ppwave(spec, w="0"):

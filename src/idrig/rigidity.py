@@ -28,7 +28,6 @@ from .initial_data import (
     derived,
     j_normal,
     leaf_curvature,
-    leaf_null_geometry,
     leaf_shared,
 )
 from .mesh import (
@@ -190,14 +189,16 @@ def _leaf_rate_terms(ids, tau_idx):
 
 def two_for_three_residual(ids, tau):
     """Residual of the identity j + lambda = -(1/2phi)(div - d tr)(d_s g_F)."""
-    leaf = leaf_null_geometry(ids, tau)
-    leaf_grid = leaf.g_tau.grid
+    grid = ids.grid
+    idx = leaf_index(grid, tau)
+    leaf_grid = grid.leaf()
     rho, j = constraints(ids)
     lam = lambda_form(ids)
-    lhs = leaf_values((j.data + lam.data)[1:], ids.grid, leaf.tau_idx)
-    gdot, dd = _leaf_rate_terms(ids, leaf.tau_idx)
-    rhs = -0.5 / leaf.phi * dd.data
-    defect = gdot.data + 2.0 * leaf.phi * leaf.k_ff.data
+    lhs = leaf_values((j.data + lam.data)[1:], grid, idx)
+    gdot, dd = _leaf_rate_terms(ids, idx)
+    phi = leaf_values(ids.phi.data, grid, idx)
+    rhs = -0.5 / phi * dd.data
+    defect = gdot.data + 2.0 * phi * leaf_values(ids.k.data[1:, 1:], grid, idx)
     return TwoForThreeResult(
         Field(leaf_grid, "covector", lhs),
         Field(leaf_grid, "covector", rhs),
@@ -220,11 +221,16 @@ class VariationResult:
 
 
 @derived
+def chi_plus_field(ids):
+    """chi+ = A + k, the null second fundamental form of every leaf, as [a, b] over M."""
+    return geometry.symmetrize(_shape_form(ids)[1:, 1:]) + ids.k.data[1:, 1:]
+
+
+@derived
 def theta_plus_field(ids):
-    """Expansion theta+ of every leaf as one scalar field over M."""
-    chi = _shape_form(ids)[1:, 1:] + ids.k.data[1:, 1:]
-    ginv_leaf = ids.metric.ginv[1:, 1:]
-    return Field(ids.grid, "scalar", _contract("ab...,ab...->...", ginv_leaf, chi))
+    """Expansion theta+ = tr chi+ of every leaf as one scalar field over M."""
+    theta = _contract("ab...,ab...->...", ids.metric.ginv[1:, 1:], chi_plus_field(ids))
+    return Field(ids.grid, "scalar", theta)
 
 
 @derived
@@ -252,28 +258,30 @@ def _variation_terms(ids, tau_idx):
     div_y = geometry.divergence_vector(y_vec, g_tau, gam_tau, scheme)
     x2 = g_tau.norm2_vector(x_vec)
     y2 = g_tau.norm2_vector(y_vec)
-    lap_phi = geometry.hodge_laplacian(Field(g_tau.grid, "scalar", phi),
-                                       g_tau, gam_tau, scheme).data
+    hess_phi = geometry.cov_covector(dphi, g_tau.grid, gam_tau, scheme)
+    delta_d_phi = -geometry.trace_sym2(hess_phi, g_tau)  # the Hodge Laplacian of phi
     d_x_phi = _contract("i...,i...->...", x_vec, dphi)
-    return div_x - x2, div_y - y2, lap_phi + 2.0 * d_x_phi
+    return div_x - x2, div_y - y2, delta_d_phi + 2.0 * d_x_phi
 
 
 def variation_residual(ids, tau):
     """MOTS stability form of d theta+/ds at leaf tau, two algebraic routes."""
-    leaf = leaf_null_geometry(ids, tau)
-    idx = leaf.tau_idx
-    leaf_grid = leaf.g_tau.grid
+    grid = ids.grid
+    idx = leaf_index(grid, tau)
+    g_tau, curv = leaf_curvature(ids, idx)
+    leaf_grid = g_tau.grid
 
-    rate = leaf_values(_theta_rate(ids, theta_plus_field(ids)), ids.grid, idx)
+    rate = leaf_values(_theta_rate(ids, theta_plus_field(ids)), grid, idx)
     rho, j = constraints(ids)
-    chi2 = _contract("ac...,bd...,ab...,cd...->...", leaf.g_tau.ginv, leaf.g_tau.ginv,
-                      leaf.chi_plus.data, leaf.chi_plus.data)
-    q = 0.5 * leaf.curvature.scal - (leaf_values(rho.data, ids.grid, idx)
-                                     + leaf_values(j_normal(ids, j), ids.grid, idx)) - 0.5 * chi2
+    chi = leaf_values(chi_plus_field(ids), grid, idx)
+    chi2 = _contract("ac...,bd...,ab...,cd...->...", g_tau.ginv, g_tau.ginv, chi, chi)
+    q = 0.5 * curv.scal - (leaf_values(rho.data, grid, idx)
+                           + leaf_values(j_normal(ids, j), grid, idx)) - 0.5 * chi2
 
     div_x_x2, div_y_y2, lap_dx_phi = _variation_terms(ids, idx)
-    rhs_simpl = (div_y_y2 + q) * leaf.phi
-    rhs_raw = lap_dx_phi + (div_x_x2 + q) * leaf.phi
+    phi = leaf_values(ids.phi.data, grid, idx)
+    rhs_simpl = (div_y_y2 + q) * phi
+    rhs_raw = lap_dx_phi + (div_x_x2 + q) * phi
 
     return VariationResult(
         Field(leaf_grid, "scalar", rate),
@@ -332,7 +340,8 @@ def rigid_report(ids, taus=None):
         var_maxima.append(var.residual.max_norm())
         report[f"{tag}_variation_residual_max"] = var_maxima[-1]
         report[f"{tag}_variation_cross_check_max"] = var.cross_check.max_norm()
-        report[f"{tag}_chi_plus_max"] = leaf_null_geometry(ids, tau).chi_plus.max_norm()
+        report[f"{tag}_chi_plus_max"] = float(np.max(np.abs(
+            leaf_values(chi_plus_field(ids), grid, idx))))
         report[f"{tag}_theta_plus_max"] = float(np.max(np.abs(
             leaf_values(theta_plus_field(ids).data, grid, idx))))
     report["two_for_three_max"] = max(tft_maxima)

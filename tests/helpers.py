@@ -10,8 +10,10 @@ import math
 import numpy as np
 
 from idrig import exprlang, geometry
+from idrig.initial_data import _shape_form, leaf_curvature
 from idrig.killing_dev import DecReport, causal_direction_set
-from idrig.mesh import Field, Grid, Scheme, _contract, fit_order
+from idrig.mesh import Field, Grid, Scheme, _contract, fit_order, leaf_index, leaf_values
+from idrig.rigidity import chi_plus_field, theta_plus_field
 
 SCHEME = Scheme("fd4", "spectral")
 
@@ -111,8 +113,23 @@ def fd4_interval_reference(data, axis, h):
     return np.moveaxis(out, 0, axis)
 
 
+def leaf_null_values(ids, tau):
+    """The leaf nearest tau as the rigidity checks read it, by name: its metric and curvature,
+    and its slices of the shape form, chi+ and theta+ over M."""
+    idx = leaf_index(ids.grid, tau)
+    g_tau, curv = leaf_curvature(ids, idx)
+    return {"g_tau": g_tau, "curvature": curv, "scal": curv.scal,
+            "shape_form": leaf_values(_shape_form(ids)[1:, 1:], ids.grid, idx),
+            "chi_plus": leaf_values(chi_plus_field(ids), ids.grid, idx),
+            "theta_plus": leaf_values(theta_plus_field(ids).data, ids.grid, idx)}
+
+
 def leaf_arrays(value, path=""):
-    """Every array of a leaf result, through its fields, metrics and bundles, by attribute path."""
+    """Every array of a leaf result, through its fields, metrics, bundles and named parts, by
+    attribute path."""
+    if isinstance(value, dict):
+        return {key: array for name, part in value.items()
+                for key, array in leaf_arrays(part, f"{path}.{name}").items()}
     if isinstance(value, Field):
         value = value.data
     if isinstance(value, np.ndarray):

@@ -1,8 +1,12 @@
 """Test-side references: claims of the paper that tier-1 checks but no idrig command runs.
 
 - Quadrature and L2 inner products on a torus (`integrate`, `l2_inner`,
-  `l2_norm`), the Lie derivative of a metric (`lie_metric`) and the ambient
-  fiber pairing (`ambient_pairing`).
+  `l2_norm`), the volume density `sqrt_det`, the Lie derivative of a metric
+  (`lie_metric`) and the ambient fiber pairing (`ambient_pairing`).
+- The codifferential, the L2 adjoint of d (p-form inner products weighted by
+  1/p!), so the Hodge Laplacian d delta + delta d is positive on functions;
+  and `cov_rank3`, which its 3-form branch reads.
+- Rendering an expression AST back to source (`unparse`).
 - The Hodge and TT splits, which act on leaf fields over a *constant* flat
   leaf metric and are implemented as exact Fourier-multiplier projections,
   and the divergence-part identity they rest on.
@@ -15,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from idrig import geometry
+from idrig import exprlang, geometry
+from idrig.geometry import cov_covector, cov_rank2, exterior_d
 from idrig.initial_data import InitialDataSet, _k_mixed, _lapse
 from idrig.mesh import (DEFAULT_SCHEME, Field, MeshError, _contract, components, full_grid,
-                        partial_stack, sample)
+                        partial_stack, sample, updated)
 from idrig.rigidity import leaf_div_minus_dtr
 
 # --- quadrature, inner products, Lie derivative, ambient pairing -------------------
@@ -91,6 +96,68 @@ def from_normal_components(grid, phi, leaf_metric, k_nn, k_nf, k_ff, scheme=DEFA
         [knf[i]] + [value(k_ff[i][j]) for j in range(n - 1)] for i in range(n - 1)]
     k = components([entry for row in rows for entry in row], (n, n))
     return InitialDataSet.product(grid, phi_f, leaf_metric, Field(grid, "sym2", k), scheme)
+
+
+# --- volume density, codifferential and Hodge Laplacian ---------------------------
+
+
+def sqrt_det(metric):
+    """sqrt(det g) over the metric's own grid shape: the product of its Cholesky diagonal."""
+    chol = np.linalg.cholesky(geometry._node_matrices(metric.data))
+    return np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
+
+
+def cov_rank3(tdata, grid, gamma, scheme=DEFAULT_SCHEME):
+    """nabla_c T_abd for covariant rank 3, indexed [c, a, b, d]."""
+    dt = partial_stack(tdata, grid, scheme)
+    dt = updated(np.subtract, dt, _contract("eca...,ebd...->cabd...", gamma, tdata))
+    dt = updated(np.subtract, dt, _contract("ecb...,aed...->cabd...", gamma, tdata))
+    return updated(np.subtract, dt, _contract("ecd...,abe...->cabd...", gamma, tdata))
+
+
+def codifferential(field, metric, gamma, scheme=DEFAULT_SCHEME):
+    """L2 adjoint of the exterior derivative (positive convention)."""
+    grid = field.grid
+    if field.kind == "covector":
+        nw = cov_covector(field.data, grid, gamma, scheme)
+        out = -_contract("ab...,ab...->...", metric.ginv, nw)
+        return Field(grid, "scalar", out)
+    if field.kind == "form2":
+        nb = cov_rank2(field.data, grid, gamma, scheme)
+        out = -_contract("ac...,acb...->b...", metric.ginv, nb)
+        return Field(grid, "covector", out)
+    if field.kind == "cov3":
+        ng = cov_rank3(field.data, grid, gamma, scheme)
+        out = -_contract("ad...,adbc...->bc...", metric.ginv, ng)
+        return Field(grid, "form2", out)
+    raise MeshError(f"codifferential undefined for kind {field.kind!r}")
+
+
+def hodge_laplacian(field, metric, gamma, scheme=DEFAULT_SCHEME):
+    """(d delta + delta d) on forms of rank 0..2."""
+    if field.kind == "scalar":
+        return codifferential(exterior_d(field, scheme), metric, gamma, scheme)
+    up = codifferential(exterior_d(field, scheme), metric, gamma, scheme)
+    down = exterior_d(codifferential(field, metric, gamma, scheme), scheme)
+    return up + down
+
+
+# --- expression source -----------------------------------------------------------------
+
+
+def unparse(expr):
+    """Render an AST back to parseable source (fully parenthesized)."""
+    if isinstance(expr, exprlang.Num):
+        return repr(expr.value)
+    if isinstance(expr, exprlang.Var):
+        return expr.name
+    if isinstance(expr, exprlang.Neg):
+        return f"(-{unparse(expr.arg)})"
+    if isinstance(expr, exprlang.BinOp):
+        return f"({unparse(expr.left)} {expr.op} {unparse(expr.right)})"
+    if isinstance(expr, exprlang.Call):
+        return f"{expr.fn}({unparse(expr.arg)})"
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # --- Fourier tools on constant flat leaf metrics ------------------------------------
@@ -183,8 +250,7 @@ def div_part_identity_residual(w_covector, gmat, scheme=DEFAULT_SCHEME):
     lie = lie_metric(w_vec, gfield, gam, scheme)
     lhs = leaf_div_minus_dtr(Field(leaf_grid, "sym2", geometry.symmetrize(lie)),
                              gfield, gam, scheme)
-    delta_d = geometry.codifferential(geometry.exterior_d(w_covector, scheme),
-                                      gfield, gam, scheme)
+    delta_d = codifferential(exterior_d(w_covector, scheme), gfield, gam, scheme)
     return Field(leaf_grid, "covector", lhs.data + delta_d.data)
 
 

@@ -23,8 +23,9 @@ from idrig.rigidity import (rigid_recipe, build_parallel_candidate,
 from idrig.scene import parse_scene, scene_initial_data
 
 from helpers import CORPUS, SCHEME, sample_expr, order_passes, torus
-from references import (ambient_pairing, div_part_identity_residual, hodge_decompose, l2_inner,
-                        l2_norm, lie_metric, parallel_transport, spectral_gap, tt_split)
+from references import (ambient_pairing, codifferential, div_part_identity_residual,
+                        hodge_decompose, l2_inner, l2_norm, lie_metric, parallel_transport,
+                        spectral_gap, tt_split)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -228,7 +229,7 @@ def test_criterion_07_hodge_tt_pipeline():
     gap = spectral_gap(leaf, np.eye(2))
     assert gap == pytest.approx(4 * np.pi**2, rel=1e-13)
     beta = hodge_decompose(band_limited_covector(leaf, rng), np.eye(2)).coexact
-    lap = geometry.codifferential(geometry.exterior_d(beta, SCHEME), g, gam, SCHEME)
+    lap = codifferential(geometry.exterior_d(beta, SCHEME), g, gam, SCHEME)
     assert l2_norm(lap, ginv) >= gap * l2_norm(beta, ginv) * (1 - 1e-10)
 
 

@@ -488,6 +488,16 @@ def test_undefined_expression_on_a_refined_grid_only(tmp_path):
     assert err == "scene error: [data] phi: division produced a non-finite value (offset 4)\n"
 
 
+@pytest.mark.parametrize("phi,offset", [("1 + ²", 4), ("٣", 0)])
+def test_a_non_ascii_digit_is_a_scene_error(tmp_path, phi, offset):
+    path = tmp_path / "non_ascii.scene"
+    path.write_text(SMALL_GRID + f"[data]\nphi = {phi}\n", encoding="utf-8")
+    code, rep, err = run(["constraints", path])
+    assert (code, rep) == (2, None)
+    char = phi[offset]
+    assert err == f"scene error: [data] phi: unexpected character {char!r} (offset {offset})\n"
+
+
 def test_scene_grid_errors(tmp_path):
     code, _, err = run(["constraints", tmp_path / "missing.scene"])
     assert code == 2 and "cannot read scene" in err

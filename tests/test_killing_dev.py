@@ -21,8 +21,10 @@ from idrig.killing_dev import (dead_v_partials, lorentz_signature_defect,
                                restricted_killing_section, kd_roundtrip,
                                dump_frame_table_csv, ppwave_metric,
                                spacetime_christoffels, spacetime_curvature)
+from idrig.scene import parse_scene, scene_ppwave
 from helpers import (SCHEME, constant_along, dense_frame_dec_minimum, grid3, pattern_grid,
                      pattern_metric, reduced_along)
+from references import unparse
 
 
 # --- spacetime calculus -------------------------------------------------------------
@@ -449,6 +451,31 @@ def test_induce_validation():
         induce_from_ppwave(spec, w="0.1*sin(2*pi*x1)")
     with pytest.raises(DataError, match="spacelike"):
         induce_from_ppwave(spec, w="2*s")      # f - 2 w' = f - 4 < 0
+
+
+@pytest.mark.parametrize("name", ["roundtrip", "wave"])
+def test_graph_profile_evaluates_as_its_parsed_text(name):
+    # the profile f - 2 w' is composed from the ASTs; its value at every node is that of
+    # the text the two ASTs render to, parsed again
+    scene = parse_scene(Path(__file__).resolve().parents[1] / "scenes" / f"{name}.scene")
+    spec = scene_ppwave(scene)
+    env = spec.grid.coord_env()
+    graphs = [scene.hypersurface or exprlang.Num(0.0)] + [
+        exprlang.parse(w) for w in ("0.05*s^2", "0.1*sin(2*pi*s) + s/3")]
+    for w in graphs:
+        dw = exprlang.diff(w, "s")
+        text = f"({unparse(spec.f)}) - 2*({unparse(dw)})"
+        got = killing_dev.grid_values(spec.grid, killing_dev.graph_profile(spec, dw), env)
+        want = killing_dev.grid_values(spec.grid, exprlang.parse(text), env)
+        assert got.tobytes() == want.tobytes(), text
+
+
+def test_graph_profile_keeps_a_negative_base_under_its_power():
+    # a text round trip reads (0-2)^(s+x1), folded to the literal -2, as -(2^(s+x1));
+    # the profile is not real on a grid, so the spec is built unchecked
+    spec = killing_dev.PpWaveSpec(grid3(9, 8), exprlang.parse("1 + (0-2)^(s+x1)"), SCHEME)
+    profile = killing_dev.graph_profile(spec, exprlang.parse("0.5"))
+    assert exprlang.evaluate(profile, {"s": 2.0, "x1": 0.0}) == 4.0
 
 
 def test_restricted_killing_section_is_parallel():

@@ -15,13 +15,14 @@ from idrig.killing_dev import (build_kd, dead_v_partials, kd_dec_check, kd_einst
 from idrig.mesh import (Grid, Scheme, Field, MeshError, partial, partial_stack,
                         sample, leaf_index, leaf_values, leaf_block,
                         dump_field_csv, fit_order, DEFAULT_SCHEME)
-from idrig.initial_data import InitialDataSet, constraints, leaf_null_geometry
+from idrig.initial_data import InitialDataSet, constraints, leaf_curvature
 from idrig.rigidity import (rigid_recipe, rigid_report, two_for_three_residual,
                             variation_residual)
 from idrig.scene import parse_scene, scene_initial_data
 from helpers import (CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits,
-                     fd4_interval_reference, leaf_arrays)
-from references import hodge_decompose, integrate, l2_inner, l2_norm, lie_metric, tt_split
+                     fd4_interval_reference, leaf_arrays, leaf_null_values)
+from references import (hodge_decompose, hodge_laplacian, integrate, l2_inner, l2_norm,
+                        lie_metric, tt_split)
 
 
 # --- grid construction and validation ------------------------------------------
@@ -348,7 +349,7 @@ KERNEL_USERS = [importlib.import_module(name) for name, text in SOURCES.items()
 def test_contraction_call_sites_are_found():
     calls = sum(len(re.findall(r"(?<!def )_contract\(", text)) for text in SOURCES.values())
     literal = sum(len(re.findall(r'_contract\(\s*"([^"]+)"', text)) for text in SOURCES.values())
-    assert calls >= 56 and literal == calls  # every call passes a subscripts string found here
+    assert calls >= 55 and literal == calls  # every call passes a subscripts string found here
     assert mesh in KERNEL_USERS and len(KERNEL_USERS) >= 5
     assert {"ad...,dbc...->abc...", "a...,a...->...", "ab...,ab...->..."} <= set(CONTRACTED)
 
@@ -471,8 +472,8 @@ def test_contractions_never_read_an_all_zero_slice(monkeypatch):
                                                     ["0", "1"]], kind="sym2"))
         gamma = geometry.christoffels(metric, SCHEME)
         one_form = sample(leaf, ["sin(2*pi*x2)", "cos(2*pi*x1)"], kind="covector")
-        geometry.hodge_laplacian(one_form, metric, gamma, SCHEME)
-        geometry.hodge_laplacian(geometry.exterior_d(one_form, SCHEME), metric, gamma, SCHEME)
+        hodge_laplacian(one_form, metric, gamma, SCHEME)
+        hodge_laplacian(geometry.exterior_d(one_form, SCHEME), metric, gamma, SCHEME)
         hodge_decompose(one_form, np.eye(2))
         flat = geometry.MetricField(Field(leaf, "sym2", np.eye(2)[..., None, None]
                                           * np.ones(leaf.shape)))
@@ -665,7 +666,7 @@ def test_per_leaf_results_on_reduced_data_equal_those_on_dense_copies(grid):
                         for data in constant), default=0.0)
         assert (roundoff > 0) == (ids.phi.data.shape[0] == 1), phi
         for tau in (0.0, 0.5):
-            for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
+            for check in (leaf_null_values, two_for_three_residual, variation_residual):
                 got, want = leaf_arrays(check(ids, tau)), leaf_arrays(check(dense, tau))
                 assert sorted(got) == sorted(want) and len(got) > 3, check.__name__
                 for path, array in want.items():
@@ -673,7 +674,7 @@ def test_per_leaf_results_on_reduced_data_equal_those_on_dense_copies(grid):
                     assert (same_bits(spread, array) if roundoff == 0
                             else np.abs(spread - array).max() <= roundoff), (phi, tau, path)
         # the leaf metric slice keeps length 1 along every leaf axis but x1 (none in 2D)
-        assert leaf_null_geometry(ids, 0.0).g_tau.field.data.shape[2:] == (
+        assert leaf_curvature(ids, 0)[0].field.data.shape[2:] == (
             (leaf.shape[0],) + (1,) * (leaf.ndim - 1))
 
 

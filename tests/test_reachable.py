@@ -3,6 +3,10 @@
 The walk is by name: a definition is reached once a reached body (or module-level
 code) names it, as a bare name or as an attribute, in any module.  A name shared
 by several definitions reaches them all, so the walk can only over-count.
+
+Stored values are held to the same rule: an attribute that src/ code stores on
+a named object (`self.x = ...`, `kd.x = ...`) must be read, by name, somewhere
+in src/.
 """
 import ast
 import textwrap
@@ -82,6 +86,24 @@ def unreached(sources, entry):
     return sorted(set(defs) - reached)
 
 
+def unread_stores(sources):
+    """Each attribute stored on a named object and read nowhere, as "module:line obj.attr".
+
+    A read is any attribute load of that name, on any object, in any module, so the
+    check can only under-count.
+    """
+    stored, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name):
+                stored.setdefault(node.attr, f"{module}:{node.lineno} {node.value.id}.{node.attr}")
+    return sorted(where for name, where in stored.items() if name not in read)
+
+
 def package_sources():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -124,6 +146,31 @@ def test_the_walk_finds_what_no_entry_reaches():
             return 4
         """)}
     assert unreached(sources, "a.main") == ["a.unused", "b.Thing.stale", "b.only_from_unused"]
+
+
+def test_the_store_check_finds_what_no_code_reads():
+    sources = {"a": textwrap.dedent("""
+        class Thing:
+            def __init__(self, data):
+                self.data = data
+                self.unused = len(data)
+                self.count = 0
+
+            def bump(self):
+                self.count += 1  # updated, never read back
+                return self.data
+
+        def build(kd):
+            kd.result = Thing([1]).bump()
+            kd.arr.flags.writeable = False  # stored on an attribute, not on a named object
+            return kd.result
+        """)}
+    assert unread_stores(sources) == ["a:5 self.unused", "a:6 self.count"]
+
+
+def test_every_attribute_src_stores_is_read():
+    unread = unread_stores(package_sources())
+    assert not unread, "src/ stores values that no src/ code reads:\n" + "\n".join(unread)
 
 
 def test_every_src_definition_is_reached_from_the_cli():

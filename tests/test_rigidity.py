@@ -5,19 +5,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idrig import exprlang, geometry
-from idrig.mesh import Grid, Field, MeshError, full_grid, sample, leaf_index
+from idrig import exprlang, geometry, rigidity
+from idrig.mesh import Grid, Field, MeshError, full_grid, sample, leaf_index, leaf_values
 from idrig.initial_data import (InitialDataSet, constraints, ambient_residual_norm,
-                                dec_margin, leaf_null_geometry)
+                                dec_margin, leaf_curvature)
 from idrig.rigidity import (rigid_recipe, build_parallel_candidate,
                             parallel_residuals, lambda_form, lambda_via_curvature,
                             closedness_residual, two_for_three_residual,
-                            variation_residual, theta_plus_field, leaf_div_minus_dtr,
-                            rigid_report)
+                            variation_residual, chi_plus_field, theta_plus_field,
+                            leaf_div_minus_dtr, rigid_report)
 from idrig.scene import parse_scene, scene_initial_data
-from helpers import SCHEME, grid3, leaf_arrays, same_bits, torus
-from references import (div_part_identity_residual, hodge_decompose, l2_inner, l2_norm,
-                        lie_metric, spectral_gap, tt_split)
+from helpers import SCHEME, grid3, leaf_arrays, leaf_null_values, same_bits, torus
+from references import (codifferential, div_part_identity_residual, hodge_decompose, l2_inner,
+                        l2_norm, lie_metric, spectral_gap, tt_split)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -252,14 +252,32 @@ def test_variation_identity_needs_mots():
     assert var.residual.max_norm() > 1e-3
 
 
+def test_the_variation_differentiates_the_leaf_lapse_once(monkeypatch):
+    # delta d phi is taken from the dphi the variation terms already hold
+    ids = leafy_recipe()
+    idx = leaf_index(ids.grid, 0.5)
+    phi = leaf_values(ids.phi.data, ids.grid, idx)
+    calls = []
+    for module in (rigidity, geometry):
+        def counted(data, *args, original=module.partial_stack, **kwargs):
+            if np.shape(data) == phi.shape and np.array_equal(data, phi):
+                calls.append(original)
+            return original(data, *args, **kwargs)
+        monkeypatch.setattr(module, "partial_stack", counted)
+    rigidity._variation_terms(ids, idx)
+    assert len(calls) == 1
+
+
 def test_theta_plus_field_matches_leaf_geometry():
-    from idrig.initial_data import leaf_null_geometry
+    # theta+ over M is the trace of each leaf's chi+ by that leaf's own metric
     ids = leafy_recipe()
     th = theta_plus_field(ids)
     for tau in (0.0, 0.5, 1.0):
-        ld = leaf_null_geometry(ids, tau)
         idx = leaf_index(ids.grid, tau)
-        assert np.max(np.abs(full_grid(th.data, ids.grid)[idx] - ld.theta_plus.data)) < 1e-14
+        g_tau, _ = leaf_curvature(ids, idx)
+        chi = leaf_values(chi_plus_field(ids), ids.grid, idx)
+        theta = np.einsum("ab...,ab...->...", g_tau.ginv, chi)
+        assert np.max(np.abs(full_grid(th.data, ids.grid)[idx] - theta)) < 1e-14
 
 
 # --- flat-leaf decompositions -------------------------------------------------------
@@ -311,7 +329,7 @@ def test_hodge_decompose_random():
     assert (dpot - split.exact).max_norm() < 1e-12
     g = flat_torus_metric(leaf)
     gam = geometry.christoffels(g, SCHEME)
-    assert geometry.codifferential(split.coexact, g, gam, SCHEME).max_norm() < 1e-12
+    assert codifferential(split.coexact, g, gam, SCHEME).max_norm() < 1e-12
 
 
 def test_div_part_identity():
@@ -397,7 +415,7 @@ def test_j_equation_kernel_and_spectral_gap():
     rng = np.random.default_rng(17)
     omega = random_band_limited_covector(leaf, rng)
     beta = hodge_decompose(omega, np.eye(2)).coexact
-    lap = geometry.codifferential(geometry.exterior_d(beta, SCHEME), g, gam, SCHEME)
+    lap = codifferential(geometry.exterior_d(beta, SCHEME), g, gam, SCHEME)
     ginv = np.broadcast_to(np.eye(2).reshape(2, 2, 1, 1), (2, 2) + leaf.shape)
     assert l2_norm(beta, ginv) > 1e-3
     assert l2_norm(lap, ginv) >= spectral_gap(leaf, np.eye(2)) * l2_norm(beta, ginv) * (1 - 1e-10)
@@ -505,7 +523,7 @@ def test_leaves_share_only_results_whose_input_slices_match(name, tmp_path, monk
     for idx in sorted({0, count // 2, count - 1}):
         tau = idx * ids.grid.spacing[0]
         alone = build()
-        for check in (leaf_null_geometry, two_for_three_residual, variation_residual):
+        for check in (leaf_null_values, two_for_three_residual, variation_residual):
             got, want = leaf_arrays(check(ids, tau)), leaf_arrays(check(alone, tau))
             assert sorted(got) == sorted(want) and len(want) > 3, check.__name__
             for path, array in want.items():
