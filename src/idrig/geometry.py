@@ -90,6 +90,17 @@ def christoffels_from(ginv, dg):
     return _contract("ad...,dbc...->abc...", ginv, low)
 
 
+_RIEMANN_LIVE = {}  # (gamma mask, dgamma mask) -> the components riemann_from assembles
+
+
+def _riemann_live(gmask, dmask):
+    """[a, b, c, d] of each component where a term of R^a_bcd is live, as python ints."""
+    ggmask = np.einsum("ace,edb->abcd", gmask, gmask)
+    live = (np.einsum("cadb->abcd", dmask) | np.einsum("dacb->abcd", dmask)
+            | ggmask | np.swapaxes(ggmask, 2, 3))
+    return np.argwhere(live).tolist()  # python ints index faster than numpy ints
+
+
 def riemann_from(gamma, dgamma):
     """R^a_bcd from Christoffels and dgamma[e, a, b, c] = d_e Gamma^a_bc.
 
@@ -101,16 +112,17 @@ def riemann_from(gamma, dgamma):
     _contract has a product, a superset of gg's nonzero ones.  That is the
     dense result bit for bit: in a skipped component both gg terms are the
     +0.0 _contract leaves where it has no product, and
-    (+-0.0 - +-0.0) + 0.0 - 0.0 is +0.0.
+    (+-0.0 - +-0.0) + 0.0 - 0.0 is +0.0.  The component list is kept per pair
+    of masks, as mesh keeps a contraction's plan.
     """
     gg = _contract("ace...,edb...->abcd...", gamma, gamma)
     gmask = _live(gamma, 3)
-    ggmask = np.einsum("ace,edb->abcd", gmask, gmask)
     dmask = _live(dgamma, 4)
-    live = (np.einsum("cadb->abcd", dmask) | np.einsum("dacb->abcd", dmask)
-            | ggmask | np.swapaxes(ggmask, 2, 3))
+    key = (gmask.shape, gmask.tobytes(), dmask.shape, dmask.tobytes())
+    if key not in _RIEMANN_LIVE:
+        _RIEMANN_LIVE[key] = _riemann_live(gmask, dmask)
     r = np.zeros(gg.shape[:4] + np.broadcast_shapes(gg.shape[4:], dgamma.shape[5:]))
-    for a, b, c, d in np.argwhere(live).tolist():  # python ints index faster than numpy ints
+    for a, b, c, d in _RIEMANN_LIVE[key]:
         component = r[a, b, c, d]
         np.subtract(dgamma[c, a, d, b], dgamma[d, a, c, b], out=component)
         component += gg[a, b, c, d]

@@ -76,8 +76,10 @@ def spacetime_christoffels(gbar, grid, scheme=DEFAULT_SCHEME):
     return ginv, geometry.christoffels_from(ginv, dead_v_partials(gbar, grid, scheme))
 
 
-def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME):
-    ginv, gamma = spacetime_christoffels(gbar, grid, scheme)
+def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME, connection=None):
+    """Curvature of `gbar`; `connection` is its (ginv, gamma) where the caller holds them."""
+    ginv, gamma = (spacetime_christoffels(gbar, grid, scheme) if connection is None
+                   else connection)
     div_gamma = sum(partial(gamma[i + 1], grid, i, scheme) for i in range(grid.ndim))
     d_trace = dead_v_partials(np.einsum("aab...->b...", gamma), grid, scheme)
     ricci = geometry.ricci_from(gamma, div_gamma, d_trace)
@@ -286,6 +288,22 @@ class DecReport:
     scale: float
 
 
+# the energy scan's chunks: rays d are batched while a chunk stays within 2^13 values
+# (64 KB), and a ray's values are cut into runs of d' only past 2^16 (512 KB).  Batches
+# up to 2^16 raised the benchmark's peak RSS by 0.15-0.2 MB; runs of 2^13 made tables
+# of 3000 to 4000 nodes up to 1.5x slower than one ray a step
+_BATCH_VALUES = 2**13
+_SCAN_VALUES = 2**16
+
+
+def _chunk_minimum(rays, contracted):
+    """The first minimum in C order of rays[q] . contracted[p] over a chunk, and its index
+    (p, q, *node); the chunk's values are freed on return."""
+    vals = np.einsum("qA,pA...->pq...", rays, contracted)
+    flat = int(np.argmin(vals))
+    return float(vals.flat[flat]), [int(i) for i in np.unravel_index(flat, vals.shape)]
+
+
 def frame_dec_minimum(ein_frame, grid, count=64):
     """Scan Ein(e0+d, e0+d') over null directions d from the sampled set.
 
@@ -295,24 +313,32 @@ def frame_dec_minimum(ein_frame, grid, count=64):
     for bit.  A table of length 1 along every axis is spread along the last:
     on a one-node grid einsum sums the frame index in another order, which can
     move the last bit.
+
+    Still count^2 pairs (d, d') at every node, evaluated in chunks: several
+    rays d against every d' while that fits in `_BATCH_VALUES` values, one d
+    against every d' up to `_SCAN_VALUES`, else one d against runs of d' of at
+    most `_SCAN_VALUES` (or one pair's nodes, where those are more).
+    Each value is einsum's sum over the frame index in order, as a one-pair
+    loop gives it.  A chunk's argmin is taken in C order (d, d', node), the
+    chunks run in that order, and a later chunk wins only on a strict `<`, so
+    the minimum, its node and its pair are the loop's first ones.
     """
     n = ein_frame.shape[0] - 1
-    dirs = causal_direction_set(n, count)
-    rays = np.concatenate([np.ones((dirs.shape[0], 1)), dirs], axis=1)
+    rays = np.insert(causal_direction_set(n, count), 0, 1.0, axis=1)  # e0 + d
     table = (ein_frame if math.prod(ein_frame.shape[2:]) > 1
              else np.repeat(ein_frame, grid.counts[-1], axis=-1))
+    nodes = math.prod(table.shape[2:])
+    step_p = max(1, _BATCH_VALUES // (len(rays) * nodes))
+    step_q = min(len(rays), max(1, _SCAN_VALUES // nodes))
     best = math.inf
     best_node = None
     best_pair = None
-    for p, ray in enumerate(rays):
-        contracted = np.einsum("A,AB...->B...", ray, table)
-        vals = np.einsum("qA,A...->q...", rays, contracted)
-        q_flat = int(np.argmin(vals))
-        if vals.flat[q_flat] < best:
-            best = float(vals.flat[q_flat])
-            unravel = np.unravel_index(q_flat, vals.shape)
-            best_pair = (p, int(unravel[0]))
-            best_node = tuple(int(i) for i in unravel[1:])
+    for p in range(0, len(rays), step_p):
+        contracted = np.einsum("pA,AB...->pB...", rays[p:p + step_p], table)
+        for q in range(0, len(rays), step_q):
+            value, (dp, dq, *node) = _chunk_minimum(rays[q:q + step_q], contracted)
+            if value < best:
+                best, best_pair, best_node = value, (p + dp, q + dq), tuple(node)
     coords = tuple(float(grid.axis_coords(i)[best_node[i]]) for i in range(grid.ndim))
     scale = float(np.max(np.abs(table)))
     return DecReport(best, best_node, best_pair, coords, rays.shape[0], scale)
@@ -370,6 +396,13 @@ def ppwave_metric(spec):
     return gbar
 
 
+@derived
+def wave_connection(spec):
+    """The wave's metric, its inverse and Christoffels (gbar, ginv, gamma), built once per spec."""
+    gbar = ppwave_metric(spec)
+    return (gbar,) + spacetime_christoffels(gbar, spec.grid, spec.scheme)
+
+
 def leaf_laplacian_exact(spec):
     """Geometric leaf Laplacian -sum_i d^2 f / dx_i^2 from symbolic derivatives."""
     grid = spec.grid
@@ -406,8 +439,8 @@ def ppwave_einstein_check(spec):
     geometric leaf Laplacian is nonnegative.
     """
     grid = spec.grid
-    gbar = ppwave_metric(spec)
-    curv = spacetime_curvature(gbar, grid, spec.scheme)
+    gbar, ginv, gamma = wave_connection(spec)
+    curv = spacetime_curvature(gbar, grid, spec.scheme, (ginv, gamma))
     expected_ss = 0.5 * leaf_laplacian_exact(spec)
     ein = curv.einstein
     off = ein.copy()
@@ -457,8 +490,7 @@ def induce_from_ppwave(spec, w="0"):
             raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
         phi = Field(grid, "scalar", np.sqrt(phi2))
 
-        gbar = ppwave_metric(spec)
-        ginv, gamma = spacetime_christoffels(gbar, grid, spec.scheme)
+        gbar, ginv, gamma = wave_connection(spec)
         dw_vals = grid_values(grid, dw, env)
 
         # future unit normal from the conormal dv - w' ds
@@ -516,7 +548,7 @@ def kd_roundtrip(spec, w="0"):
     dw = exprlang.diff(w_ast, "s")
     shifted = (spec if dw == exprlang.Num(0.0)
                else ppwave(spec.grid, graph_profile(spec, dw), spec.scheme))
-    expected = ppwave_metric(shifted)
+    expected = wave_connection(shifted)[0]
     wave_report = ppwave_einstein_check(shifted)
     kd_ein = kd.curvature().einstein
     off = kd_ein.copy()

@@ -46,6 +46,15 @@ is inf or NaN, einsum's product is NaN; the skipped one is not.)
 Which slices are zero is found by a scan (`_live`) of each operand where it
 is used; no mask outlives the call.  An array carries its constant axes at
 length 1, so a scan reads only the nodes the data varies on.
+
+Set-up caches: warm reports run on arrays of tens to hundreds of nodes, where
+a kernel's fixed cost per call is most of its time, so what depends only on
+shapes and masks is kept.  `_PLANS` holds a contraction's plan per subscripts
+and operand masks, `_labels` its parsed subscripts, `_union` the union grid
+shape per tuple of operand shapes (`_contract`, `updated`), `_wavenumbers`
+the spectral multipliers per axis, and `Grid.coord_env` builds a grid's
+sparse, read-only coordinates once.  `_partials` hands the data to the kernel
+as it is when every component is live, with no gathered copy.
 """
 
 from __future__ import annotations
@@ -108,7 +117,7 @@ class Grid:
         return Grid(names, (int(n_s),) + leaf_counts, (float(ell),) + leaf_lengths,
                     (False,) + (True,) * (n - 1))
 
-    @property
+    @cached_property
     def ndim(self):
         return len(self.counts)
 
@@ -127,11 +136,17 @@ class Grid:
         h = self.spacing[i]
         return np.arange(self.counts[i]) * h
 
-    def coord_env(self):
-        """Sparse broadcastable coordinate arrays keyed by axis name."""
+    @cached_property
+    def _coords(self):
         axes = [self.axis_coords(i) for i in range(self.ndim)]
         mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+        for coords in mesh:
+            coords.flags.writeable = False
         return dict(zip(self.names, mesh))
+
+    def coord_env(self):
+        """Sparse, read-only broadcastable coordinate arrays keyed by axis name, built once."""
+        return dict(self._coords)
 
     def leaf(self):
         """The leaf torus of a product grid."""
@@ -232,9 +247,12 @@ def _derivative(data, grid, axis, scheme):
     return np.gradient(data, h, axis=arr_axis, edge_order=2)
 
 
+_AXES = tuple(range(32))  # numpy's axis limit; a slice of it names any run of axes
+
+
 def _live(data, rank):
     """Mask over the `rank` leading axes: True where that component slice is nonzero somewhere."""
-    return np.logical_or.reduce(data, axis=tuple(range(rank, np.ndim(data))))
+    return np.logical_or.reduce(data, axis=_AXES[rank:np.ndim(data)])
 
 
 def _partials(data, grid, axes, scheme, zero_axes=0):
@@ -248,14 +266,15 @@ def _partials(data, grid, axes, scheme, zero_axes=0):
     axes = tuple(axes) if stacked else (axes,)
     rank = np.ndim(data) - grid.ndim
     live = _live(data, rank).reshape(-1)
+    rows = slice(None) if live.all() else live  # every component live: no gathered copy
     shape = np.shape(data)[rank:]
-    nonzero = np.asarray(data, dtype=float).reshape((-1,) + shape)[live]
+    nonzero = np.asarray(data, dtype=float).reshape((-1,) + shape)[rows]
     lead = (zero_axes + len(axes),) if stacked else ()
     out = np.zeros(lead + np.shape(data))
     stack = out.reshape((zero_axes + len(axes), len(live)) + shape)[zero_axes:]
     for k, axis in enumerate(axes):
         if shape[axis] > 1 and len(nonzero):
-            stack[k, live] = _derivative(nonzero, grid, axis, scheme)
+            stack[k, rows] = _derivative(nonzero, grid, axis, scheme)
     return out
 
 
@@ -268,6 +287,12 @@ def _labels(subscripts):
 
 
 _PLANS = {}  # a run meets about a hundred subscripts and zero patterns
+
+
+@lru_cache(maxsize=None)
+def _union(*shapes):
+    """np.broadcast_shapes(*shapes), kept per tuple of shapes: a run meets a few dozen."""
+    return np.broadcast_shapes(*shapes)
 
 
 def _plan(subscripts, masks):
@@ -312,7 +337,7 @@ def _contract(subscripts, *operands):
     if key not in _PLANS:
         _PLANS[key] = _plan(subscripts, masks)
     shape, products = _PLANS[key]
-    grid = np.broadcast_shapes(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
+    grid = _union(*(op.shape[len(labels):] for labels, op in zip(ins, ops)))
     dtype = np.result_type(*ops)
     result = np.zeros(shape + grid, dtype=dtype)
     term = np.empty(grid, dtype=dtype)
@@ -350,7 +375,7 @@ def full_grid(data, grid):
 
 def updated(ufunc, target, value):
     """ufunc(target, value), in place when `target` spans value's shape; the same bits."""
-    spans = np.broadcast_shapes(target.shape, np.shape(value)) == target.shape
+    spans = _union(target.shape, np.shape(value)) == target.shape
     return ufunc(target, value, out=target if spans else None)
 
 
@@ -374,7 +399,7 @@ def fits(shape, full):
 
 
 def _ensure_finite(data, what):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise MeshError(f"{what} contains NaN or Inf")
 
 
@@ -399,8 +424,8 @@ class Field:
         if sym or asym:
             t = np.swapaxes(data, 0, 1)
             mirror = t if sym else -t
-            scale = 1.0 + np.max(np.abs(data))
-            if np.max(np.abs(data - mirror)) > 1e-12 * scale:
+            scale = 1.0 + np.abs(data).max()
+            if np.abs(data - mirror).max() > 1e-12 * scale:
                 word = "symmetric" if sym else "antisymmetric"
                 raise MeshError(f"{self.kind} field is not {word}")
         object.__setattr__(self, "data", data)

@@ -111,10 +111,13 @@ def parse_scene(path):
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"scene {path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                         f"at offset {exc.start}") from exc
     try:
         parser.read_string(raw, source=path)
     except configparser.Error as exc:

@@ -217,6 +217,27 @@ def test_ppwave_roundtrip_reuses_the_wave_check(tmp_path, monkeypatch):
     assert code in (0, 1) and len(calls) == 3
 
 
+@pytest.mark.parametrize("graph,inverses", [(None, 2), ("0.1*s^2", 3)])
+def test_a_ppwave_report_inverts_each_wave_metric_once(tmp_path, monkeypatch, graph, inverses):
+    # the wave check and the induction share one connection per wave, so the report inverts
+    # the scene's wave, the shifted wave where w' != 0, and the development's metric
+    path = SCENES / "roundtrip.scene"
+    if graph is not None:
+        path = tmp_path / "graph.scene"
+        path.write_text(SMALL_GRID + "[data]\nppwave_f = 1 + 0.2*sin(2*pi*x1)\n"
+                        f"hypersurface = {graph}\n")
+    code, rep, _ = run(["ppwave", path])
+    calls = []
+    inverse = geometry.inverse
+    monkeypatch.setattr(geometry, "inverse", lambda gdata: calls.append(1) or inverse(gdata))
+    again = run(["ppwave", path])
+    assert len(calls) == inverses
+    assert again[0] == code in (0, 1)
+    rep.pop("volatile")
+    again[1].pop("volatile")
+    assert again[1] == rep
+
+
 def test_killing_dev_on_induced_wave_data():
     code, rep, _ = run(["killing-dev", SCENES / "roundtrip.scene"])
     # identities hold, but the wave violates the energy condition
@@ -496,6 +517,27 @@ def test_a_non_ascii_digit_is_a_scene_error(tmp_path, phi, offset):
     assert (code, rep) == (2, None)
     char = phi[offset]
     assert err == f"scene error: [data] phi: unexpected character {char!r} (offset {offset})\n"
+
+
+def test_a_scene_that_is_not_utf8_is_a_scene_error(tmp_path):
+    # a latin-1 byte in an expression ends in exit 2 with one line, not a decode traceback
+    head = (SMALL_GRID + "[data]\nphi = 1 + ").encode()
+    path = tmp_path / "latin1.scene"
+    path.write_bytes(head + b"\xff\n")
+    for argv in (["constraints", path], ["killing-dev", path],
+                 ["convergence", path, "--check", "lambda"]):
+        code, rep, err = run(argv)
+        assert (code, rep) == (2, None), argv
+        assert err == (f"scene error: scene {path} is not UTF-8 text: "
+                       f"byte 0xff at offset {len(head)}\n"), argv
+
+
+def test_the_digest_of_a_utf8_scene_is_the_hash_of_its_bytes(tmp_path):
+    # bench/reference.json is keyed by the digest, so reading scenes as UTF-8 must keep it
+    path = tmp_path / "accented.scene"
+    path.write_bytes((SMALL_GRID + "# lapse café, ² in a comment\n[data]\nphi = 1\n").encode())
+    for scene in [path, *sorted(SCENES.glob("*.scene"))]:
+        assert parse_scene(scene).digest == hashlib.sha256(scene.read_bytes()).hexdigest(), scene
 
 
 def test_scene_grid_errors(tmp_path):

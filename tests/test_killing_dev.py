@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -336,6 +337,68 @@ def test_distinct_node_dec_scan_equals_the_whole_grid_scan(ndim):
         assert (got.node, got.pair, got.coords) == (want.node, want.pair, want.coords), axes
         assert float.hex(got.scale) == float.hex(want.scale)
         assert got.direction_count == want.direction_count
+
+
+# (_BATCH_VALUES, _SCAN_VALUES) that cut the scan into single pairs, runs of three d',
+# single rays d and batches of three rays d, given the ray count and the nodes scanned
+CHUNK_BUDGETS = {
+    "pair": lambda rays, nodes: (1, 1),
+    "three_pairs": lambda rays, nodes: (1, 3 * nodes),
+    "ray": lambda rays, nodes: (1, rays * nodes),
+    "three_rays": lambda rays, nodes: (3 * rays * nodes + nodes, rays * nodes),
+}
+
+
+@pytest.mark.parametrize("chunk", sorted(CHUNK_BUDGETS))
+@pytest.mark.parametrize("ndim", (2, 3, 4))
+def test_chunked_dec_scan_equals_the_one_pair_loop(monkeypatch, ndim, chunk):
+    # chunk boundaries between pairs, runs of d' and rays d keep the first minimum, its node
+    # and its pair: tables with ties, zero tables in both signs, and tables of length 1
+    # along every axis, which the scan spreads along the last
+    grid = pattern_grid(ndim)
+    rng = np.random.default_rng(100 + ndim)
+    every = tuple(range(ndim))
+    cases = [(random_frame_table(rng, grid, ties=True), axes)
+             for axes in ((), (0,), every[1:], every)]
+    cases += [(random_frame_table(rng, grid, ties=False), every)]
+    cases += [(np.full((ndim + 1, ndim + 1) + grid.shape, zero), axes)
+              for zero in (0.0, -0.0) for axes in ((), every)]
+    for count in (16, 5):
+        rays = len(causal_direction_set(ndim, count))
+        for table, axes in cases:
+            reduced = reduced_along(table, axes)
+            nodes = reduced[0, 0].size if reduced[0, 0].size > 1 else grid.counts[-1]
+            batch, scan = CHUNK_BUDGETS[chunk](rays, nodes)
+            monkeypatch.setattr(killing_dev, "_BATCH_VALUES", batch)
+            monkeypatch.setattr(killing_dev, "_SCAN_VALUES", scan)
+            got = killing_dev.frame_dec_minimum(reduced, grid, count=count)
+            want = dense_frame_dec_minimum(constant_along(table, axes), grid, count=count)
+            assert float.hex(got.minimum) == float.hex(want.minimum), (count, axes)
+            assert (got.node, got.pair, got.coords) == (want.node, want.pair, want.coords), axes
+            assert float.hex(got.scale) == float.hex(want.scale)
+
+
+@pytest.mark.parametrize("count,axes,scan", [(1024, (0,), None), (1024, (0,), 2**13),
+                                             (64, (0, 2), None)])
+def test_dec_scan_memory_stays_within_one_chunk(monkeypatch, count, axes, scan):
+    # at 1024 directions one ray's values over 64 nodes are 512 KB, cut into runs of
+    # _SCAN_VALUES; at 64 over 8 nodes they are 4 KB, batched up to _BATCH_VALUES.  The
+    # scan holds one chunk at a time, beside the table and the ray set
+    if scan is not None:
+        monkeypatch.setattr(killing_dev, "_SCAN_VALUES", scan)
+    grid = pattern_grid(3)
+    table = reduced_along(random_frame_table(np.random.default_rng(7), grid, ties=False), axes)
+    chunk = killing_dev._SCAN_VALUES if count > 64 else killing_dev._BATCH_VALUES
+    tracemalloc.start()
+    try:
+        report = killing_dev.frame_dec_minimum(table, grid, count=count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.direction_count == count
+    rays = count * (grid.ndim + 1) * 8
+    bookkeeping = 8192
+    assert peak <= 8 * chunk + table.nbytes + rays + bookkeeping, peak
 
 
 # --- the plane-wave family ----------------------------------------------------------

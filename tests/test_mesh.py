@@ -594,6 +594,12 @@ def test_sample_keeps_the_length_one_axes_of_an_expression_in_a_fresh_array():
     x1 = mesh.grid_values(g, exprlang.parse("x1"), env)
     assert x1.shape == (1, 8, 1) and not np.shares_memory(x1, env["x1"])
     assert x1.flags.writeable and np.array_equal(x1, env["x1"])
+    # the coordinates are built once per grid and read-only; each call gets its own dict
+    env.clear()
+    again = g.coord_env()
+    assert all(again[name] is g.coord_env()[name] for name in g.names)
+    assert not any(coords.flags.writeable for coords in again.values())
+    env = again
     assert sample(g, "2").data.shape == (1, 1, 1)
     assert sample(g, "s*x1").data.shape == (9, 8, 1)
     f = sample(g, [["s", "0", "0"], ["0", "1", "0"], ["0", "0", "x2"]], kind="sym2")
