@@ -57,7 +57,9 @@ FIELDS_3D = GOLDEN / "fields3d.json.gz"
 # that is non-zero and constant along x2 (roundtrip) and on one that is exactly
 # 0 and constant along every axis (constant_k), then the rigidity report on a
 # leaf metric that varies along s (svary_metric) and on a k whose leaf and
-# normal blocks vary along s over a metric that does not (svary_k)
+# normal blocks vary along s over a metric that does not (svary_k), then the
+# recipe under the periodic fd2 and fd4 leaf stencils, and a lapse that the
+# parser folds and differentiates through each rule (folding: exit 2)
 CASES = [
     ["constraints", "scenes/constant_k.scene"],
     ["constraints", "scenes/flat.scene"],
@@ -80,7 +82,9 @@ CASES = [
     for scene, commands in (("wave", ("ppwave",)), ("recipe", ("rigidity", "killing-dev")))
     for command in commands] + [
     ["killing-dev", "scenes/roundtrip.scene"], ["killing-dev", "scenes/constant_k.scene"]] + [
-    ["rigidity", f"tests/golden/{scene}.scene"] for scene in ("svary_metric", "svary_k")]
+    ["rigidity", f"tests/golden/{scene}.scene"] for scene in ("svary_metric", "svary_k")] + [
+    ["rigidity", "scenes/recipe.scene", "--scheme-leaf", scheme] for scheme in ("fd2", "fd4")] + [
+    ["rigidity", "tests/golden/folding.scene"]]
 
 
 # the command lines whose --dump-fields CSVs are stored: in fields.json the
