@@ -9,6 +9,10 @@ Lorentzian development module reuses them with its own derivative rule.
 ricci_from takes the Christoffels, their divergence d_a Gamma^a_bd and the
 partials of their trace Gamma^a_ab, so Ricci needs no Riemann tensor.
 
+`exterior_d` is d of a covector, the one case a report takes (d lambda and
+d(phi lambda)); d of a function or of a 2-form, which only tests take, is in
+tests/references.py with the codifferential.
+
 Metric factorizations: a diagonal metric (every off-diagonal component 0 at
 every node) takes one sign test and one division per component; any other
 goes whole to LAPACK (inv, cholesky, eigvalsh) at the nodes of its own grid
@@ -249,9 +253,8 @@ def divergence_vector(xdata, metric, gamma, scheme=DEFAULT_SCHEME):
     return np.einsum("cc...->...", cov_vector(xdata, metric.grid, gamma, scheme))
 
 
-def div_sym2(tdata, metric, gamma, scheme=DEFAULT_SCHEME):
-    """(div T)_b = g^{ca} nabla_c T_ab."""
-    nt = cov_rank2(tdata, metric.grid, gamma, scheme)
+def div_sym2(nt, metric):
+    """(div T)_b = g^{ca} nabla_c T_ab from nabla T, indexed [c, a, b] (cov_rank2)."""
     return _contract("ac...,acb...->b...", metric.ginv, nt)
 
 
@@ -263,14 +266,6 @@ def trace_sym2(tdata, metric):
 
 
 def exterior_d(field, scheme=DEFAULT_SCHEME):
-    """Exterior derivative of a 0-, 1- or 2-form field."""
-    grid = field.grid
-    d = partial_stack(field.data, grid, scheme)
-    if field.kind == "scalar":
-        return Field(grid, "covector", d)
-    if field.kind == "covector":
-        return Field(grid, "form2", d - np.einsum("ab...->ba...", d))
-    if field.kind == "form2":
-        out = d - np.einsum("bac...->abc...", d) + np.einsum("cab...->abc...", d)
-        return Field(grid, "cov3", out)
-    raise MeshError(f"exterior derivative undefined for kind {field.kind!r}")
+    """Exterior derivative (dw)_ab = d_a w_b - d_b w_a of a covector field, a 2-form."""
+    d = partial_stack(field.data, field.grid, scheme)
+    return Field(field.grid, "form2", d - np.einsum("ab...->ba...", d))

@@ -12,8 +12,8 @@ which is metric for gbar.  Constraint quantities:
     rho = (scal + tr(k)^2 - |k|^2) / 2,     j = div k - d tr k.
 
 A data set is not changed after construction, so each derived field is
-computed once: `curvature()` and every `derived` function (constraints,
-lambda, chi+, theta+, ...) store their first result on the data set,
+computed once: `curvature()` and every `derived` function (nu, nabla k,
+constraints, lambda, chi+, theta+, ...) store their first result on the data set,
 read-only, and return that object to later calls.  It lives as long as the
 data set.  A curvature bundle is lazy: it holds the Christoffels and builds
 Ricci and scal, read-only, on their first read, so the readers of the
@@ -127,11 +127,8 @@ class InitialDataSet:
 
     @property
     def nu(self):
-        """Unit normal of the leaves, nu = phi^{-1} d_s."""
-        n = self.grid.ndim
-        out = np.zeros((n,) + self.phi.data.shape)
-        out[0] = 1.0 / self.phi.data
-        return out
+        """Unit normal of the leaves, nu = phi^{-1} d_s, built on the first read."""
+        return unit_normal(self)
 
     def curvature(self):
         if self._curv is None:
@@ -206,7 +203,22 @@ def leaf_shared(*inputs):
     return wrap
 
 
-# --- constraint quantities ---------------------------------------------------
+# --- normal, nabla k and the constraint quantities -----------------------------
+
+
+@derived
+def unit_normal(ids):
+    """nu = phi^{-1} d_s as a vector array."""
+    out = np.zeros((ids.grid.ndim,) + ids.phi.data.shape)
+    out[0] = 1.0 / ids.phi.data
+    return out
+
+
+@derived
+def nabla_k(ids):
+    """nabla_c k_ab, indexed [c, a, b], which j and lambda both read."""
+    curv = ids.curvature()
+    return geometry.cov_rank2(ids.k.data, ids.grid, curv.christoffels, ids.scheme)
 
 
 @derived
@@ -219,15 +231,12 @@ def constraints(ids):
     k_up = _contract("ac...,bd...,cd...->ab...", g.ginv, g.ginv, k)
     k2 = _contract("ab...,ab...->...", k, k_up)
     rho = 0.5 * (curv.scal + trk**2 - k2)
-    div_k = geometry.div_sym2(k, g, curv.christoffels, ids.scheme)
-    j = div_k - partial_stack(trk, ids.grid, ids.scheme)
+    j = geometry.div_sym2(nabla_k(ids), g) - partial_stack(trk, ids.grid, ids.scheme)
     return Field(ids.grid, "scalar", rho), Field(ids.grid, "covector", j)
 
 
-def dec_margin(ids, rho=None, j=None):
-    """Pointwise rho - |j|_g; nonnegative iff the DEC holds."""
-    if rho is None or j is None:
-        rho, j = constraints(ids)
+def dec_margin(ids, rho, j):
+    """Pointwise rho - |j|_g for the data set's densities; nonnegative iff the DEC holds."""
     return Field(ids.grid, "scalar", rho.data - j_norm(ids, j))
 
 

@@ -246,16 +246,14 @@ def kd_pattern_residuals(kd):
 
 
 def causal_direction_set(m, count=64):
-    """Deterministic quasi-uniform unit vectors in R^m.
+    """Deterministic quasi-uniform unit vectors in R^m, m >= 2 (M has dimension 2 to 4).
 
-    m = 1 gives both signs, m = 2 equally spaced angles, m = 3 the
-    golden-angle spiral on the sphere; higher m maps a Kronecker lattice
-    through the normal quantile and normalizes.
+    m = 2 gives equally spaced angles, m = 3 the golden-angle spiral on the
+    sphere; higher m maps a Kronecker lattice through the normal quantile and
+    normalizes.
     """
-    if m < 1:
-        raise MeshError("direction set needs at least one spatial dimension")
-    if m == 1:
-        return np.array([[1.0], [-1.0]])
+    if m < 2:
+        raise MeshError("direction set needs at least two spatial dimensions")
     if m == 2:
         ang = 2.0 * math.pi * np.arange(count) / count
         return np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -539,6 +537,8 @@ def kd_roundtrip(spec, w="0"):
     The development of the induced data equals the wave with profile
     f - 2 w' in translated coordinates, so the metric and Einstein
     tensors must match componentwise; for w' = 0 that wave is the spec's own.
+    The shifted profile is not linted again: w reads s alone (induce_from_ppwave
+    rejects any other graph), so it is periodic on the leaves whenever f is.
     """
     ids = induce_from_ppwave(spec, w)
     section = restricted_killing_section(ids)
@@ -547,7 +547,7 @@ def kd_roundtrip(spec, w="0"):
     w_ast = exprlang.parse(w) if isinstance(w, str) else w
     dw = exprlang.diff(w_ast, "s")
     shifted = (spec if dw == exprlang.Num(0.0)
-               else ppwave(spec.grid, graph_profile(spec, dw), spec.scheme))
+               else PpWaveSpec(spec.grid, graph_profile(spec, dw), spec.scheme))
     expected = wave_connection(shifted)[0]
     wave_report = ppwave_einstein_check(shifted)
     kd_ein = kd.curvature().einstein

@@ -323,6 +323,8 @@ def _plan(subscripts, masks):
 def _contract(subscripts, *operands):
     """np.einsum(subscripts, *operands) over the products with no structural-zero factor.
 
+    Operands are real; complex spectra (tests/references.py) go to np.einsum,
+    which rounds the real and imaginary parts of a product separately.
     Subscripts give the component labels of each operand, then "..." for the
     grid axes.  A plan is built once per subscripts and operand zero masks, so
     it serves every grid, layout and dtype.  The result spans the union of the
@@ -341,16 +343,13 @@ def _contract(subscripts, *operands):
     dtype = np.result_type(*ops)
     result = np.zeros(shape + grid, dtype=dtype)
     term = np.empty(grid, dtype=dtype)
-    # einsum rounds the real and imaginary parts of a complex product separately
-    multiply = np.multiply if dtype.kind != "c" else (
-        lambda x, y, out: np.einsum("...,...->...", x, y, out=out))
     first, second, *tail = ops
     for target, factors in products:
         acc = result[target]
         for a, b, *more in factors:
-            multiply(first[a], second[b], out=term)
+            np.multiply(first[a], second[b], out=term)
             for op, idx in zip(tail, more):
-                multiply(term, op[idx], out=term)
+                np.multiply(term, op[idx], out=term)
             acc += term
     return result
 
@@ -381,15 +380,15 @@ def updated(ufunc, target, value):
 
 # --- fields --------------------------------------------------------------------
 
-# kind -> (component rank, symmetric, antisymmetric)
+# kind -> (component rank, symmetric, antisymmetric), the kinds a report builds: vectors
+# (nu, an ambient section's tangent part) stay bare arrays, and the rank-3 d of a 2-form
+# is built only by tests, in tests/references.py, with field sums and differences
 FIELD_KINDS = {
     "scalar": (0, False, False),
-    "vector": (1, False, False),
     "covector": (1, False, False),
     "sym2": (2, True, False),
     "gen2": (2, False, False),
     "form2": (2, False, True),
-    "cov3": (3, False, False),
 }
 
 
@@ -436,21 +435,6 @@ class Field:
 
     def max_norm(self):
         return float(np.max(np.abs(self.data)))
-
-    def __add__(self, other):
-        self._check_compat(other)
-        return Field(self.grid, self.kind, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_compat(other)
-        return Field(self.grid, self.kind, self.data - other.data)
-
-    def __neg__(self):
-        return Field(self.grid, self.kind, -self.data)
-
-    def _check_compat(self, other):
-        if self.grid != other.grid or self.kind != other.kind:
-            raise MeshError("field mismatch in arithmetic")
 
 
 def grid_values(grid, expr, env=None):

@@ -29,6 +29,7 @@ from .initial_data import (
     j_normal,
     leaf_curvature,
     leaf_shared,
+    nabla_k,
 )
 from .mesh import (
     DEFAULT_SCHEME,
@@ -98,8 +99,7 @@ def lambda_form(ids):
     lambda(X) = nabla_X k(nu, nu) - nabla_nu k(X, nu) for leaf-tangent X,
     which equals gbar(Rbar(X, nu)(e0 + nu), nu).
     """
-    curv = ids.curvature()
-    nk = geometry.cov_rank2(ids.k.data, ids.grid, curv.christoffels, ids.scheme)
+    nk = nabla_k(ids)
     nu = ids.nu
     first = _contract("cab...,a...,b...->c...", nk, nu, nu)
     second = _contract("b...,bac...,c...->a...", nu, nk, nu)
@@ -155,7 +155,8 @@ def _closedness_forms(ids, lam):
 
 def leaf_div_minus_dtr(tfield, leaf_metric, gamma, scheme=DEFAULT_SCHEME):
     """(div T - d tr T) on a leaf, for a general leaf metric field."""
-    div = geometry.div_sym2(tfield.data, leaf_metric, gamma, scheme)
+    nt = geometry.cov_rank2(tfield.data, leaf_metric.grid, gamma, scheme)
+    div = geometry.div_sym2(nt, leaf_metric)
     tr = geometry.trace_sym2(tfield.data, leaf_metric)
     d_tr = partial_stack(tr, leaf_metric.grid, scheme)
     return Field(leaf_metric.grid, "covector", div - d_tr)

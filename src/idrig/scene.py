@@ -219,10 +219,10 @@ def parse_scene(path):
 def scene_initial_data(scene, n_s=None):
     """Build the scene's data set, optionally on a refined s axis."""
     grid = scene.grid(n_s)
-    lm = scene.leaf_metric if scene.leaf_metric is not None else np.eye(scene.n - 1)
     if scene.source == "recipe":
-        return rigid_recipe(grid, scene.phi, lm, scene.scheme)
+        return rigid_recipe(grid, scene.phi, scene.leaf_metric, scene.scheme)
     if scene.source == "explicit":
+        lm = scene.leaf_metric if scene.leaf_metric is not None else np.eye(scene.n - 1)
         k = sample(grid, [list(row) for row in scene.k_entries], kind="gen2").data
         asym = np.max(np.abs(k - np.swapaxes(k, 0, 1)), axis=tuple(range(2, k.ndim)))
         if np.max(asym) > 1e-12 * (1.0 + np.max(np.abs(k))):

@@ -6,6 +6,13 @@
 - The codifferential, the L2 adjoint of d (p-form inner products weighted by
   1/p!), so the Hodge Laplacian d delta + delta d is positive on functions;
   and `cov_rank3`, which its 3-form branch reads.
+- What src/ ships only for 1-forms, or not at all, since no idrig command
+  takes the rest: d of a function and of a 2-form (`exterior_d`; its 2-form
+  case gives a `ThreeForm`, the rank-3 "cov3" field kind), and field sums
+  and differences (`field_sum`, `field_difference`, formerly `Field.__add__`
+  and `__sub__`; no test negates a field).  Products of complex spectra
+  (`hodge_decompose`, `tt_split`) go through np.einsum: the package's
+  `_contract` multiplies real data only.
 - Rendering an expression AST back to source (`unparse`).
 - The Hodge and TT splits, which act on leaf fields over a *constant* flat
   leaf metric and are implemented as exact Fourier-multiplier projections,
@@ -20,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from idrig import exprlang, geometry
-from idrig.geometry import cov_covector, cov_rank2, exterior_d
+from idrig.geometry import cov_covector, cov_rank2
 from idrig.initial_data import InitialDataSet, _k_mixed, _lapse
-from idrig.mesh import (DEFAULT_SCHEME, Field, MeshError, _contract, components, full_grid,
-                        partial_stack, sample, updated)
+from idrig.mesh import (DEFAULT_SCHEME, Field, Grid, MeshError, _contract, components,
+                        full_grid, partial_stack, sample, updated)
 from idrig.rigidity import leaf_div_minus_dtr
 
 # --- quadrature, inner products, Lie derivative, ambient pairing -------------------
@@ -98,7 +105,32 @@ def from_normal_components(grid, phi, leaf_metric, k_nn, k_nf, k_ff, scheme=DEFA
     return InitialDataSet.product(grid, phi_f, leaf_metric, Field(grid, "sym2", k), scheme)
 
 
-# --- volume density, codifferential and Hodge Laplacian ---------------------------
+# --- volume density, exterior calculus and Hodge Laplacian ---------------------------
+
+
+@dataclass(frozen=True)
+class ThreeForm:
+    """d of a 2-form, components [a, b, c] first and grid axes last."""
+
+    grid: Grid
+    data: np.ndarray
+    kind = "cov3"
+
+    def max_norm(self):
+        return float(np.max(np.abs(self.data)))
+
+
+def exterior_d(field, scheme=DEFAULT_SCHEME):
+    """Exterior derivative of a 0-, 1- or 2-form field; geometry.exterior_d is the 1-form case."""
+    if field.kind == "covector":
+        return geometry.exterior_d(field, scheme)
+    d = partial_stack(field.data, field.grid, scheme)
+    if field.kind == "scalar":
+        return Field(field.grid, "covector", d)
+    if field.kind == "form2":
+        return ThreeForm(field.grid,
+                         d - np.einsum("bac...->abc...", d) + np.einsum("cab...->abc...", d))
+    raise MeshError(f"exterior derivative undefined for kind {field.kind!r}")
 
 
 def sqrt_det(metric):
@@ -139,7 +171,30 @@ def hodge_laplacian(field, metric, gamma, scheme=DEFAULT_SCHEME):
         return codifferential(exterior_d(field, scheme), metric, gamma, scheme)
     up = codifferential(exterior_d(field, scheme), metric, gamma, scheme)
     down = exterior_d(codifferential(field, metric, gamma, scheme), scheme)
-    return up + down
+    return field_sum(up, down)
+
+
+# --- field arithmetic ---------------------------------------------------------------
+
+
+def _check_compat(a, b):
+    if a.grid != b.grid or a.kind != b.kind:
+        raise MeshError("field mismatch in arithmetic")
+
+
+def field_sum(first, *rest):
+    """The sum of fields of one grid and kind, added left to right."""
+    data = first.data
+    for field in rest:
+        _check_compat(first, field)
+        data = data + field.data
+    return Field(first.grid, first.kind, data)
+
+
+def field_difference(a, b):
+    """a - b for two fields of one grid and kind."""
+    _check_compat(a, b)
+    return Field(a.grid, a.kind, a.data - b.data)
 
 
 # --- expression source -----------------------------------------------------------------
@@ -220,7 +275,7 @@ def hodge_decompose(omega, gmat):
     axes = tuple(range(-m, 0))
     data = full_grid(omega.data, leaf_grid)
     what = np.fft.fftn(data, axes=axes)
-    fhat = -1j * _contract("a...,a...->...", xi_up, what) / safe
+    fhat = -1j * np.einsum("a...,a...->...", xi_up, what) / safe
     fhat = np.where(zero, 0.0, fhat)
     exact_hat = 1j * xi * fhat
 
@@ -295,7 +350,7 @@ def tt_split(gdot, gmat, scheme=DEFAULT_SCHEME):
 
     # div(L_W g)_j = -(|xi|^2 W_j + xi_j xi* . W) in Fourier; invert by
     # Sherman-Morrison: W = -(R - xi (xi* . R) / (2|xi|^2)) / |xi|^2
-    xis_r = _contract("a...,a...->...", xi_up, rhat)
+    xis_r = np.einsum("a...,a...->...", xi_up, rhat)
     what = -(rhat - xi * (xis_r / (2.0 * safe))) / safe
     what[:, zero] = 0.0
     w = np.real(np.fft.ifftn(what, axes=axes))

@@ -24,8 +24,8 @@ from idrig.scene import parse_scene, scene_initial_data
 
 from helpers import CORPUS, SCHEME, sample_expr, order_passes, torus
 from references import (ambient_pairing, codifferential, div_part_identity_residual,
-                        hodge_decompose, l2_inner, l2_norm, lie_metric, parallel_transport,
-                        spectral_gap, tt_split)
+                        field_difference, field_sum, hodge_decompose, l2_inner, l2_norm,
+                        lie_metric, parallel_transport, spectral_gap, tt_split)
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -206,8 +206,8 @@ def test_criterion_07_hodge_tt_pipeline():
     for _ in range(5):
         omega = band_limited_covector(leaf, rng)
         split = hodge_decompose(omega, np.eye(2))
-        recon = split.exact + split.harmonic + split.coexact
-        assert (recon - omega).max_norm() < 1e-12
+        recon = field_sum(split.exact, split.harmonic, split.coexact)
+        assert field_difference(recon, omega).max_norm() < 1e-12
         for a, b in ((split.exact, split.coexact),
                      (split.exact, split.harmonic),
                      (split.coexact, split.harmonic)):

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -215,6 +217,49 @@ def test_ppwave_roundtrip_reuses_the_wave_check(tmp_path, monkeypatch):
     calls.clear()
     code, _, _ = run(["ppwave", path])
     assert code in (0, 1) and len(calls) == 3
+
+
+@pytest.mark.parametrize("graph", ["0", "0.05*s^2"])
+def test_a_ppwave_report_lints_its_profile_once(tmp_path, monkeypatch, graph):
+    # parse_scene lints f; the shifted wave f - 2w' of a graph w(s) needs no lint of its own
+    calls = []
+    lint = exprlang.lint_periodicity
+    monkeypatch.setattr(exprlang, "lint_periodicity",
+                        lambda *args: calls.append(args) or lint(*args))
+    path = tmp_path / "graph.scene"
+    path.write_text(SMALL_GRID + "[data]\nppwave_f = 1 + 0.2*sin(2*pi*x1)\n"
+                    f"hypersurface = {graph}\n")
+    assert run(["ppwave", path])[0] in (0, 1)
+    assert len(calls) == 1
+
+
+def test_the_periodicity_lint_does_not_depend_on_the_hash_seed(tmp_path):
+    # the lint's sample points are drawn per variable; in set order they followed the seed
+    path = tmp_path / "aperiodic.scene"
+    path.write_text("[grid]\nn_s = 16\nleaf_counts = 16, 16\nleaf_lengths = 1, 1\n[data]\n"
+                    "ppwave_f = 1 + 0.2*sin(2*pi*x1) + 0.1*s*x2 + 0.3*x1*x2\n")
+    root = Path(__file__).resolve().parents[1]
+    code = f"import sys; from idrig import cli; sys.exit(cli.main(['ppwave', {str(path)!r}]))"
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(root / "src"),
+                                "PYTHONHASHSEED": seed}, timeout=120)
+            for seed in ("1", "2")]
+    assert [out.returncode for out in runs] == [2, 2]
+    assert "not periodic on the leaves" in runs[0].stderr
+    assert runs[0].stderr == runs[1].stderr
+
+
+def test_a_rigidity_report_builds_nabla_k_once(monkeypatch):
+    # j and lambda read one stored nabla k; the other call is the leaf divergence in
+    # two-for-three's rate terms, on the leaf metric
+    calls = []
+    cov_rank2 = geometry.cov_rank2
+    monkeypatch.setattr(geometry, "cov_rank2",
+                        lambda *args: calls.append(args) or cov_rank2(*args))
+    assert run(["rigidity", SCENES / "recipe.scene"])[0] == 0
+    assert len(calls) == 2
+    ids = scene_initial_data(parse_scene(SCENES / "recipe.scene"))
+    assert ids.nu is ids.nu and not ids.nu.flags.writeable
 
 
 @pytest.mark.parametrize("graph,inverses", [(None, 2), ("0.1*s^2", 3)])

@@ -129,7 +129,7 @@ def test_umbilic_k_equals_g():
     rho, j = constraints(ids)
     assert np.max(np.abs(rho.data - 3.0)) == 0.0
     assert j.max_norm() == 0.0
-    margin = dec_margin(ids)
+    margin = dec_margin(ids, *constraints(ids))
     assert np.min(margin.data) >= -1e-8 * (1.0 + np.max(np.abs(rho.data)))
     assert np.min(margin.data) == 3.0
 

@@ -267,15 +267,15 @@ def test_build_kd_stores_the_section_maxima():
 
 
 def test_causal_direction_set():
-    assert np.array_equal(causal_direction_set(1), np.array([[1.0], [-1.0]]))
     for m in (2, 3, 4, 5):
         dirs = causal_direction_set(m, 48)
-        assert dirs.shape == (48 if m > 1 else 2, m)
+        assert dirs.shape == (48, m)
         assert np.all(np.isfinite(dirs))
         assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) < 1e-12
         assert np.array_equal(dirs, causal_direction_set(m, 48))
-    with pytest.raises(MeshError):
-        causal_direction_set(0)
+    for m in (0, 1):
+        with pytest.raises(MeshError):
+            causal_direction_set(m)
 
 
 def test_causal_direction_set_matches_scipy_quantile():

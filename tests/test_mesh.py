@@ -21,8 +21,8 @@ from idrig.rigidity import (rigid_recipe, rigid_report, two_for_three_residual,
 from idrig.scene import parse_scene, scene_initial_data
 from helpers import (CORPUS, SCHEME, sample_expr, order_passes, measured_order, grid3, same_bits,
                      fd4_interval_reference, leaf_arrays, leaf_null_values)
-from references import (hodge_decompose, hodge_laplacian, integrate, l2_inner, l2_norm,
-                        lie_metric, tt_split)
+from references import (field_difference, field_sum, hodge_decompose, hodge_laplacian,
+                        integrate, l2_inner, l2_norm, lie_metric, tt_split)
 
 
 # --- grid construction and validation ------------------------------------------
@@ -349,7 +349,7 @@ KERNEL_USERS = [importlib.import_module(name) for name, text in SOURCES.items()
 def test_contraction_call_sites_are_found():
     calls = sum(len(re.findall(r"(?<!def )_contract\(", text)) for text in SOURCES.values())
     literal = sum(len(re.findall(r'_contract\(\s*"([^"]+)"', text)) for text in SOURCES.values())
-    assert calls >= 55 and literal == calls  # every call passes a subscripts string found here
+    assert calls >= 53 and literal == calls  # every call passes a subscripts string found here
     assert mesh in KERNEL_USERS and len(KERNEL_USERS) >= 5
     assert {"ad...,dbc...->abc...", "a...,a...->...", "ab...,ab...->..."} <= set(CONTRACTED)
 
@@ -369,8 +369,6 @@ def test_contract_equals_einsum_bit_for_bit(subscripts):
             "all-zero operand": [np.zeros_like(dense[0])] + sparse[1:],
             "zero-stride operand": sparse[:-1] + [np.broadcast_to(
                 dense[-1][(Ellipsis,) + (slice(0, 1),) * len(grid)], dense[-1].shape)],
-            "complex": [op + 1j * rng.standard_normal(op.shape) for op in sparse],
-            "real times complex": sparse[:1] + [op - 2j * op for op in dense[1:]],
             # where two operands have one rank, both are the same writeable array
             "same writeable operand passed twice": [sparse[ranks.index(r)] for r in ranks],
         }
@@ -564,7 +562,7 @@ def test_field_validation():
     with pytest.raises(MeshError):
         Field(g, "spinor", np.zeros(g.shape))
     with pytest.raises(MeshError):
-        Field(g, "vector", np.zeros(g.shape))       # missing component axis
+        Field(g, "covector", np.zeros(g.shape))     # missing component axis
     bad = np.zeros((2, 2) + g.shape)
     bad[0, 1] = 1.0
     with pytest.raises(MeshError):
@@ -611,9 +609,15 @@ def test_field_arithmetic():
     g = Grid.product(1.0, 9, (8,), (1.0,))
     a = Field(g, "scalar", np.ones(g.shape))
     b = Field(g, "scalar", 2 * np.ones(g.shape))
-    assert (a + b).max_norm() == 3.0
-    assert (a - b).max_norm() == 1.0
-    assert (-b).data.min() == -2.0
+    assert field_sum(a, b).max_norm() == 3.0
+    assert field_sum(a, b, b).data.min() == 5.0
+    assert field_difference(a, b).data.min() == -1.0
+    for other in (Field(g, "covector", np.ones((2,) + g.shape)),
+                  Field(Grid.product(1.0, 9, (10,), (1.0,)), "scalar", np.ones((9, 10)))):
+        with pytest.raises(MeshError):
+            field_sum(a, other)
+        with pytest.raises(MeshError):
+            field_difference(a, other)
 
 
 def test_sample_nested_tensor():

@@ -16,8 +16,9 @@ from idrig.rigidity import (rigid_recipe, build_parallel_candidate,
                             leaf_div_minus_dtr, rigid_report)
 from idrig.scene import parse_scene, scene_initial_data
 from helpers import SCHEME, grid3, leaf_arrays, leaf_null_values, same_bits, torus
-from references import (codifferential, div_part_identity_residual, hodge_decompose, l2_inner,
-                        l2_norm, lie_metric, spectral_gap, tt_split)
+from references import (codifferential, div_part_identity_residual, exterior_d,
+                        field_difference, field_sum, hodge_decompose, l2_inner, l2_norm,
+                        lie_metric, spectral_gap, tt_split)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -298,11 +299,11 @@ def random_band_limited_covector(leaf, rng, amp=0.3, modes=2):
 def test_hodge_decompose_pure_cases():
     leaf = torus((16, 16), (1.0, 1.0))
     f = sample(leaf, "sin(2*pi*x1)*cos(2*pi*x2)", kind="scalar")
-    df = geometry.exterior_d(f, SCHEME)
+    df = exterior_d(f, SCHEME)
     split = hodge_decompose(df, np.eye(2))
     assert split.harmonic.max_norm() < 1e-15
     assert split.coexact.max_norm() < 1e-13
-    assert (split.exact - df).max_norm() < 1e-13
+    assert field_difference(split.exact, df).max_norm() < 1e-13
     mean_free = f.data - f.data.mean()
     assert np.max(np.abs(split.potential.data - mean_free)) < 1e-13
 
@@ -311,7 +312,7 @@ def test_hodge_decompose_pure_cases():
     split_c = hodge_decompose(const, np.eye(2))
     assert split_c.exact.max_norm() == 0.0
     assert split_c.coexact.max_norm() == 0.0
-    assert (split_c.harmonic - const).max_norm() == 0.0
+    assert field_difference(split_c.harmonic, const).max_norm() == 0.0
 
 
 def test_hodge_decompose_random():
@@ -319,14 +320,14 @@ def test_hodge_decompose_random():
     rng = np.random.default_rng(5)
     omega = random_band_limited_covector(leaf, rng)
     split = hodge_decompose(omega, np.eye(2))
-    recon = split.exact + split.harmonic + split.coexact
-    assert (recon - omega).max_norm() < 1e-12
+    recon = field_sum(split.exact, split.harmonic, split.coexact)
+    assert field_difference(recon, omega).max_norm() < 1e-12
     ginv = np.broadcast_to(np.eye(2).reshape(2, 2, 1, 1), (2, 2) + leaf.shape)
     assert abs(l2_inner(split.exact, split.coexact, ginv)) < 1e-12
     assert abs(l2_inner(split.exact, split.harmonic, ginv)) < 1e-12
     assert abs(l2_inner(split.coexact, split.harmonic, ginv)) < 1e-12
-    dpot = geometry.exterior_d(split.potential, SCHEME)
-    assert (dpot - split.exact).max_norm() < 1e-12
+    dpot = exterior_d(split.potential, SCHEME)
+    assert field_difference(dpot, split.exact).max_norm() < 1e-12
     g = flat_torus_metric(leaf)
     gam = geometry.christoffels(g, SCHEME)
     assert codifferential(split.coexact, g, gam, SCHEME).max_norm() < 1e-12
@@ -338,7 +339,7 @@ def test_div_part_identity():
                                               1.1 * np.ones(leaf.shape)]))
     assert div_part_identity_residual(const, np.eye(2), SCHEME).max_norm() == 0.0
     f = sample(leaf, "sin(2*pi*x1)*cos(2*pi*x2)", kind="scalar")
-    grad = geometry.exterior_d(f, SCHEME)
+    grad = exterior_d(f, SCHEME)
     assert div_part_identity_residual(grad, np.eye(2), SCHEME).max_norm() < 1e-10
     rng = np.random.default_rng(11)
     omega = random_band_limited_covector(leaf, rng)
@@ -364,7 +365,7 @@ def test_tt_split_pure_cases():
     s2 = tt_split(lie_f, np.eye(2), SCHEME)
     assert abs(s2.c) < 1e-14
     assert s2.h.max_norm() < 1e-12
-    assert (s2.lie - lie_f).max_norm() < 1e-12
+    assert field_difference(s2.lie, lie_f).max_norm() < 1e-12
 
     tf = np.zeros((2, 2) + leaf.shape)
     tf[0, 0], tf[1, 1] = 0.3, -0.3
