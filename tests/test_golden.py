@@ -58,8 +58,10 @@ FIELDS_3D = GOLDEN / "fields3d.json.gz"
 # 0 and constant along every axis (constant_k), then the rigidity report on a
 # leaf metric that varies along s (svary_metric) and on a k whose leaf and
 # normal blocks vary along s over a metric that does not (svary_k), then the
-# recipe under the periodic fd2 and fd4 leaf stencils, and a lapse that the
-# parser folds and differentiates through each rule (folding: exit 2)
+# recipe under the periodic fd2 and fd4 leaf stencils, a lapse that the
+# parser folds and differentiates through each rule (folding: exit 2), and
+# a lapse and a wave profile that take the power rule with a non-constant
+# exponent and fold a double negation, a division by 1 and a power 0
 CASES = [
     ["constraints", "scenes/constant_k.scene"],
     ["constraints", "scenes/flat.scene"],
@@ -84,7 +86,8 @@ CASES = [
     ["killing-dev", "scenes/roundtrip.scene"], ["killing-dev", "scenes/constant_k.scene"]] + [
     ["rigidity", f"tests/golden/{scene}.scene"] for scene in ("svary_metric", "svary_k")] + [
     ["rigidity", "scenes/recipe.scene", "--scheme-leaf", scheme] for scheme in ("fd2", "fd4")] + [
-    ["rigidity", "tests/golden/folding.scene"]]
+    ["rigidity", "tests/golden/folding.scene"], ["rigidity", "tests/golden/power.scene"],
+    ["ppwave", "tests/golden/negwave.scene"]]
 
 
 # the command lines whose --dump-fields CSVs are stored: in fields.json the
