@@ -49,8 +49,8 @@ import numpy as np
 from . import killing_dev as kdm
 from . import rigidity
 from .exprlang import ExprError
-from .initial_data import constraints, dec_margin, j_norm
-from .mesh import DataError, Field, MeshError, dump_field_csv, fit_order
+from .initial_data import constraints, dec_margin, j_norm, null_section
+from .mesh import LEAF_SCHEMES, S_SCHEMES, DataError, Field, MeshError, dump_field_csv, fit_order
 from .scene import (SceneError, is_tolerance, parse_scene, scene_initial_data, scene_ppwave,
                     undefined_expression)
 
@@ -99,10 +99,9 @@ def cmd_rigidity(scene, args):
 
 def cmd_killing_dev(scene, args):
     ids = scene_initial_data(scene)
-    section = kdm.restricted_killing_section(ids) if scene.source == "ppwave" else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        kd = kdm.build_kd(ids, section)
+        kd = kdm.build_kd(ids, null_section(ids, -1.0 if scene.source == "ppwave" else 1.0))
     residuals = kdm.kd_pattern_residuals(kd)
     sigma = residuals.pop("sigma")
     residuals["section_lightlike_max"] = kd.lightlike_max
@@ -118,15 +117,9 @@ def cmd_killing_dev(scene, args):
 
 def cmd_ppwave(scene, args):
     spec = scene_ppwave(scene)
-    rep = kdm.ppwave_einstein_check(spec)
-    residuals = {
-        "formula_residual_max": rep.formula_residual_max,
-        "off_component_max": rep.off_component_max,
-        "scal_max": rep.scal_max,
-        "parallel_kv_max": rep.parallel_kv_max,
-        "dec_margin_min": rep.dec_margin_min,
-    }
-    fields = {"ein_ss": Field(spec.grid, "scalar", rep.einstein[1, 1])}
+    residuals = kdm.ppwave_einstein_check(spec)
+    ein = kdm.spacetime_curvature(kdm.wave_spacetime(spec)).einstein
+    fields = {"ein_ss": Field(spec.grid, "scalar", ein[1, 1])}
     if scene.hypersurface is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -151,7 +144,7 @@ CONVERGENCE_CHECKS = {
         ids, 0.5 * ids.grid.ell).residual.max_norm(),
     "variation": lambda ids: rigidity.variation_residual(
         ids, 0.5 * ids.grid.ell).residual.max_norm(),
-    "ppwave_formula": lambda spec: kdm.ppwave_einstein_check(spec).formula_residual_max,
+    "ppwave_formula": lambda spec: kdm.ppwave_einstein_check(spec)["formula_residual_max"],
 }
 
 CONVERGENCE_FLOOR = 1e-13
@@ -197,9 +190,9 @@ def build_parser():
                         help="write field CSVs into this directory")
     parser.add_argument("--tol", type=float,
                         help="override the scene's default tolerance")
-    parser.add_argument("--scheme-s", choices=["fd2", "fd4"],
+    parser.add_argument("--scheme-s", choices=S_SCHEMES,
                         help="override the s-axis derivative scheme")
-    parser.add_argument("--scheme-leaf", choices=["fd2", "fd4", "spectral"],
+    parser.add_argument("--scheme-leaf", choices=LEAF_SCHEMES,
                         help="override the leaf derivative scheme")
     parser.add_argument("--check", help="convergence: which residual to refine")
     parser.add_argument("--directions", type=int, default=64,
@@ -211,10 +204,13 @@ def _dump_fields(fields, directory):
     os.makedirs(directory, exist_ok=True)
     for name, obj in fields.items():
         path = os.path.join(directory, f"{name}.csv")
-        if isinstance(obj, kdm.FrameEinstein):
-            kdm.dump_frame_table_csv(obj, path)
-        else:
-            dump_field_csv(obj, path)
+        try:
+            if isinstance(obj, kdm.FrameEinstein):
+                kdm.dump_frame_table_csv(obj, path)
+            else:
+                dump_field_csv(obj, path)
+        except OSError as exc:  # one raised as the file is flushed at close names no file
+            raise OSError(exc.errno, exc.strerror, exc.filename or path) from exc
 
 
 def _output_errno(path, directory):
@@ -316,8 +312,8 @@ def main(argv=None):
             sys.stdout.write(text)
         if args.dump_fields:
             _dump_fields(fields, args.dump_fields)
-    except OSError as exc:
-        print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # one raised as --out is flushed at close names no file
+        print(f"output error: {exc.filename or args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     return 0 if report["pass"] else 1
 

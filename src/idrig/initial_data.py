@@ -8,7 +8,8 @@ R + TM carries the indefinite fiber metric
     gbar(x e0 + X, x' e0 + X') = -x x' + g(X, X')
 and the connection
     nablabar_Y (x e0 + X) = (d_Y x + k(Y, X)) e0 + (x k(Y, .)# + nabla_Y X),
-which is metric for gbar.  Constraint quantities:
+which is metric for gbar; its lightlike sections phi^{-1}(e0 + sign nu),
+sign = +1 or -1, are `null_section(ids, sign)`.  Constraint quantities:
     rho = (scal + tr(k)^2 - |k|^2) / 2,     j = div k - d tr k.
 
 A data set is not changed after construction, so each derived field is
@@ -22,8 +23,8 @@ leaf reads its slice of these fields over M (`leaf_values`); the values
 that only exist on a leaf are stored per s node their inputs are read at
 (`leaf_shared`: the leaf metric and its curvature, the leaf-intrinsic terms
 of two-for-three and the MOTS variation), so leaves that read the same
-slices share one result.  Wave specs and Killing developments store their
-derived values the same way, through `derived`.
+slices share one result.  Wave specs, `killing_dev.Spacetime` records and
+developments store their derived values the same way, through `derived`.
 """
 
 from __future__ import annotations
@@ -138,8 +139,6 @@ class InitialDataSet:
 
 def _leaf_metric_components(grid, leaf_metric):
     m = grid.ndim - 1
-    if isinstance(leaf_metric, Field):
-        return leaf_metric.data
     try:
         const = np.asarray(leaf_metric, dtype=float)
     except (TypeError, ValueError):
@@ -178,7 +177,7 @@ def _stored(owner, key, build):
 def derived(build):
     """Run build(owner, *inputs) once per owner and store it in owner._derived.
 
-    Owners are data sets, wave specs and developments.  Extra inputs must be
+    Owners are data sets, wave specs, spacetimes and developments.  Extra inputs must be
     derived from the owner; only the first call reads them.
     """
     @functools.wraps(build)
@@ -252,6 +251,15 @@ def j_normal(ids, j):
 
 
 # --- ambient connection and curvature ------------------------------------------
+
+
+def null_section(ids, sign):
+    """V = phi^{-1}(e0 + sign nu), lightlike: the parallel candidate of rigid data with sign
+    +1, and with -1 a wave's d_v restricted to the data induced on any graph v = w(s)."""
+    inv_phi = 1.0 / ids.phi.data
+    x = np.zeros((ids.grid.ndim,) + inv_phi.shape)
+    x[0] = sign * inv_phi**2
+    return AmbientVector(ids.grid, inv_phi, x)
 
 
 def ambient_derivative(ids, v):

@@ -1,16 +1,12 @@
-"""Lorentzian development of initial data along a lightlike section.
+"""Lorentzian spacetimes that do not depend on v: developments and pp-waves.
 
-Given data (g, k) carrying a transversal section V = u e0 + X of the
-ambient bundle, the development is the stationary metric
+Given data (g, k) carrying a transversal lightlike section V = u e0 + X of
+the ambient bundle, such as `initial_data.null_section`, the development is
+the stationary metric
 
     gbar = X^flat (x) dv + dv (x) X^flat + g
 
 on R x M in coordinates (v, s, x^i), with dv the translation direction.
-The metric is v-independent by construction, so every v-derivative is
-identically zero.  Only the Christoffels, Ricci and Einstein tensors are
-assembled, on the M grid with one extra analytic index (index 0 = v
-throughout this module).
-
 The module also carries the closed-form plane-wave family
 
     gbar = -ds (x) dv - dv (x) ds + f ds^2 + delta_ij dx^i dx^j
@@ -18,6 +14,13 @@ The module also carries the closed-form plane-wave family
 whose Einstein tensor is (1/2)(Delta_leaf f) ds (x) ds, as an end-to-end
 cross-check: data induced on a graph v = w(s) develops back into the wave
 with profile f - 2 w'.
+
+Either metric is a `Spacetime` (grid, gbar, scheme), v-independent, so every
+v-derivative is identically zero: only the Christoffels, Ricci and Einstein
+tensors are assembled, on the M grid with one extra index (index 0 = v
+throughout).  `derived` values are stored on their owner: the connection and
+curvature on a Spacetime; a wave's Spacetime, Ein_ss and induced data on the
+spec; the frame Einstein table on a development.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ import numpy as np
 
 from . import exprlang, geometry
 from .initial_data import (AmbientVector, InitialDataSet, _stored, ambient_residual_norm,
-                           constraints, derived)
-from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, _contract, _partials,
-                   dump_csv, full_grid, grid_values, partial, partial_stack, updated)
-from .rigidity import build_parallel_candidate
+                           constraints, derived, null_section)
+from .mesh import (DEFAULT_SCHEME, DataError, Field, Grid, MeshError, Scheme, _contract,
+                   _partials, dump_csv, full_grid, grid_values, partial, partial_stack, updated)
 
 # --- v-independent spacetime calculus -------------------------------------------
 
@@ -60,6 +62,16 @@ def lorentz_signature_defect(gbar, grid):
 
 
 @dataclass(frozen=True)
+class Spacetime:
+    """A v-independent Lorentzian metric gbar over the M grid, index 0 = v."""
+
+    grid: Grid
+    gbar: np.ndarray
+    scheme: Scheme
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class SpacetimeCurvature:
     """Curvature of a v-independent Lorentzian metric over the M grid."""
 
@@ -70,45 +82,42 @@ class SpacetimeCurvature:
     ginv: np.ndarray
 
 
-def spacetime_christoffels(gbar, grid, scheme=DEFAULT_SCHEME):
-    """Inverse metric and Christoffels Gammabar^A_BC of a v-independent metric."""
-    ginv = geometry.inverse(gbar)
-    return ginv, geometry.christoffels_from(ginv, dead_v_partials(gbar, grid, scheme))
+@derived
+def spacetime_christoffels(st):
+    """Inverse metric and Christoffels Gammabar^A_BC of the spacetime."""
+    ginv = geometry.inverse(st.gbar)
+    return ginv, geometry.christoffels_from(ginv, dead_v_partials(st.gbar, st.grid, st.scheme))
 
 
-def spacetime_curvature(gbar, grid, scheme=DEFAULT_SCHEME, connection=None):
-    """Curvature of `gbar`; `connection` is its (ginv, gamma) where the caller holds them."""
-    ginv, gamma = (spacetime_christoffels(gbar, grid, scheme) if connection is None
-                   else connection)
-    div_gamma = sum(partial(gamma[i + 1], grid, i, scheme) for i in range(grid.ndim))
-    d_trace = dead_v_partials(np.einsum("aab...->b...", gamma), grid, scheme)
+@derived
+def spacetime_curvature(st):
+    """Christoffels, Ricci, scalar curvature, Einstein tensor and inverse of the spacetime."""
+    ginv, gamma = spacetime_christoffels(st)
+    div_gamma = sum(partial(gamma[i + 1], st.grid, i, st.scheme) for i in range(st.grid.ndim))
+    d_trace = dead_v_partials(np.einsum("aab...->b...", gamma), st.grid, st.scheme)
     ricci = geometry.ricci_from(gamma, div_gamma, d_trace)
     scal = _contract("bd...,bd...->...", ginv, ricci)
-    einstein = ricci - 0.5 * scal * gbar
+    einstein = ricci - 0.5 * scal * st.gbar
     return SpacetimeCurvature(gamma, ricci, scal, einstein, ginv)
 
 
 # --- the development --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class KillingDevelopment:
-    """Development metric of a data set along a transversal null section."""
+    """Development of a data set along a transversal lightlike section."""
 
-    def __init__(self, ids, section, gbar, scheme=DEFAULT_SCHEME):
-        self.ids = ids
-        self.grid = ids.grid
-        self.section = section
-        self.gbar = gbar
-        self.scheme = scheme
-        self._derived = {}
-
-    @derived
-    def curvature(self):
-        return spacetime_curvature(self.gbar, self.grid, self.scheme)
+    ids: InitialDataSet
+    section: AmbientVector
+    spacetime: Spacetime
+    lightlike_max: float    # max |gbar(V, V)| of the section
+    parallel_max: float     # max residual of nablabar V
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def build_kd(ids, section=None):
-    """Assemble the development of `ids` along `section` (default: phi^{-1}(e0+nu)).
+def build_kd(ids, section):
+    """Assemble the development of `ids` along `section`.
 
     The section must be transversal (positive e0 coefficient) or the
     build fails; near-lightlike and near-parallel are checked against
@@ -116,8 +125,6 @@ def build_kd(ids, section=None):
     even on exact data.  The assembled coordinate metric must have
     Lorentzian signature at every node.
     """
-    if section is None:
-        section = build_parallel_candidate(ids)
     if np.min(section.a) <= 0.0:
         raise MeshError("section is not transversal: e0 coefficient <= 0 at a node")
     g = ids.metric
@@ -139,10 +146,7 @@ def build_kd(ids, section=None):
     bad = lorentz_signature_defect(gbar, ids.grid)
     if bad:
         raise MeshError(f"development metric is not Lorentzian at {bad} nodes")
-    kd = KillingDevelopment(ids, section, gbar, ids.scheme)
-    kd.lightlike_max = lightlike    # max |gbar(V, V)| of the section
-    kd.parallel_max = par           # max residual of nablabar V
-    return kd
+    return KillingDevelopment(ids, section, Spacetime(ids.grid, gbar, ids.scheme), lightlike, par)
 
 
 # --- orthonormal frame and the Einstein table --------------------------------------
@@ -202,11 +206,11 @@ def kd_einstein(kd):
         frame[i, 1:] = spatial[i]
     frame[n, 1:] = spatial[0]                   # nu last
 
-    gram = _contract("Ai...,ij...,Bj...->AB...", frame, kd.gbar, frame)
+    gram = _contract("Ai...,ij...,Bj...->AB...", frame, kd.spacetime.gbar, frame)
     eta = np.diag([-1.0] + [1.0] * n).reshape((n + 1, n + 1) + (1,) * ids.grid.ndim)
     defect = float(np.max(np.abs(gram - eta)))
 
-    curv = kd.curvature()
+    curv = spacetime_curvature(kd.spacetime)
     ein = _contract("Ai...,ij...,Bj...->AB...", frame, curv.einstein, frame)
     labels = ("e0",) + tuple(f"e{i}" for i in range(1, n)) + ("nu",)
     return FrameEinstein(ids.grid, labels, frame, ein, curv.scal, defect)
@@ -223,8 +227,9 @@ def kd_pattern_residuals(kd):
     """
     table = kd_einstein(kd)
     rho = constraints(kd.ids)[0]
-    n = kd.grid.ndim
-    sigma = -1.0 if float(np.mean(-full_grid(kd.section.x[0], kd.grid))) > 0.0 else 1.0
+    grid = kd.ids.grid
+    n = grid.ndim
+    sigma = -1.0 if float(np.mean(-full_grid(kd.section.x[0], grid))) > 0.0 else 1.0
     pattern = np.zeros((n + 1, n + 1))
     pattern[0, 0] = 1.0
     pattern[n, n] = 1.0
@@ -353,7 +358,7 @@ def kd_dec_check(kd, count=64):
     shallower than the exact inner minimum over 4096 directions).  A
     negative value is a violation, witnessed at the reported node and pair.
     """
-    return frame_dec_minimum(kd_einstein(kd).ein, kd.grid, count)
+    return frame_dec_minimum(kd_einstein(kd).ein, kd.ids.grid, count)
 
 
 # --- plane-wave family --------------------------------------------------------------
@@ -381,8 +386,9 @@ def ppwave(grid, f, scheme=DEFAULT_SCHEME):
     return PpWaveSpec(grid, ast, scheme)
 
 
-def ppwave_metric(spec):
-    """Coordinate components of -ds dv - dv ds + f ds^2 + delta."""
+@derived
+def wave_spacetime(spec):
+    """The wave -ds dv - dv ds + f ds^2 + delta as a Spacetime, built once per spec."""
     grid = spec.grid
     n = grid.ndim
     f_vals = grid_values(grid, spec.f)
@@ -391,41 +397,29 @@ def ppwave_metric(spec):
     gbar[1, 1] = f_vals
     for i in range(2, n + 1):
         gbar[i, i] = 1.0
-    return gbar
+    return Spacetime(grid, gbar, spec.scheme)
 
 
 @derived
-def wave_connection(spec):
-    """The wave's metric, its inverse and Christoffels (gbar, ginv, gamma), built once per spec."""
-    gbar = ppwave_metric(spec)
-    return (gbar,) + spacetime_christoffels(gbar, spec.grid, spec.scheme)
-
-
-def leaf_laplacian_exact(spec):
-    """Geometric leaf Laplacian -sum_i d^2 f / dx_i^2 from symbolic derivatives."""
+def wave_ein_ss(spec):
+    """The closed-form Ein_ss = (1/2) Delta_leaf f, with the geometric leaf Laplacian
+    -sum_i d^2 f / dx_i^2 from symbolic derivatives."""
     grid = spec.grid
     env = grid.coord_env()
     total = 0.0
     for i in range(1, grid.ndim):
         second = exprlang.diff(exprlang.diff(spec.f, f"x{i}"), f"x{i}")
         total = total - grid_values(grid, second, env)
-    return total
+    return 0.5 * total
 
 
-@dataclass(frozen=True)
-class PpWaveReport:
-    """Residuals of the wave metric against its closed-form curvature."""
-
-    formula_residual_max: float
-    off_component_max: float
-    scal_max: float
-    parallel_kv_max: float
-    dec_margin_min: float
-    einstein: np.ndarray
-    expected_ss: np.ndarray
+def _wave_form_residuals(ein, ein_ss):
+    """Max |Ein_ss - ein_ss| and the max of |Ein| over every other component."""
+    off = ein.copy()
+    off[1, 1] = 0.0
+    return float(np.max(np.abs(ein[1, 1] - ein_ss))), float(np.max(np.abs(off)))
 
 
-@derived
 def ppwave_einstein_check(spec):
     """Einstein tensor of the wave versus (1/2)(Delta_leaf f) ds (x) ds.
 
@@ -436,22 +430,16 @@ def ppwave_einstein_check(spec):
     exactly when that coefficient is nonnegative, i.e. when the profile's
     geometric leaf Laplacian is nonnegative.
     """
-    grid = spec.grid
-    gbar, ginv, gamma = wave_connection(spec)
-    curv = spacetime_curvature(gbar, grid, spec.scheme, (ginv, gamma))
-    expected_ss = 0.5 * leaf_laplacian_exact(spec)
+    curv = spacetime_curvature(wave_spacetime(spec))
     ein = curv.einstein
-    off = ein.copy()
-    off[1, 1] = 0.0
-    return PpWaveReport(
-        formula_residual_max=float(np.max(np.abs(ein[1, 1] - expected_ss))),
-        off_component_max=float(np.max(np.abs(off))),
-        scal_max=float(np.max(np.abs(curv.scal))),
-        parallel_kv_max=float(np.max(np.abs(curv.gamma[:, :, 0]))),
-        dec_margin_min=float(np.min(ein[1, 1])),
-        einstein=ein,
-        expected_ss=expected_ss,
-    )
+    formula, off = _wave_form_residuals(ein, wave_ein_ss(spec))
+    return {
+        "formula_residual_max": formula,
+        "off_component_max": off,
+        "scal_max": float(np.max(np.abs(curv.scal))),
+        "parallel_kv_max": float(np.max(np.abs(curv.gamma[:, :, 0]))),
+        "dec_margin_min": float(np.min(ein[1, 1])),
+    }
 
 
 # --- hypersurface data induction ----------------------------------------------------
@@ -488,7 +476,8 @@ def induce_from_ppwave(spec, w="0"):
             raise DataError("graph is not spacelike: f - 2 dw/ds <= 0 at a node")
         phi = Field(grid, "scalar", np.sqrt(phi2))
 
-        gbar, ginv, gamma = wave_connection(spec)
+        wave = wave_spacetime(spec)
+        ginv, gamma = spacetime_christoffels(wave)
         dw_vals = grid_values(grid, dw, env)
 
         # future unit normal from the conormal dv - w' ds
@@ -497,7 +486,7 @@ def induce_from_ppwave(spec, w="0"):
         conormal[1] = -dw_vals
         normal = _contract("AB...,B...->A...", ginv, conormal)
         e0 = -normal / phi.data
-        e0_v = _contract("A...,A...->...", gbar[0], e0)
+        e0_v = _contract("A...,A...->...", wave.gbar[0], e0)
         if float(np.max(e0_v)) >= 0.0:
             raise DataError("graph normal is not future directed")
 
@@ -509,26 +498,13 @@ def induce_from_ppwave(spec, w="0"):
 
         de0 = partial_stack(e0, grid, spec.scheme)
         cov = de0 + _contract("BCD...,aC...,D...->aB...", gamma, tangents, e0)
-        k = _contract("BD...,bD...,aB...->ab...", gbar, tangents, cov)
+        k = _contract("BD...,bD...,aB...->ab...", wave.gbar, tangents, cov)
         asym = float(np.max(np.abs(k - np.einsum("ab...->ba...", k))))
         if asym > 1e-6 * (1.0 + float(np.max(np.abs(k)))):
             warnings.warn(f"induced second fundamental form asymmetry {asym:.3e}")
         return InitialDataSet.product(grid, phi, np.eye(n - 1),
                                       Field(grid, "sym2", geometry.symmetrize(k)), spec.scheme)
     return _stored(spec, (induce_from_ppwave, w_ast), build)
-
-
-def restricted_killing_section(ids):
-    """Restriction of the wave's translation direction to induced data.
-
-    Decomposing d_v along the graph gives u = 1/phi and tangential part
-    -phi^{-2} d_s regardless of the graph function, so this is the
-    parallel section the induced data develops along.
-    """
-    inv_phi = 1.0 / ids.phi.data
-    x = np.zeros((ids.grid.ndim,) + inv_phi.shape)
-    x[0] = -(inv_phi**2)
-    return AmbientVector(ids.grid, inv_phi, x)
 
 
 def kd_roundtrip(spec, w="0"):
@@ -541,29 +517,25 @@ def kd_roundtrip(spec, w="0"):
     rejects any other graph), so it is periodic on the leaves whenever f is.
     """
     ids = induce_from_ppwave(spec, w)
-    section = restricted_killing_section(ids)
-    kd = build_kd(ids, section)
+    kd = build_kd(ids, null_section(ids, -1.0))
 
     w_ast = exprlang.parse(w) if isinstance(w, str) else w
     dw = exprlang.diff(w_ast, "s")
     shifted = (spec if dw == exprlang.Num(0.0)
                else PpWaveSpec(spec.grid, graph_profile(spec, dw), spec.scheme))
-    expected = wave_connection(shifted)[0]
-    wave_report = ppwave_einstein_check(shifted)
-    kd_ein = kd.curvature().einstein
-    off = kd_ein.copy()
-    off[1, 1] = 0.0
+    wave = wave_spacetime(shifted)
+    wave_ein = spacetime_curvature(wave).einstein
+    curv = spacetime_curvature(kd.spacetime)
+    formula, off = _wave_form_residuals(curv.einstein, wave_ein_ss(shifted))
     table = kd_einstein(kd)
-    wave_frame = _contract("Ai...,ij...,Bj...->AB...", table.frame,
-                            wave_report.einstein, table.frame)
+    wave_frame = _contract("Ai...,ij...,Bj...->AB...", table.frame, wave_ein, table.frame)
     return {
-        "metric_gap_max": float(np.max(np.abs(kd.gbar - expected))),
-        "einstein_gap_max": float(np.max(np.abs(kd_ein - wave_report.einstein))),
+        "metric_gap_max": float(np.max(np.abs(kd.spacetime.gbar - wave.gbar))),
+        "einstein_gap_max": float(np.max(np.abs(curv.einstein - wave_ein))),
         "frame_table_gap_max": float(np.max(np.abs(table.ein - wave_frame))),
-        "kd_formula_residual_max": float(np.max(np.abs(
-            kd_ein[1, 1] - wave_report.expected_ss))),
-        "kd_off_component_max": float(np.max(np.abs(off))),
-        "scal_max": float(np.max(np.abs(kd.curvature().scal))),
+        "kd_formula_residual_max": formula,
+        "kd_off_component_max": off,
+        "scal_max": float(np.max(np.abs(curv.scal))),
     }
 
 

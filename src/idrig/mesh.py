@@ -164,18 +164,22 @@ class Grid:
 # --- derivative schemes --------------------------------------------------------
 
 
+S_SCHEMES = ("fd2", "fd4")
+LEAF_SCHEMES = S_SCHEMES + ("spectral",)
+
+
 @dataclass(frozen=True)
 class Scheme:
-    """Derivative scheme per axis class: s in {fd2, fd4}, leaf adds spectral."""
+    """Derivative scheme per axis class: s in S_SCHEMES, leaf in LEAF_SCHEMES."""
 
     s: str = "fd4"
     leaf: str = "spectral"
 
     def __post_init__(self):
-        if self.s not in ("fd2", "fd4"):
-            raise MeshError(f"s scheme {self.s!r} not in fd2, fd4")
-        if self.leaf not in ("fd2", "fd4", "spectral"):
-            raise MeshError(f"leaf scheme {self.leaf!r} not in fd2, fd4, spectral")
+        if self.s not in S_SCHEMES:
+            raise MeshError(f"s scheme {self.s!r} not in {', '.join(S_SCHEMES)}")
+        if self.leaf not in LEAF_SCHEMES:
+            raise MeshError(f"leaf scheme {self.leaf!r} not in {', '.join(LEAF_SCHEMES)}")
 
     def for_axis(self, grid, i):
         return self.leaf if grid.periodic[i] else self.s

@@ -30,6 +30,7 @@ from .initial_data import (
     leaf_curvature,
     leaf_shared,
     nabla_k,
+    null_section,
 )
 from .mesh import (
     DEFAULT_SCHEME,
@@ -67,21 +68,13 @@ def rigid_recipe(grid, phi, leaf_metric=None, scheme=DEFAULT_SCHEME):
     return InitialDataSet.product(grid, phi_ast, leaf_metric, k_exprs, scheme)
 
 
-def build_parallel_candidate(ids):
-    """V = phi^{-1}(e0 + nu), the unique candidate lightlike parallel section."""
-    inv_phi = 1.0 / ids.phi.data
-    x = np.zeros((ids.grid.ndim,) + inv_phi.shape)
-    x[0] = inv_phi**2
-    return AmbientVector(ids.grid, inv_phi, x)
-
-
 def parallel_residuals(ids):
-    """Max norms of nablabar V for the candidate V, split by direction class.
+    """Max norms of nablabar V for the candidate V = phi^{-1}(e0 + nu), split by direction class.
 
     Returns dict with keys all/s/leaf; the leaf part is spectral-exact on
     band-limited data while the s part carries the finite-difference error.
     """
-    per_dir = ambient_residual_norm(ids, build_parallel_candidate(ids))
+    per_dir = ambient_residual_norm(ids, null_section(ids, 1.0))
     return {
         "all": float(np.max(per_dir)),
         "s": float(np.max(per_dir[0])),
@@ -214,11 +207,8 @@ def two_for_three_residual(ids, tau):
 @dataclass(frozen=True)
 class VariationResult:
     theta_rate: Field          # d theta+ / ds at the leaf
-    rhs_simplified: Field      # (div Y - |Y|^2 + Q) phi,  Y = X - grad log phi
-    rhs_raw: Field             # delta d phi + 2 d_X phi + (div X - |X|^2 + Q) phi
-    residual: Field            # theta_rate - rhs_simplified
-    cross_check: Field         # rhs_simplified - rhs_raw, algebraically zero
-    q_potential: Field         # Q = scal^F/2 - (rho + j(nu)) - |chi+|^2/2
+    residual: Field            # theta_rate - (div Y - |Y|^2 + Q) phi,  Y = X - grad log phi
+    cross_check: Field         # that form less the raw one (_variation_terms), algebraically zero
 
 
 @derived
@@ -286,11 +276,8 @@ def variation_residual(ids, tau):
 
     return VariationResult(
         Field(leaf_grid, "scalar", rate),
-        Field(leaf_grid, "scalar", rhs_simpl),
-        Field(leaf_grid, "scalar", rhs_raw),
         Field(leaf_grid, "scalar", rate - rhs_simpl),
         Field(leaf_grid, "scalar", rhs_simpl - rhs_raw),
-        Field(leaf_grid, "scalar", q),
     )
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import exprlang, killing_dev
 from .initial_data import InitialDataSet
-from .mesh import DataError, Field, Grid, MeshError, Scheme, sample
+from .mesh import DEFAULT_SCHEME, DataError, Field, Grid, MeshError, Scheme, sample
 from .rigidity import rigid_recipe
 
 
@@ -143,7 +143,8 @@ def parse_scene(path):
 
     scheme_sec = parser["scheme"] if parser.has_section("scheme") else {}
     try:
-        scheme = Scheme(scheme_sec.get("s", "fd4"), scheme_sec.get("leaf", "spectral"))
+        scheme = Scheme(scheme_sec.get("s", DEFAULT_SCHEME.s),
+                        scheme_sec.get("leaf", DEFAULT_SCHEME.leaf))
     except MeshError as exc:
         raise SceneError(f"[scheme]: {exc}") from exc
 

@@ -18,6 +18,7 @@ from idrig import cli, exprlang, geometry
 from idrig import killing_dev as kdm
 from idrig import rigidity
 from idrig.cli import CONVERGENCE_CHECKS, main
+from idrig.mesh import MeshError, Scheme
 from idrig.scene import parse_scene, scene_initial_data, scene_ppwave
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
@@ -203,9 +204,10 @@ def test_default_and_tol_leave_parallel_kv_max_alone(tmp_path):
 
 
 def test_ppwave_roundtrip_reuses_the_wave_check(tmp_path, monkeypatch):
+    # counts curvature builds: spacetime_curvature is derived, so a stored one is not rebuilt
     calls = []
-    original = kdm.spacetime_curvature
-    monkeypatch.setattr(kdm, "spacetime_curvature",
+    original = geometry.ricci_from
+    monkeypatch.setattr(geometry, "ricci_from",
                         lambda *args: calls.append(args) or original(*args))
     # w = 0: the graph develops back into the scene's own wave, checked once
     code, _, _ = run(["ppwave", SCENES / "roundtrip.scene"])
@@ -345,7 +347,7 @@ LIBRARY_RESIDUALS = {
     "two_for_three": lambda ids, tau: rigidity.two_for_three_residual(
         ids, tau).residual.max_norm(),
     "variation": lambda ids, tau: rigidity.variation_residual(ids, tau).residual.max_norm(),
-    "ppwave_formula": lambda spec, tau: kdm.ppwave_einstein_check(spec).formula_residual_max,
+    "ppwave_formula": lambda spec, tau: kdm.ppwave_einstein_check(spec)["formula_residual_max"],
 }
 
 
@@ -620,6 +622,19 @@ def test_scene_grid_errors(tmp_path):
         assert code == 2 and err == "scene error: scene has no wave profile\n"
 
 
+def test_the_scheme_choices_are_the_names_a_scheme_takes():
+    choices = {action.dest: action.choices for action in cli.build_parser()._actions}
+    names = set(choices["scheme_s"]) | set(choices["scheme_leaf"]) | {"fd6", "Spectral"}
+    for name in names:
+        for axis in ("s", "leaf"):
+            try:
+                Scheme(**{axis: name})
+            except MeshError:
+                assert name not in choices[f"scheme_{axis}"], (axis, name)
+            else:
+                assert name in choices[f"scheme_{axis}"], (axis, name)
+
+
 def test_argparse_rejects_bad_invocations():
     with pytest.raises(SystemExit) as exc:
         run(["bogus", SCENES / "flat.scene"])
@@ -696,6 +711,18 @@ def test_out_flag_and_determinism(tmp_path, monkeypatch):
         result = run_text(["constraints", SCENES / "flat.scene", "--out", path])
         assert result == (2, "", f"output error: {path}: {reason}\n")
     assert ran == [] and not missing.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_write_that_fails_at_close_names_the_path(tmp_path):
+    # /dev/full takes the open and fails the flush at close, whose error names no file
+    result = run_text(["constraints", SCENES / "flat.scene", "--out", "/dev/full"])
+    assert result == (2, "", "output error: /dev/full: No space left on device\n")
+    out = tmp_path / "fields"
+    out.mkdir()
+    (out / "rho.csv").symlink_to("/dev/full")
+    code, _, err = run_text(["constraints", SCENES / "flat.scene", "--dump-fields", out])
+    assert (code, err) == (2, f"output error: {out / 'rho.csv'}: No space left on device\n")
 
 
 def test_a_grid_too_large_for_memory_exits_two(tmp_path):

@@ -7,8 +7,7 @@ import sympy as sp
 from idrig.mesh import (DataError, Grid, Field, MeshError, partial, partial_stack, sample,
                         _contract, _live, _spectral_axis)
 from idrig import geometry
-from idrig.killing_dev import (dead_v_partials, ppwave, ppwave_metric,
-                               spacetime_christoffels)
+from idrig.killing_dev import dead_v_partials, ppwave, spacetime_christoffels, wave_spacetime
 from idrig.rigidity import rigid_recipe
 from helpers import (SCHEME, constant_along, dense_christoffels_from, dense_riemann_from,
                      grid3, pattern_grid, pattern_metric, reduced_along, same_bits, torus)
@@ -388,12 +387,12 @@ def test_tensor_arrays_are_c_contiguous_float64():
     grid, m = torus_metric(8)
     ids = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
     spec = ppwave(grid3(9, 8), "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME)
-    ginv_st, gamma_st = spacetime_christoffels(ppwave_metric(spec), spec.grid, SCHEME)
+    ginv_st, gamma_st = spacetime_christoffels(wave_spacetime(spec))
     spectral = partial(m.data, grid, 1, SCHEME)
     # derivatives are scattered into one fresh array, not a view of a stack or a buffer
     owners = {"spectral partial": spectral,
               "partial_stack": partial_stack(ids.metric.data[1:, 1:], ids.grid, SCHEME),
-              "dead_v_partials": dead_v_partials(ppwave_metric(spec), spec.grid, SCHEME),
+              "dead_v_partials": dead_v_partials(wave_spacetime(spec).gbar, spec.grid, SCHEME),
               "_contract": _contract("ab...,b...->a...", m.ginv, m.data[0]),
               # written component by component into one fresh array
               "inverse, dense": geometry.inverse(m.data),

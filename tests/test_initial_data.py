@@ -8,9 +8,8 @@ from idrig.initial_data import (InitialDataSet, AmbientVector, constraints,
                                 ambient_derivative,
                                 ambient_residual_norm,
                                 ambient_curvature, ambient_curvature_pairing,
-                                leaf_curvature)
-from idrig.rigidity import (rigid_recipe, build_parallel_candidate, chi_plus_field, lambda_form,
-                            theta_plus_field)
+                                leaf_curvature, null_section)
+from idrig.rigidity import rigid_recipe, chi_plus_field, lambda_form, theta_plus_field
 from helpers import SCHEME, grid3, leaf_null_values
 from references import ambient_pairing, from_normal_components, parallel_transport
 
@@ -55,7 +54,7 @@ def test_a_stored_bundle_builds_curvature_on_its_first_read(monkeypatch):
                         lambda *args: calls.append(1) or riemann_from(*args))
     ids = rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
     bundle = ids.curvature()
-    ambient_derivative(ids, build_parallel_candidate(ids))
+    ambient_derivative(ids, null_section(ids, 1))
     lambda_form(ids)
     assert calls == []  # the connection's readers build no Riemann tensor
     scal = bundle.scal
@@ -264,7 +263,7 @@ def test_parallel_section_sub_identities():
     # a parallel (a, X) satisfies da(Y) = k(Y, -X) and nabla_Y(-X) = a k(Y,.)#
     grid = Grid.product(1.0, 33, (16, 16), (1.0, 1.0))
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
-    v = build_parallel_candidate(ids)
+    v = null_section(ids, 1)
     u = -v.x
     da = partial_stack(v.a, grid, SCHEME)
     assert np.max(np.abs(da - np.einsum("cb...,b...->c...", ids.k.data, u))) < 1e-11
@@ -277,7 +276,7 @@ def test_parallel_section_sub_identities():
 def test_ambient_curvature_annihilates_parallel_section():
     grid = Grid.product(1.0, 33, (16, 16), (1.0, 1.0))
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
-    v = build_parallel_candidate(ids)
+    v = null_section(ids, 1)
     cv = ambient_curvature(ids, v)
     assert np.max(np.abs(cv.a)) < 1e-9
     assert np.max(np.abs(cv.x)) < 1e-9
@@ -380,7 +379,7 @@ def test_transport_on_an_open_path_lands_on_the_parallel_section():
     grid = grid3(17, 16)
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
     assert ids.curvature().christoffels.shape[3:] == (1, 16, 1)  # interpolated as stored
-    v = build_parallel_candidate(ids)
+    v = null_section(ids, 1)
     a, x = full_grid(v.a, grid), full_grid(v.x, grid)
     path = [(3, 2, 2), (3, 10, 2), (3, 10, 10)]
     res = parallel_transport(ids, a[path[0]], x[(slice(None),) + path[0]], path)
@@ -392,7 +391,7 @@ def test_transport_on_an_open_path_lands_on_the_parallel_section():
 def test_transport_rigid_loop_holonomy():
     grid = grid3(17, 16)
     ids = rigid_recipe(grid, "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
-    v = build_parallel_candidate(ids)
+    v = null_section(ids, 1)
     a, x = full_grid(v.a, grid), full_grid(v.x, grid)
     loop = [(3, 2, 2), (3, 10, 2), (3, 10, 10), (3, 2, 10), (3, 2, 2)]
     i0 = loop[0]

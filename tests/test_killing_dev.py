@@ -13,19 +13,23 @@ import pytest
 from idrig import exprlang, geometry, killing_dev
 from idrig.mesh import DataError, Grid, MeshError, full_grid
 from idrig.initial_data import (AmbientVector, InitialDataSet, ambient_residual_norm,
-                                constraints)
-from idrig.rigidity import build_parallel_candidate, rigid_recipe
-from idrig.killing_dev import (dead_v_partials, lorentz_signature_defect,
+                                constraints, null_section)
+from idrig.rigidity import rigid_recipe
+from idrig.killing_dev import (Spacetime, dead_v_partials, lorentz_signature_defect,
                                build_kd, kd_einstein, kd_pattern_residuals,
                                kd_dec_check, causal_direction_set, ppwave,
-                               ppwave_einstein_check, induce_from_ppwave,
-                               restricted_killing_section, kd_roundtrip,
-                               dump_frame_table_csv, ppwave_metric,
+                               ppwave_einstein_check, induce_from_ppwave, kd_roundtrip,
+                               dump_frame_table_csv, wave_ein_ss, wave_spacetime,
                                spacetime_christoffels, spacetime_curvature)
 from idrig.scene import parse_scene, scene_ppwave
 from helpers import (SCHEME, constant_along, dense_frame_dec_minimum, grid3, pattern_grid,
                      pattern_metric, reduced_along)
 from references import unparse
+
+
+def rigid_kd(ids):
+    """The development of `ids` along the rigid data's section phi^{-1}(e0 + nu)."""
+    return build_kd(ids, null_section(ids, 1))
 
 
 # --- spacetime calculus -------------------------------------------------------------
@@ -41,9 +45,9 @@ def test_dead_v_partials_shape():
 
 def test_spacetime_christoffels_are_those_of_the_curvature_pass():
     spec = ppwave(grid3(9, 8), "1 + 0.3*sin(2*pi*x1)*cos(2*pi*x2) + 0.2*s^2", SCHEME)
-    gbar = ppwave_metric(spec)
-    ginv, gamma = spacetime_christoffels(gbar, spec.grid, SCHEME)
-    curv = spacetime_curvature(gbar, spec.grid, SCHEME)
+    gbar = wave_spacetime(spec).gbar
+    ginv, gamma = spacetime_christoffels(Spacetime(spec.grid, gbar, SCHEME))
+    curv = spacetime_curvature(Spacetime(spec.grid, gbar, SCHEME))
     assert np.max(np.abs(gamma)) > 0.1
     assert np.array_equal(gamma, curv.gamma)
     assert np.array_equal(ginv, curv.ginv)
@@ -56,18 +60,18 @@ def _warped_wave_metric():
     of Ricci vanish and would go unchecked.
     """
     spec = ppwave(grid3(9, 8), "1 + 0.2*sin(2*pi*x1)*cos(2*pi*x2)", SCHEME)
-    gbar = np.array(full_grid(ppwave_metric(spec), spec.grid))  # gbar_22 varies along s too
+    gbar = np.array(full_grid(wave_spacetime(spec).gbar, spec.grid))  # gbar_22 varies along s too
     gbar[2, 2] = np.exp(0.2 * gbar[1, 1] + 0.1 * spec.grid.coord_env()["s"])
     return gbar, spec.grid
 
 
 def test_spacetime_ricci_matches_the_contracted_riemann_tensor():
     gbar, grid = _warped_wave_metric()
-    ginv, gamma = spacetime_christoffels(gbar, grid, SCHEME)
+    ginv, gamma = spacetime_christoffels(Spacetime(grid, gbar, SCHEME))
     assert np.max(np.abs(np.einsum("aab...->b...", gamma))) > 0.01
     riem_up = geometry.riemann_from(gamma, dead_v_partials(gamma, grid, SCHEME))
     reference = np.einsum("abad...->bd...", riem_up)
-    ricci = spacetime_curvature(gbar, grid, SCHEME).ricci
+    ricci = spacetime_curvature(Spacetime(grid, gbar, SCHEME)).ricci
     scale = np.max(np.abs(reference))
     assert scale > 0.1
     assert np.max(np.abs(ricci - reference)) < 1e-12 * scale
@@ -75,7 +79,7 @@ def test_spacetime_ricci_matches_the_contracted_riemann_tensor():
 
 def test_spacetime_curvature_builds_no_riemann_tensor(monkeypatch):
     gbar, grid = _warped_wave_metric()
-    expected = spacetime_curvature(gbar, grid, SCHEME)
+    expected = spacetime_curvature(Spacetime(grid, gbar, SCHEME))
 
     def forbidden(*args):
         raise AssertionError("spacetime_curvature built a Riemann tensor")
@@ -88,7 +92,7 @@ def test_spacetime_curvature_builds_no_riemann_tensor(monkeypatch):
 
     monkeypatch.setattr(geometry, "riemann_from", forbidden)
     monkeypatch.setattr(killing_dev, "dead_v_partials", recording)
-    curv = spacetime_curvature(gbar, grid, SCHEME)
+    curv = spacetime_curvature(Spacetime(grid, gbar, SCHEME))
     assert np.array_equal(curv.einstein, expected.einstein)
     assert sorted(ranks) == [1, 2]     # the trace of Gamma and the metric, never Gamma
 
@@ -114,8 +118,8 @@ def dense_signature_defect(gbar):
 
 def test_lorentz_signature_defect_counts_block_by_block_as_the_dense_count():
     grid = grid3(9, 8)
-    wave = ppwave_metric(ppwave(grid, "1 + 0.5*sin(2*pi*x1)", SCHEME))
-    recipe = build_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME)).gbar
+    wave = wave_spacetime(ppwave(grid, "1 + 0.5*sin(2*pi*x1)", SCHEME)).gbar
+    recipe = rigid_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME)).spacetime.gbar
     # the wave with the leaf direction x2 turned timelike at half the nodes: a
     # second negative eigenvalue, on an axis uncoupled from the others
     two = np.array(full_grid(wave, grid))
@@ -150,7 +154,7 @@ def test_a_scaled_lorentzian_metric_counts_no_node():
     grid = grid3(9, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the section of this coarse grid is not parallel
-        gbar = build_kd(rigid_recipe(grid, "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)).gbar
+        gbar = rigid_kd(rigid_recipe(grid, "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME)).spacetime.gbar
     assert dense_signature_defect(np.broadcast_to(gbar, gbar.shape[:2] + grid.shape)) == 0
     c = 1e150
     assert lorentz_signature_defect(c * c * gbar, grid) == 0
@@ -164,7 +168,7 @@ def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
     # a wave whose profile depends on s alone, so the metric is constant along
     # the leaves; at one s node the leaf direction x2 turns timelike
     grid = grid3(9, 8)
-    wave = ppwave_metric(ppwave(grid, "1 + 0.5*s^2", SCHEME))
+    wave = wave_spacetime(ppwave(grid, "1 + 0.5*s^2", SCHEME)).gbar.copy()
     wave[3, 3, 4] = -1.0
     assert geometry._node_matrices(wave).shape == (9, 1, 1, 4, 4)
     dense = np.broadcast_to(wave, wave.shape[:2] + grid.shape)
@@ -175,8 +179,8 @@ def test_a_non_lorentzian_slice_along_constant_axes_counts_every_node():
 
 
 def test_flat_development_is_minkowski():
-    kd = build_kd(rigid_recipe(grid3(17, 16), "1", scheme=SCHEME))
-    curv = kd.curvature()
+    kd = rigid_kd(rigid_recipe(grid3(17, 16), "1", scheme=SCHEME))
+    curv = spacetime_curvature(kd.spacetime)
     assert np.max(np.abs(curv.einstein)) == 0.0
     assert np.max(np.abs(curv.scal)) == 0.0
     table = kd_einstein(kd)
@@ -187,8 +191,8 @@ def test_flat_development_is_minkowski():
 def test_vacuum_development_is_exactly_ricci_flat():
     # phi = phi(s): the only connection coefficient is along s and the
     # curvature cancels identically, not just to stencil accuracy
-    kd = build_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME))
-    assert np.max(np.abs(kd.curvature().einstein)) == 0.0
+    kd = rigid_kd(rigid_recipe(grid3(17, 16), "exp(s/10)", scheme=SCHEME))
+    assert np.max(np.abs(spacetime_curvature(kd.spacetime).einstein)) == 0.0
     res = kd_pattern_residuals(kd)
     assert res["off_pattern_max"] < 1e-15
     assert res["leaf_block_max"] == 0.0
@@ -199,7 +203,7 @@ def test_vacuum_development_is_exactly_ricci_flat():
 
 def test_development_einstein_pattern_on_leafy_recipe():
     ids = rigid_recipe(grid3(17, 16), "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
-    kd = build_kd(ids)
+    kd = rigid_kd(ids)
     rho, _ = constraints(ids)
     assert rho.max_norm() > 1.0
     res = kd_pattern_residuals(kd)
@@ -214,7 +218,7 @@ def test_development_einstein_pattern_on_leafy_recipe():
 def test_dec_scan_localizes_energy_violation():
     ids = rigid_recipe(grid3(17, 16), "exp(0.1*sin(2*pi*x1))", scheme=SCHEME)
     rho, _ = constraints(ids)
-    kd = build_kd(ids)
+    kd = rigid_kd(ids)
     dec = kd_dec_check(kd)
     assert dec.minimum < -1.0
     assert dec.minimum < -1e-8 * (1.0 + dec.scale)
@@ -241,13 +245,13 @@ def test_build_kd_validation_and_warnings():
     x[0] = 2.0
     stretched = AmbientVector(grid, 2.0 * np.ones(grid.shape), x)
     kd = build_kd(flat, stretched)
-    assert np.max(np.abs(kd.curvature().einstein)) == 0.0
+    assert np.max(np.abs(spacetime_curvature(kd.spacetime).einstein)) == 0.0
 
-    # the default section on non-rigid data is not parallel
+    # the rigid data's section on non-rigid data is not parallel
     loose = InitialDataSet.product(grid, "exp(0.1*sin(2*pi*x1))", np.eye(2),
                                    [["0"] * 3 for _ in range(3)], scheme=SCHEME)
     with pytest.warns(UserWarning, match="not parallel"):
-        build_kd(loose)
+        rigid_kd(loose)
 
 
 def test_build_kd_stores_the_section_maxima():
@@ -255,8 +259,8 @@ def test_build_kd_stores_the_section_maxima():
                                    [["0"] * 3 for _ in range(3)], scheme=SCHEME)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        kd = build_kd(loose)
-    section = build_parallel_candidate(loose)
+        kd = rigid_kd(loose)
+    section = null_section(loose, 1)
     lightlike = np.max(np.abs(-section.a**2 + loose.metric.norm2_vector(section.x)))
     assert kd.lightlike_max == float(lightlike)
     assert kd.parallel_max == float(np.max(ambient_residual_norm(loose, section)))
@@ -415,27 +419,27 @@ WAVE_PROFILES = [
 def test_wave_einstein_closed_form(profile):
     spec = ppwave(grid3(17, 16), profile, scheme=SCHEME)
     rep = ppwave_einstein_check(spec)
-    assert rep.formula_residual_max < 1e-10
-    assert rep.off_component_max == 0.0
-    assert rep.scal_max == 0.0
-    assert rep.parallel_kv_max == 0.0
+    assert rep["formula_residual_max"] < 1e-10
+    assert rep["off_component_max"] == 0.0
+    assert rep["scal_max"] == 0.0
+    assert rep["parallel_kv_max"] == 0.0
     # leaf laplacian of each profile changes sign
-    assert rep.dec_margin_min < -1e-8 * (1.0 + np.max(np.abs(rep.expected_ss)))
+    assert rep["dec_margin_min"] < -1e-8 * (1.0 + np.max(np.abs(wave_ein_ss(spec))))
 
 
 def test_wave_einstein_sign_convention():
     grid = grid3(17, 16)
-    rep = ppwave_einstein_check(ppwave(grid, "sin(2*pi*x1)", scheme=SCHEME))
+    st = wave_spacetime(ppwave(grid, "sin(2*pi*x1)", scheme=SCHEME))
     env = grid.coord_env()
     want = 2 * np.pi**2 * np.broadcast_to(np.sin(2 * np.pi * env["x1"]), grid.shape)
-    assert np.max(np.abs(rep.einstein[1, 1] - want)) < 1e-10
+    assert np.max(np.abs(spacetime_curvature(st).einstein[1, 1] - want)) < 1e-10
 
 
 def test_wave_with_pure_s_profile_is_vacuum():
-    rep = ppwave_einstein_check(ppwave(grid3(17, 16), "2 + 0.5*s + 0.3*s^2",
-                                       scheme=SCHEME))
-    assert np.max(np.abs(rep.einstein)) == 0.0
-    assert rep.dec_margin_min >= -1e-8 * (1.0 + np.max(np.abs(rep.expected_ss)))
+    spec = ppwave(grid3(17, 16), "2 + 0.5*s + 0.3*s^2", scheme=SCHEME)
+    assert np.max(np.abs(spacetime_curvature(wave_spacetime(spec)).einstein)) == 0.0
+    assert ppwave_einstein_check(spec)["dec_margin_min"] >= -1e-8 * (
+        1.0 + np.max(np.abs(wave_ein_ss(spec))))
 
 
 def test_wave_profile_validation():
@@ -490,21 +494,28 @@ def test_induced_data_is_built_once_per_graph():
 
 def test_wave_and_development_store_derived_values_read_only():
     spec = ppwave(grid3(9, 8), "2 + 0.1*sin(2*pi*x1)", scheme=SCHEME)
-    rep = ppwave_einstein_check(spec)
-    assert ppwave_einstein_check(spec) is rep
+    wave = wave_spacetime(spec)
+    wave_curv = spacetime_curvature(wave)
+    ein_ss = wave_ein_ss(spec)
+    assert wave_spacetime(spec) is wave
+    assert spacetime_curvature(wave) is wave_curv
+    assert wave_ein_ss(spec) is ein_ss
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        kd = build_kd(rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME))
-    curv = kd.curvature()
+        kd = rigid_kd(rigid_recipe(grid3(9, 8), "1 + 0.1*sin(2*pi*x1)", scheme=SCHEME))
+    curv = spacetime_curvature(kd.spacetime)
     table = kd_einstein(kd)
-    assert kd.curvature() is curv
+    assert spacetime_curvature(kd.spacetime) is curv
     assert kd_einstein(kd) is table
-    for array in (rep.einstein, rep.expected_ss, curv.gamma, curv.einstein, curv.scal,
+    for array in (wave.gbar, wave_curv.einstein, ein_ss, curv.gamma, curv.einstein, curv.scal,
                   table.frame, table.ein):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
-    # another spec of the same profile checks its own wave
-    assert ppwave_einstein_check(ppwave(spec.grid, spec.f, SCHEME)) is not rep
+    # another spec of the same profile builds its own wave
+    assert wave_spacetime(ppwave(spec.grid, spec.f, SCHEME)) is not wave
+    # a development is not changed after construction
+    with pytest.raises(AttributeError):
+        kd.lightlike_max = 0.0
 
 
 def test_induce_validation():
@@ -541,11 +552,11 @@ def test_graph_profile_keeps_a_negative_base_under_its_power():
     assert exprlang.evaluate(profile, {"s": 2.0, "x1": 0.0}) == 4.0
 
 
-def test_restricted_killing_section_is_parallel():
+def test_the_wave_section_is_parallel_on_induced_data():
     grid = Grid.product(1.0, 21, (16, 16), (1.0, 1.0))
     spec = ppwave(grid, "2 + 0.2*sin(2*pi*x1) + 0.3*s", scheme=SCHEME)
     ids = induce_from_ppwave(spec)
-    section = restricted_killing_section(ids)
+    section = null_section(ids, -1)
     assert np.max(np.abs(section.a - 1.0 / ids.phi.data)) == 0.0
     assert np.max(np.abs(section.x[0] + 1.0 / ids.phi.data**2)) < 1e-15
     from idrig.initial_data import ambient_residual_norm
@@ -580,7 +591,7 @@ def test_roundtrip_pure_s_wave_is_exact():
 
 def test_dump_frame_table_csv(tmp_path):
     grid = grid3(9, 8)
-    kd = build_kd(rigid_recipe(grid, "1", scheme=SCHEME))
+    kd = rigid_kd(rigid_recipe(grid, "1", scheme=SCHEME))
     table = kd_einstein(kd)
     path = tmp_path / "frame_table.csv"
     dump_frame_table_csv(table, path)

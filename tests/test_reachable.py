@@ -7,6 +7,9 @@ by several definitions reaches them all, so the walk can only over-count.
 Stored values are held to the same rule: an attribute that src/ code stores on
 a named object (`self.x = ...`, `kd.x = ...`) must be read, by name, somewhere
 in src/.
+
+The modules are layered, exprlang -> mesh -> geometry -> initial_data ->
+{rigidity, killing_dev} -> scene -> cli, and each imports only from earlier layers.
 """
 import ast
 import textwrap
@@ -104,6 +107,34 @@ def unread_stores(sources):
     return sorted(where for name, where in stored.items() if name not in read)
 
 
+# the layers of src/: a module imports only from earlier layers, so rigidity and
+# killing_dev, which share one, do not import each other
+LAYERS = (("exprlang",), ("mesh",), ("geometry",), ("initial_data",),
+          ("rigidity", "killing_dev"), ("scene",), ("cli",))
+
+
+def imported_modules(source):
+    """The idrig modules that `source` imports, relatively or by the package name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("idrig.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "idrig"):
+            module = (node.module or "").removeprefix("idrig").lstrip(".")
+            found |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return found
+
+
+def layering_faults(sources, layers=LAYERS):
+    """Each "module imports name" where name is not in a layer before module's."""
+    layer = {module: i for i, group in enumerate(layers) for module in group}
+    return sorted(f"{module} imports {name}" for module, source in sources.items()
+                  for name in imported_modules(source)
+                  if layer.get(name, len(layers)) >= layer.get(module, -1))
+
+
 def package_sources():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -190,3 +221,21 @@ def test_no_src_module_imports_the_test_side_modules():
                 continue
             for name in imported:
                 assert name.split(".")[-1] not in ("references", "helpers"), (module, name)
+
+
+def test_the_layering_check_finds_imports_of_the_same_or_a_later_layer():
+    sources = {"mesh": "from . import exprlang\n",
+               "killing_dev": "from .initial_data import derived\nfrom .rigidity import f\n",
+               "rigidity": "import idrig.geometry\nfrom idrig import killing_dev\n",
+               "scene": "from idrig.cli import main\nimport numpy\n"}
+    assert layering_faults(sources) == ["killing_dev imports rigidity",
+                                        "rigidity imports killing_dev", "scene imports cli"]
+
+
+def test_every_src_module_imports_only_earlier_layers():
+    sources = package_sources()
+    assert sorted(sources) == sorted(["__init__"] + [m for group in LAYERS for m in group])
+    faults = layering_faults({module: source for module, source in sources.items()
+                              if module != "__init__"})
+    assert not faults, "src/ modules that import a module of their own or a later layer:\n" + (
+        "\n".join(faults))
